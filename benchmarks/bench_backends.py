@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
-"""Benchmark the tree-growing kernel.
+"""Benchmark the tree-growing and prediction kernels.
 
 Grows bagged trees on synthetic regression data through fit_forest and
-reports wall time, milliseconds per tree and nodes per tree. Optionally
-(--pipeline) also times the `train` command end to end in a subprocess.
-Both run with two worker threads, the setting acceptance criterion 6 uses.
+reports wall time, milliseconds per tree and nodes per tree, then times
+Forest.predict on the training rows (milliseconds per 1k rows) and OOB
+permutation importance (milliseconds per forest) on that forest, each the
+median of REPEATS calls. Optionally (--pipeline) also times the `train`
+command end to end in a subprocess. Forests grow with two worker threads,
+the setting acceptance criterion 6 uses; predict and importance run on one.
 
 Usage:
     python benchmarks/bench_backends.py [--rows 4000] [--trees 10] [--pipeline]
@@ -22,8 +25,10 @@ import numpy as np
 
 from e2credit.dataset import FeatureMatrix
 from e2credit.forest import fit_forest
+from e2credit.importance import permutation_importance
 
 WORKERS = 2
+REPEATS = 5
 
 
 def make_data(rows: int, features: int, seed: int = 0) -> FeatureMatrix:
@@ -53,6 +58,19 @@ def bench_kernel(args) -> None:
         f"  {elapsed:8.3f} s, {1000 * elapsed / args.trees:8.2f} ms/tree, "
         f"{nodes:.0f} nodes/tree"
     )
+    predict_ms = _median_ms(lambda: forest.predict(matrix.X))
+    print(f"  predict: {1000 * predict_ms / args.rows:8.2f} ms per 1k rows")
+    vi_ms = _median_ms(lambda: permutation_importance(forest, matrix, seed=0))
+    print(f"  permutation importance: {vi_ms:8.1f} ms per forest")
+
+
+def _median_ms(call) -> float:
+    times = []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - start)
+    return 1000 * float(np.median(times))
 
 
 def bench_pipeline(args) -> None:

@@ -29,6 +29,10 @@ class RunConfig:
     seed: int = 0
     workers: int = 1
 
+    def __post_init__(self) -> None:
+        if self.workers < 1:
+            raise InputFormatError(f"workers must be >= 1, got {self.workers}")
+
     def model_params(self) -> ModelParams:
         return ModelParams(
             recovery=self.recovery,
@@ -54,6 +58,7 @@ def save_config(config: RunConfig, path) -> None:
 def load_config(path) -> RunConfig:
     names = {f.name for f in fields(RunConfig)}
     values: dict[str, float | int] = {}
+    where: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -72,4 +77,9 @@ def load_config(path) -> RunConfig:
                 raise InputFormatError(
                     f"{path}:{lineno}: bad value {text!r} for {key}"
                 ) from None
-    return RunConfig(**values)
+            where[key] = lineno
+    try:
+        return RunConfig(**values)
+    except InputFormatError as exc:
+        # Only workers is range-checked; name the line that set it.
+        raise InputFormatError(f"{path}:{where['workers']}: {exc}") from None

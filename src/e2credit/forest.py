@@ -6,13 +6,16 @@ threads run: each tree owns an independent generator derived from
 (master_seed, tree_index) through numpy's SeedSequence spawn keys, so
 scheduling order cannot leak into the result. Trees store their split
 records (feature, threshold, per-node SSE improvement, sample counts),
-which the importance module consumes.
+which the importance module consumes. Prediction concatenates the trees'
+nodes into one FlatForest and moves every (tree, row) pair down a level
+at a time, all pairs in the same few array operations.
 """
 from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -96,30 +99,116 @@ class RegressionTree:
         return self.feature.shape[0]
 
     def depth(self) -> int:
-        depths = np.zeros(self.n_nodes, dtype=np.int64)
-        out = 0
-        for i in range(self.n_nodes):
-            d = depths[i]
-            out = max(out, int(d))
-            if self.feature[i] != LEAF:
-                depths[self.left[i]] = d + 1
-                depths[self.right[i]] = d + 1
-        return out
+        return int(self.flat.depths[0])
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        single = X.ndim == 1
-        if single:
-            X = X[None, :]
-        node = np.zeros(X.shape[0], dtype=np.int64)
-        active = np.nonzero(self.feature[node] != LEAF)[0]
-        while active.size:
-            nd = node[active]
-            go_left = X[active, self.feature[nd]] <= self.threshold[nd]
-            node[active] = np.where(go_left, self.left[nd], self.right[nd])
-            active = active[self.feature[node[active]] != LEAF]
-        out = self.value[node]
+    @cached_property
+    def flat(self) -> "FlatForest":
+        return FlatForest((self,))
+
+    def predict(self, X: np.ndarray) -> np.ndarray | float:
+        X, single = _as_rows(X)
+        out = np.empty(X.shape[0], dtype=np.float64)
+        for rows, values in self.flat.leaf_values(X):
+            out[rows] = values[0]
         return float(out[0]) if single else out
+
+
+def _as_rows(X: np.ndarray) -> tuple[np.ndarray, bool]:
+    """X as a C-contiguous float64 matrix, and whether it was one row."""
+    X = np.asarray(X, dtype=np.float64)
+    single = X.ndim == 1
+    return np.ascontiguousarray(X[None, :] if single else X), single
+
+
+# Forest.predict descends at most this many (tree, row) pairs at a time, so
+# its scratch arrays stay about 2 MB whatever the number of rows.
+_PREDICT_PAIRS = 2**15
+
+
+class FlatForest:
+    """The nodes of a sequence of trees, concatenated into one set of arrays.
+
+    Node j of tree t is node roots[t] + j; children[2 * i + go_left] is the
+    child of node i on that side, and key[i] is its split threshold, or its
+    value when it is a leaf. A leaf is its own child on both sides, so a
+    descent runs a fixed number of levels over every (tree, row) pair and
+    pairs that reach a leaf early stay put. A leaf's feature stays LEAF: the
+    value it reads, one element before its row (or the matrix's last), is
+    never used. depths[t] is tree t's deepest level.
+    """
+
+    def __init__(self, trees):
+        sizes = np.array([tree.n_nodes for tree in trees], dtype=np.intp)
+        self.roots = np.cumsum(sizes) - sizes
+        n = int(sizes.sum())
+        self.feature = np.empty(n, dtype=np.intp)
+        self.key = np.empty(n, dtype=np.float64)
+        self.children = np.empty(2 * n, dtype=np.intp)
+        for root, tree in zip(self.roots, trees):
+            end = root + tree.n_nodes
+            leaf = tree.feature == LEAF
+            own = np.arange(root, end)
+            self.feature[root:end] = tree.feature
+            self.key[root:end] = np.where(leaf, tree.value, tree.threshold)
+            self.children[2 * root : 2 * end : 2] = np.where(leaf, own, tree.right + root)
+            self.children[2 * root + 1 : 2 * end : 2] = np.where(leaf, own, tree.left + root)
+        self.max_feature = int(self.feature.max(initial=0))
+        self.depths = self._depths(sizes)
+
+    def _depths(self, sizes) -> np.ndarray:
+        tree_of = np.repeat(np.arange(sizes.shape[0]), sizes)
+        depths = np.zeros(sizes.shape[0], dtype=np.intp)
+        level, reached, d = self.roots, sizes.shape[0], 0
+        while True:
+            level = level[self.feature[level] != LEAF]
+            if level.shape[0] == 0:
+                return depths
+            level = np.concatenate([self.children[2 * level + 1], self.children[2 * level]])
+            reached += level.shape[0]
+            if reached > self.feature.shape[0]:
+                raise ValueError("malformed tree: a node is reached twice")
+            d += 1
+            depths[tree_of[level]] = d
+
+    def step(self, Xf, node, base, swap=None):
+        """Move each pair one level down: node is its current node, base the
+        offset of its row in the flattened matrix Xf. With swap = (feature,
+        source), a pair whose node tests its feature reads that one value
+        from the row at offset source instead."""
+        f = self.feature[node]
+        if swap is None:
+            at = base + f
+        else:
+            at = np.where(f == swap[0], swap[1], base) + f
+        go_left = Xf[at] <= self.key[node]
+        return self.children[2 * node + go_left]
+
+    def check_columns(self, p: int) -> None:
+        # A column past the row's end would silently read the next row.
+        if self.max_feature >= p:
+            raise ValueError(
+                f"feature dimension mismatch: trees test column {self.max_feature}, "
+                f"got {p} columns"
+            )
+
+    def leaf_values(self, X: np.ndarray):
+        """Leaf values of every (tree, row) pair for a C-contiguous float64
+        matrix X, a block of rows at a time: yields (rows, values) with one
+        row of values per tree."""
+        n, p = X.shape
+        self.check_columns(p)
+        Xf = X.ravel()
+        n_trees = self.roots.shape[0]
+        block = max(1, _PREDICT_PAIRS // n_trees)
+        levels = int(self.depths.max(initial=0))
+        for start in range(0, n, block):
+            rows = slice(start, min(start + block, n))
+            base = np.arange(rows.start, rows.stop, dtype=np.intp) * p
+            node = np.repeat(self.roots, base.shape[0])
+            base = np.tile(base, n_trees)
+            for _ in range(levels):
+                node = self.step(Xf, node, base)
+            yield rows, self.key[node].reshape(n_trees, -1)
 
 
 def grow_tree(
@@ -170,19 +259,23 @@ class Forest:
     def n_features(self) -> int | None:
         return len(self.columns) if self.columns is not None else None
 
+    @cached_property
+    def flat(self) -> "FlatForest":
+        return FlatForest(self.trees)
+
     def predict(self, X: np.ndarray) -> np.ndarray | float:
-        X = np.asarray(X, dtype=np.float64)
-        single = X.ndim == 1
-        if single:
-            X = X[None, :]
+        X, single = _as_rows(X)
         if self.columns is not None and X.shape[1] != len(self.columns):
             raise ValueError(
                 f"feature dimension mismatch: forest expects {len(self.columns)}, "
                 f"got {X.shape[1]}"
             )
+        # Summed tree by tree, in tree order, so the mean is the same to the
+        # last bit however the descent is laid out.
         acc = np.zeros(X.shape[0], dtype=np.float64)
-        for tree in self.trees:
-            acc += tree.predict(X)
+        for rows, values in self.flat.leaf_values(X):
+            for tree_values in values:
+                acc[rows] += tree_values
         acc /= self.n_trees
         return float(acc[0]) if single else acc
 

@@ -89,10 +89,12 @@ def _permutation(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.permutation(n)
 
 
-# Permuted copies of a tree's OOB block are scored together, up to this many
-# rows per predict call: small OOB sets pay the per-call cost once, large ones
-# stay cache-sized.
-_STACKED_ROWS = 2**14
+# Trees are scored together, in tree order, until their OOB sets hold this
+# many rows: one chunk's descents run as a few large array operations rather
+# than many small ones, while its scratch arrays (a prediction, a source row
+# and a flag per feature for every row, and the re-descending pairs) stay a
+# few MB.
+_CHUNK_ROWS = 2**12
 
 
 def permutation_importance(
@@ -105,49 +107,114 @@ def permutation_importance(
     cannot matter. Trees whose OOB set is too small, has constant labels, or
     scores exactly zero R^2 are skipped with a warning; the average runs over
     the remaining trees. The stored matrix is never modified.
+
+    Only rows whose path tests a feature are re-scored when that feature is
+    permuted, each from the first node on its path that tests it; every
+    other row keeps its leaf, since every value its path compares is
+    unchanged. The scores equal those of predicting every permuted copy of
+    the OOB block in full, bit for bit.
     """
     names = _feature_names(forest, train)
     p = len(names)
+    X = np.ascontiguousarray(train.X, dtype=np.float64)
+    forest.flat.check_columns(p)
     acc = np.zeros(p, dtype=np.float64)
     used = 0
-    for b, tree in enumerate(forest.trees):
-        oob = forest.oob_indices[b]
-        if oob.size < 2:
-            warnings.warn(f"tree {b}: OOB set too small, skipped", stacklevel=2)
-            continue
-        y_oob = train.y[oob]
-        if np.all(y_oob == y_oob[0]):
-            warnings.warn(
-                f"tree {b}: constant OOB labels, R^2 undefined, skipped",
-                stacklevel=2,
-            )
-            continue
-        X_oob = train.X[oob]
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))
-        perms = [_permutation(rng, oob.size) for _ in range(p)]
-        # Block 0 is the OOB sample itself, block a + 1 has column a
-        # permuted; blocks are stacked into as few predict calls as
-        # _STACKED_ROWS allows.
-        pred = np.empty((p + 1, oob.size))
-        per_call = max(1, _STACKED_ROWS // oob.size)
-        for first in range(0, p + 1, per_call):
-            blocks = np.repeat(X_oob[None], min(per_call, p + 1 - first), axis=0)
-            for block, a in zip(blocks, range(first - 1, p)):
-                if a >= 0:
-                    block[:, a] = X_oob[perms[a], a]
-            stacked = tree.predict(blocks.reshape(-1, p))
-            pred[first : first + blocks.shape[0]] = stacked.reshape(blocks.shape[:2])
-        base_r2 = r_squared_arrays(y_oob, pred[0])
-        if base_r2 == 0.0:
-            warnings.warn(f"tree {b}: zero OOB R^2, skipped", stacklevel=2)
-            continue
-        for a in range(p):
-            perm_r2 = r_squared_arrays(y_oob, pred[a + 1])
-            acc[a] += (base_r2 - perm_r2) / base_r2
-        used += 1
+    skipped: list[tuple[int, str]] = []
+    for chunk in _chunks(forest, train, seed, skipped):
+        for b, vi in _score_chunk(forest.flat, X, chunk):
+            if vi is None:
+                skipped.append((b, f"tree {b}: zero OOB R^2, skipped"))
+            else:
+                acc += vi
+                used += 1
+    for _, message in sorted(skipped):
+        warnings.warn(message, stacklevel=2)
     if used == 0:
         raise ValueError("no tree had a usable out-of-bag sample")
     return ImportanceReport(feature_names=names, permutation_vi=acc / used)
+
+
+def _chunks(forest: Forest, train: FeatureMatrix, seed: int, skipped: list):
+    """Lists of (tree, OOB rows, OOB labels, one permutation per feature),
+    _CHUNK_ROWS OOB rows or a little more each; trees that cannot be scored
+    go to skipped instead."""
+    chunk, rows = [], 0
+    for b in range(len(forest.trees)):
+        oob = forest.oob_indices[b]
+        if oob.size < 2:
+            skipped.append((b, f"tree {b}: OOB set too small, skipped"))
+            continue
+        y_oob = train.y[oob]
+        if np.all(y_oob == y_oob[0]):
+            skipped.append((b, f"tree {b}: constant OOB labels, R^2 undefined, skipped"))
+            continue
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))
+        perms = np.stack([_permutation(rng, oob.size) for _ in range(train.n_features)])
+        chunk.append((b, oob, y_oob, perms))
+        rows += oob.size
+        if rows >= _CHUNK_ROWS:
+            yield chunk
+            chunk, rows = [], 0
+    if chunk:
+        yield chunk
+
+
+def _score_chunk(flat, X, chunk):
+    """(tree, per-feature VI terms) for each tree of the chunk; the terms are
+    None where the tree's OOB R^2 is zero."""
+    trees = [b for b, _, _, _ in chunk]
+    sizes = [oob.size for _, oob, _, _ in chunk]
+    ends = np.cumsum(sizes)
+    p = X.shape[1]
+    Xf = X.ravel()
+    # Row offsets into Xf of the chunk's rows, tree after tree.
+    base = np.concatenate([oob for _, oob, _, _ in chunk]) * p
+    K = base.shape[0]
+    depth = int(flat.depths[trees].max())
+
+    # Descend the OOB rows once. At each depth, a row whose node tests a
+    # feature its path has not tested before starts a (feature, row) pair
+    # there: with that feature permuted, the row re-descends from this node,
+    # while a row whose path never tests it keeps its leaf.
+    node = np.repeat(flat.roots[trees], sizes)
+    every_row = np.arange(K)
+    seen = np.zeros((p, K), dtype=bool)
+    entering = []
+    for _ in range(depth):
+        tests = flat.feature[node]
+        at = every_row[tests >= 0]
+        at = at[~seen[tests[at], at]]
+        seen[tests[at], at] = True
+        entering.append((tests[at], at, node[at]))
+        node = flat.step(Xf, node, base)
+    leaf_value = flat.key[node]
+
+    permuted = np.repeat(leaf_value[None], p, axis=0)
+    if entering:
+        # Pairs are laid out by starting depth, so those under way at a
+        # depth form a prefix; each reads its feature from its permuted
+        # source row.
+        feature, row, node = (np.concatenate(part) for part in zip(*entering))
+        source = np.concatenate(
+            [perms + (end - size) for (_, _, _, perms), end, size in zip(chunk, ends, sizes)],
+            axis=1,
+        )[feature, row]
+        row_base, source_base = base[row], base[source]
+        for n in np.cumsum([part[0].shape[0] for part in entering]):
+            node[:n] = flat.step(Xf, node[:n], row_base[:n], (feature[:n], source_base[:n]))
+        permuted[feature, row] = flat.key[node]
+
+    out = []
+    for (b, _, y_oob, _), end, size in zip(chunk, ends, sizes):
+        rows = slice(end - size, end)
+        base_r2 = r_squared_arrays(y_oob, leaf_value[rows])
+        if base_r2 == 0.0:
+            out.append((b, None))
+            continue
+        perm_r2 = r_squared_arrays(y_oob, permuted[:, rows])
+        out.append((b, (base_r2 - perm_r2) / base_r2))
+    return out
 
 
 def importance_report(

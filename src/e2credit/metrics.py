@@ -32,15 +32,19 @@ class PairedSeries:
         return self.actual.shape[0]
 
 
-def r_squared_arrays(actual: np.ndarray, predicted: np.ndarray) -> float:
-    """R^2 = 1 - SS_res / SS_tot; errors when the actuals have no variance."""
+def r_squared_arrays(actual: np.ndarray, predicted: np.ndarray) -> float | np.ndarray:
+    """R^2 = 1 - SS_res / SS_tot; errors when the actuals have no variance.
+
+    A 2-D predicted gives one R^2 per row, each equal to the R^2 of that row
+    alone.
+    """
     actual = np.asarray(actual, dtype=np.float64)
     predicted = np.asarray(predicted, dtype=np.float64)
     ss_tot = float(np.sum((actual - actual.mean()) ** 2))
     if ss_tot == 0.0:
         raise ValueError("R^2 undefined: actual values have zero variance")
-    ss_res = float(np.sum((actual - predicted) ** 2))
-    return 1.0 - ss_res / ss_tot
+    r2 = 1.0 - np.sum((actual - predicted) ** 2, axis=-1) / ss_tot
+    return float(r2) if r2.ndim == 0 else r2
 
 
 def r_squared(series: PairedSeries) -> float:

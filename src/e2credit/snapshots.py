@@ -79,6 +79,9 @@ _FLOAT_COLUMNS = frozenset(
     + IMPL_COLUMNS
 )
 
+# Observed spreads; RawRecord rejects a negative one.
+_NONNEGATIVE_COLUMNS = frozenset(("ig_cdx_bps", "cds_5y_bps"))
+
 _BANKING_REQUIRED = ("stock_price", "market_cap", "fx_rate", "long_term_debt",
                      "minority_interest", "preferred_equity")
 _NONBANK_EXTRA = ("short_term_debt", "other_lt_liabilities",
@@ -155,6 +158,11 @@ def read_snapshots(path) -> list[FirmSnapshot]:
                     if not math.isfinite(parsed):
                         raise InputFormatError(
                             f"{path}:{lineno}: column {col}: non-finite value"
+                        )
+                    if parsed < 0.0 and col in _NONNEGATIVE_COLUMNS:
+                        raise InputFormatError(
+                            f"{path}:{lineno}: column {col}: must be >= 0, "
+                            f"got {text!r}"
                         )
                     values[col] = parsed
                 else:

@@ -84,6 +84,40 @@ class TestSpreadCommand:
         assert broken[0]["e2c_bps"] == ""
 
 
+class TestMalformedInput:
+    @pytest.mark.parametrize("column", ["ig_cdx_bps", "cds_5y_bps"])
+    @pytest.mark.parametrize("command", ["spread", "train", "evaluate", "importance"])
+    def test_negative_observed_spread_exit_2(
+        self, synth_dir, trained_dir, tmp_path, capsys, command, column
+    ):
+        lines = (synth_dir / "snapshots.csv").read_text().splitlines()
+        row = lines[3].split(",")
+        row[lines[0].split(",").index(column)] = "-1"
+        lines[3] = ",".join(row)
+        bad = tmp_path / "negative.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        forest = [str(trained_dir / "forest.e2cf")] if command in ("evaluate", "importance") else []
+        code = main([command, *forest, str(bad), "--out-dir", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{bad}:4" in err and column in err
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_flag_below_one_exit_2(self, synth_dir, tmp_path, capsys, workers):
+        code = main(["train", str(synth_dir / "snapshots.csv"), "--trees", "2",
+                     "--workers", workers, "--out-dir", str(tmp_path / "o")])
+        assert code == 2
+        assert "workers must be >= 1" in capsys.readouterr().err
+
+    def test_workers_config_below_one_exit_2(self, synth_dir, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("trees = 2\nworkers = 0\n")
+        code = main(["train", str(synth_dir / "snapshots.csv"), "--config", str(config),
+                     "--out-dir", str(tmp_path / "o")])
+        assert code == 2
+        assert f"{config}:2: workers must be >= 1" in capsys.readouterr().err
+
+
 class TestTrainCommand:
     def test_outputs(self, trained_dir):
         for name in ("forest.e2cf", "split_manifest.csv", "train_metrics.csv",

@@ -38,6 +38,13 @@ class TestRunConfig:
         assert config.trees == 50
         assert config.maturity == 3.0
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, workers):
+        with pytest.raises(InputFormatError, match="workers must be >= 1"):
+            RunConfig(workers=workers)
+        with pytest.raises(InputFormatError, match="workers must be >= 1"):
+            RunConfig().with_overrides(workers=workers)
+
     def test_model_params_view(self):
         params = RunConfig().model_params()
         assert params.recovery == 0.3 and params.maturity == 5.0
@@ -60,6 +67,12 @@ class TestConfigFile:
         path = tmp_path / "run.cfg"
         path.write_text("trees = many\n")
         with pytest.raises(InputFormatError, match="trees"):
+            load_config(path)
+
+    def test_workers_below_one_names_its_line(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("seed = 3\n\nworkers = 0\n")
+        with pytest.raises(InputFormatError, match=r"run.cfg:3: workers must be >= 1"):
             load_config(path)
 
     def test_missing_equals(self, tmp_path):

@@ -338,3 +338,76 @@ class TestSerialization:
         path.write_bytes(b"NOTAFOREST")
         with pytest.raises(ValueError, match="magic"):
             load_forest(path)
+
+
+def leaf_tree(value):
+    return forest_mod.RegressionTree(
+        feature=np.array([-1]), threshold=np.array([0.0]), left=np.array([-1]),
+        right=np.array([-1]), value=np.array([value]), n_samples=np.array([1]),
+        improvement=np.array([0.0]))
+
+
+def oracle_cases():
+    """(name, forest, X) covering deep, stump, single-leaf and one-column
+    forests; X holds rows outside the training set as well."""
+    rng = np.random.default_rng(21)
+    X = rng.normal(size=(160, 4))
+    X[:, 2] = rng.integers(0, 3, size=160)
+    y = X[:, 0] + np.sin(3 * X[:, 1]) + 0.2 * rng.normal(size=160)
+    train = FeatureMatrix.from_arrays(X[:100], y[:100])
+    one = FeatureMatrix.from_arrays(X[:100, :1], y[:100])
+    flat = FeatureMatrix.from_arrays(X[:100], np.full(100, 2.5))
+    stumps = fit_forest(train, n_trees=9, m=2, max_depth=1, master_seed=2)
+    leaves = fit_forest(flat, n_trees=3, m=2, max_depth=4, master_seed=3)
+    return [
+        ("unbounded", fit_forest(train, n_trees=12, m=3, max_depth=None, master_seed=1), X),
+        ("stumps", stumps, X),
+        ("single_leaf", leaves, X),
+        ("one_column", fit_forest(one, n_trees=8, m=1, max_depth=None, master_seed=4),
+         X[:, :1]),
+        ("mixed", Forest(
+            trees=stumps.trees[:3] + leaves.trees[:1] + (leaf_tree(-0.0),),
+            bootstrap_indices=(np.arange(1),) * 5, oob_indices=(np.arange(1),) * 5,
+            n_trees=5, m=2, max_depth=None, master_seed=0, n_train_rows=100), X),
+    ]
+
+
+class TestPredictMatchesOracle:
+    @pytest.mark.parametrize("name, forest, X", oracle_cases())
+    def test_forest_and_trees_bitwise(self, name, forest, X, forest_oracle, tree_oracle):
+        assert forest.predict(X).tobytes() == forest_oracle(forest, X).tobytes()
+        for tree in forest.trees:
+            assert tree.predict(X).tobytes() == tree_oracle(tree, X).tobytes()
+
+    @pytest.mark.parametrize("name, forest, X", oracle_cases())
+    def test_one_dimensional_input(self, name, forest, X, forest_oracle, tree_oracle):
+        for row in X[:5]:
+            got = forest.predict(row)
+            assert isinstance(got, float)
+            assert np.float64(got).tobytes() == np.float64(forest_oracle(forest, row)).tobytes()
+            tree = forest.trees[0]
+            assert np.float64(tree.predict(row)).tobytes() == np.float64(
+                tree_oracle(tree, row)).tobytes()
+
+    def test_row_blocks(self, monkeypatch, forest_oracle):
+        # Blocks of a few rows, the last one short, give the same answer.
+        name, forest, X = oracle_cases()[0]
+        monkeypatch.setattr(forest_mod, "_PREDICT_PAIRS", 7 * forest.n_trees)
+        assert forest.predict(X).tobytes() == forest_oracle(forest, X).tobytes()
+
+    def test_depths(self):
+        def reference(tree, node=0):
+            if tree.feature[node] == -1:
+                return 0
+            return 1 + max(reference(tree, tree.left[node]), reference(tree, tree.right[node]))
+
+        for _, forest, _ in oracle_cases():
+            expected = [reference(tree) for tree in forest.trees]
+            assert forest.flat.depths.tolist() == expected
+            assert [tree.depth() for tree in forest.trees] == expected
+
+    def test_too_few_columns_rejected(self):
+        _, forest, X = oracle_cases()[0]
+        tree = forest.trees[0]
+        with pytest.raises(ValueError, match="dimension"):
+            tree.predict(X[:, :1])

@@ -1,9 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import e2credit.importance as importance_mod
 from e2credit.dataset import FeatureMatrix
-from e2credit.forest import fit_forest
+from e2credit.forest import Forest, RegressionTree, fit_forest
 from e2credit.importance import (
     importance_report,
     mdi_importance,
@@ -125,3 +127,102 @@ class TestReport:
         )
         with pytest.raises(ValueError, match="columns"):
             mdi_importance(forest, other)
+
+
+def recorded(fn, *args):
+    """fn's result and the messages of the warnings it raised, in order."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn(*args)
+    return out, [str(w.message) for w in caught]
+
+
+def leaf_tree(value):
+    return RegressionTree(
+        feature=np.array([-1]), threshold=np.array([0.0]), left=np.array([-1]),
+        right=np.array([-1]), value=np.array([value]), n_samples=np.array([1]),
+        improvement=np.array([0.0]))
+
+
+def hand_forest(trees, oobs, matrix):
+    return Forest(trees=tuple(trees), bootstrap_indices=(np.arange(1),) * len(trees),
+                  oob_indices=tuple(oobs), n_trees=len(trees), m=1, max_depth=None,
+                  master_seed=0, n_train_rows=matrix.n_rows, columns=matrix.columns)
+
+
+def vi_cases():
+    """(name, forest, matrix) for the oracle comparison."""
+    rng = np.random.default_rng(31)
+    X = rng.normal(size=(150, 4))
+    X[:, 3] = rng.integers(0, 2, size=150)
+    y = 2.0 * X[:, 0] + X[:, 3] + 0.3 * rng.normal(size=150)
+    y[100:110] = 4.0
+    matrix = FeatureMatrix.from_arrays(X, y)
+    one = FeatureMatrix.from_arrays(X[:, :1], y)
+    deep = fit_forest(matrix, n_trees=15, m=2, max_depth=None, master_seed=1)
+    stumps = fit_forest(matrix, n_trees=10, m=2, max_depth=1, master_seed=2)
+    # Scored trees between trees skipped for each reason: an OOB set of one
+    # row (tree 1), a single leaf whose value is exactly the mean of its OOB
+    # labels, so R^2 == 0 (tree 3), and OOB labels all equal (tree 5).
+    zero_r2 = leaf_tree(y[70:90].mean())
+    mixed = hand_forest(
+        (deep.trees[0], stumps.trees[0], leaf_tree(1.0), zero_r2, deep.trees[1],
+         stumps.trees[1], deep.trees[2]),
+        (deep.oob_indices[0], np.array([4]), np.arange(0, 150, 3), np.arange(70, 90),
+         deep.oob_indices[1], np.arange(100, 110), np.arange(10, 60)),
+        matrix)
+    leaves = hand_forest([leaf_tree(v) for v in (1.0, -2.0, 0.5)],
+                         (np.arange(40), np.arange(50, 150), np.arange(7)), matrix)
+    return [
+        ("unbounded", deep, matrix),
+        ("stumps", stumps, matrix),
+        ("one_column", fit_forest(one, n_trees=10, m=1, max_depth=None, master_seed=3), one),
+        ("single_leaf", leaves, matrix),
+        ("skipped_trees", mixed, matrix),
+    ]
+
+
+class TestPermutationMatchesOracle:
+    @pytest.mark.parametrize("chunk_rows", [1, 150, 2**14])
+    @pytest.mark.parametrize("name, forest, matrix", vi_cases())
+    def test_bitwise_with_same_warnings(self, name, forest, matrix, chunk_rows,
+                                        monkeypatch, vi_oracle):
+        monkeypatch.setattr(importance_mod, "_CHUNK_ROWS", chunk_rows)
+        for seed in (0, 7):
+            got, got_warnings = recorded(permutation_importance, forest, matrix, seed)
+            want, want_warnings = recorded(vi_oracle, forest, matrix, seed)
+            assert got.permutation_vi.tobytes() == want.tobytes()
+            assert got_warnings == want_warnings
+
+    def test_skip_reasons_in_tree_order(self):
+        _, forest, matrix = vi_cases()[-1]
+        _, messages = recorded(permutation_importance, forest, matrix, 0)
+        assert messages == [
+            "tree 1: OOB set too small, skipped",
+            "tree 3: zero OOB R^2, skipped",
+            "tree 5: constant OOB labels, R^2 undefined, skipped",
+        ]
+
+    def test_permutation_draws(self, monkeypatch):
+        # p draws, in feature order and of the OOB size, from the (seed, tree)
+        # stream of every tree with two or more OOB rows and unequal OOB
+        # labels; the zero-R^2 tree draws too.
+        _, forest, matrix = vi_cases()[-1]
+        calls = []
+
+        def draw(rng, n):
+            perm = rng.permutation(n)
+            calls.append((n, perm.tobytes()))
+            return perm
+
+        monkeypatch.setattr(importance_mod, "_permutation", draw)
+        with pytest.warns(UserWarning):
+            permutation_importance(forest, matrix, seed=5)
+        expected = []
+        for b, oob in enumerate(forest.oob_indices):
+            if b in (1, 5):
+                continue
+            rng = np.random.default_rng(np.random.SeedSequence(5, spawn_key=(b,)))
+            expected += [(oob.size, rng.permutation(oob.size).tobytes())
+                         for _ in range(matrix.n_features)]
+        assert calls == expected

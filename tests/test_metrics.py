@@ -12,6 +12,7 @@ from e2credit.metrics import (
     mape,
     mase,
     r_squared,
+    r_squared_arrays,
     rmse,
     truncated_mean,
 )
@@ -47,6 +48,20 @@ class TestRSquared:
     def test_too_short(self):
         with pytest.raises(ValueError):
             r_squared(series([1], [1]))
+
+    @pytest.mark.parametrize("k", [2, 7, 9, 130, 1001, 20000])
+    def test_rows_match_one_dimensional_bitwise(self, k):
+        # Permutation importance scores every feature's row of predictions
+        # in one call; each must equal the R^2 of that row on its own.
+        rng = np.random.default_rng(k)
+        actual = rng.normal(size=k) * 100.0
+        block = rng.normal(size=(4, k + 3)) * 100.0
+        rows = block[:, 1 : k + 1]  # a strided view, as the caller passes
+        got = r_squared_arrays(actual, rows)
+        for j in range(4):
+            want = r_squared_arrays(actual, rows[j].copy())
+            assert isinstance(want, float)
+            assert np.float64(got[j]).tobytes() == np.float64(want).tobytes()
 
 
 class TestErrorMetrics:

@@ -74,6 +74,14 @@ class TestReadSnapshots:
         with pytest.raises(InputFormatError, match=r"bad.csv:3.*stock_price"):
             read_snapshots(path)
 
+    @pytest.mark.parametrize("column", ["ig_cdx_bps", "cds_5y_bps"])
+    def test_negative_observed_spread_reports_line(self, tmp_path, column):
+        path = write_rows(
+            tmp_path / "bad.csv", [base_row(), base_row(firm_id="B", **{column: -1.0})]
+        )
+        with pytest.raises(InputFormatError, match=rf"bad.csv:3: column {column}: must be >= 0"):
+            read_snapshots(path)
+
     def test_bad_date(self, tmp_path):
         path = write_rows(tmp_path / "bad.csv", [base_row(date="05/02/2016")])
         with pytest.raises(InputFormatError, match="ISO date"):
