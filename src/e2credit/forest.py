@@ -21,6 +21,7 @@ import numpy as np
 
 from . import _kernels
 from .dataset import FeatureColumn, FeatureMatrix
+from .errors import InputFormatError
 
 LEAF = _kernels.LEAF
 
@@ -246,7 +247,6 @@ class Forest:
     """Bagged ensemble; prediction is the arithmetic mean of tree outputs."""
 
     trees: tuple[RegressionTree, ...]
-    bootstrap_indices: tuple[np.ndarray, ...]
     oob_indices: tuple[np.ndarray, ...]
     n_trees: int
     m: int
@@ -302,15 +302,17 @@ def _draw_bootstrap(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.integers(0, n, size=n)
 
 
+def _bootstrap(master_seed: int, tree_index: int, n: int):
+    """Tree tree_index's generator, left where growing starts, its n bootstrap
+    rows and its out-of-bag rows (those never drawn, ascending)."""
+    rng = _tree_rng(master_seed, tree_index)
+    boot = _draw_bootstrap(rng, n)
+    return rng, boot, np.flatnonzero(np.bincount(boot, minlength=n) == 0)
+
+
 def _fit_batch(presorted, y, n, trees, m, max_depth, master_seed):
-    rngs = [_tree_rng(master_seed, b) for b in trees]
-    boots = [_draw_bootstrap(rng, n) for rng in rngs]
-    grown = _grow(presorted, y, boots, m, max_depth, rngs)
-    everyone = np.arange(n, dtype=np.int64)
-    return [
-        (tree, boot.astype(np.int64), np.setdiff1d(everyone, boot))
-        for tree, boot in zip(grown, boots)
-    ]
+    rngs, boots, oobs = zip(*(_bootstrap(master_seed, b, n) for b in trees))
+    return list(zip(_grow(presorted, y, boots, m, max_depth, rngs), oobs))
 
 
 # Trees grow in batches of about this many rows in total: one batch's level
@@ -354,10 +356,9 @@ def fit_forest(
             batches = list(pool.map(lambda args: _fit_batch(*args), jobs))
     else:
         batches = [_fit_batch(*args) for args in jobs]
-    trees, boots, oobs = zip(*(result for batch in batches for result in batch))
+    trees, oobs = zip(*(result for batch in batches for result in batch))
     return Forest(
         trees=tuple(trees),
-        bootstrap_indices=tuple(boots),
         oob_indices=tuple(oobs),
         n_trees=n_trees,
         m=m,
@@ -372,9 +373,9 @@ def fit_forest(
 # Serialization
 # ---------------------------------------------------------------------------
 
-_MAGIC = b"E2CFOR01"
-_FORMAT_VERSION = 1
+_MAGIC = b"E2CFOR02"
 
+# Node fields in file order; each takes 8 bytes a node.
 _TREE_FIELDS = (
     ("feature", "<i8"),
     ("threshold", "<f8"),
@@ -386,96 +387,102 @@ _TREE_FIELDS = (
 )
 
 
+def _at_least(low: int):
+    return lambda v: type(v) is int and v >= low
+
+
+# Each header key, which is also the Forest field it holds, and the test
+# its value must pass.
+_HEADER = {
+    "n_trees": _at_least(1),
+    "m": _at_least(1),
+    "max_depth": lambda v: v is None or _at_least(1)(v),
+    "master_seed": _at_least(0),
+    "n_train_rows": _at_least(1),
+    "columns": lambda v: v is None or type(v) is list and all(
+        type(c) is list and len(c) == 2 and all(type(s) is str for s in c) for c in v
+    ),
+}
+
+
 def save_forest(forest: Forest, path) -> None:
-    """Write the forest to a versioned binary container.
+    """Write the forest to a binary file; identical forests give identical bytes.
 
-    Layout: 8-byte magic "E2CFOR01", a little-endian uint32 header length,
-    a JSON header (sorted keys) describing hyperparameters, column metadata
-    and an array table (name, dtype, shape, byte offset), then the raw
-    little-endian array payload. The encoding is fully deterministic, so
-    identical forests produce byte-identical files.
+    Layout: the magic "E2CFOR02" (the only version marker), a little-endian
+    uint32 header length, a JSON header (sorted keys, no spaces) with the
+    _HEADER keys, then the trees' node counts as <i8 and each of the
+    _TREE_FIELDS concatenated over the trees in tree order. Out-of-bag rows
+    are redrawn from (master_seed, tree, n_train_rows) on load, not stored,
+    so a forest whose out-of-bag sets are not its seed's raises ValueError.
     """
-    array_table = []
-    payload = bytearray()
-
-    def add(name: str, arr: np.ndarray, dtype: str) -> None:
-        data = np.ascontiguousarray(arr, dtype=np.dtype(dtype)).tobytes()
-        array_table.append(
-            {"name": name, "dtype": dtype, "shape": list(arr.shape), "offset": len(payload)}
-        )
-        payload.extend(data)
-
-    for t, tree in enumerate(forest.trees):
-        for field_name, dtype in _TREE_FIELDS:
-            add(f"tree{t}/{field_name}", getattr(tree, field_name), dtype)
-        add(f"tree{t}/bootstrap", forest.bootstrap_indices[t], "<i8")
-        add(f"tree{t}/oob", forest.oob_indices[t], "<i8")
-
-    header = {
-        "format_version": _FORMAT_VERSION,
-        "n_trees": forest.n_trees,
-        "m": forest.m,
-        "max_depth": forest.max_depth,
-        "master_seed": forest.master_seed,
-        "n_train_rows": forest.n_train_rows,
-        "columns": (
-            None
-            if forest.columns is None
-            else [[c.name, c.kind] for c in forest.columns]
-        ),
-        "arrays": array_table,
-    }
+    for b, oob in enumerate(forest.oob_indices):
+        if not np.array_equal(oob, _bootstrap(forest.master_seed, b, forest.n_train_rows)[2]):
+            raise ValueError(f"tree {b}'s out-of-bag rows are not its seed's; cannot save")
+    header = {key: getattr(forest, key) for key in _HEADER}
+    if forest.columns is not None:
+        header["columns"] = [[c.name, c.kind] for c in forest.columns]
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    counts = np.array([tree.n_nodes for tree in forest.trees], dtype="<i8")
     with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(np.uint32(len(blob)).tobytes())
-        fh.write(blob)
-        fh.write(bytes(payload))
+        fh.write(_MAGIC + len(blob).to_bytes(4, "little") + blob + counts.tobytes())
+        for name, dtype in _TREE_FIELDS:
+            nodes = np.concatenate([getattr(tree, name) for tree in forest.trees])
+            fh.write(nodes.astype(dtype).tobytes())
 
 
 def load_forest(path) -> Forest:
-    """Read a forest written by save_forest; round-trips bit-exactly."""
+    """Read a forest written by save_forest; round-trips bit-exactly. Any
+    other file, a format-1 one included, raises InputFormatError."""
     with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != _MAGIC:
-            raise ValueError(f"not a forest file (bad magic {magic!r}): {path}")
-        (header_len,) = np.frombuffer(fh.read(4), dtype="<u4")
-        header = json.loads(fh.read(int(header_len)).decode("utf-8"))
-        if header["format_version"] != _FORMAT_VERSION:
-            raise ValueError(
-                f"unsupported forest format version {header['format_version']}"
-            )
-        payload = fh.read()
-    arrays = {}
-    for entry in header["arrays"]:
-        dtype = np.dtype(entry["dtype"])
-        count = int(np.prod(entry["shape"])) if entry["shape"] else 1
-        start = entry["offset"]
-        arr = np.frombuffer(payload, dtype=dtype, count=count, offset=start)
-        arrays[entry["name"]] = arr.reshape(entry["shape"]).copy()
-    trees = []
-    boots = []
-    oobs = []
-    for t in range(header["n_trees"]):
-        fields = {
-            name: arrays[f"tree{t}/{name}"] for name, _ in _TREE_FIELDS
-        }
-        trees.append(RegressionTree(max_depth=header["max_depth"], **fields))
-        boots.append(arrays[f"tree{t}/bootstrap"])
-        oobs.append(arrays[f"tree{t}/oob"])
-    columns = header["columns"]
-    return Forest(
-        trees=tuple(trees),
-        bootstrap_indices=tuple(boots),
-        oob_indices=tuple(oobs),
-        n_trees=header["n_trees"],
-        m=header["m"],
-        max_depth=header["max_depth"],
-        master_seed=header["master_seed"],
-        n_train_rows=header["n_train_rows"],
-        columns=(
-            None
-            if columns is None
-            else tuple(FeatureColumn(name, kind) for name, kind in columns)
-        ),
-    )
+        raw = fh.read()
+    if raw[:8] == b"E2CFOR01":
+        raise InputFormatError(f"{path}: forest file format 1 is no longer read; retrain")
+    if raw[:8] != _MAGIC:
+        raise InputFormatError(f"{path}: not a forest file (bad magic {raw[:8]!r})")
+    size = int.from_bytes(raw[8:12], "little")
+    try:
+        header = json.loads(raw[12 : 12 + size])
+    except ValueError as exc:
+        raise InputFormatError(f"{path}: unreadable forest header ({exc})") from None
+    for key, valid in _HEADER.items():
+        if not (type(header) is dict and key in header and valid(header[key])):
+            raise InputFormatError(f"{path}: forest header key {key!r} missing or malformed")
+    n_trees, columns = header["n_trees"], header["columns"]
+    payload = memoryview(raw)[12 + size :]
+    counts = np.frombuffer(payload, "<i8", count=min(n_trees, len(payload) // 8))
+    if np.any(counts < 1):
+        raise InputFormatError(f"{path}: a tree has no nodes")
+    n = sum(counts.tolist())
+    if len(payload) != 8 * n_trees + 56 * n:
+        raise InputFormatError(f"{path}: payload is not {n_trees} trees of {n} nodes")
+    block = np.frombuffer(payload, "<i8", offset=8 * n_trees).reshape(len(_TREE_FIELDS), n)
+    fields = {name: row.view(dtype) for (name, dtype), row in zip(_TREE_FIELDS, block)}
+    _check_nodes(path, fields, counts, None if columns is None else len(columns))
+    per_tree = zip(*(np.split(nodes, np.cumsum(counts)[:-1]) for nodes in fields.values()))
+    max_depth = header["max_depth"]
+    trees = tuple(RegressionTree(max_depth=max_depth, **dict(zip(fields, t))) for t in per_tree)
+    seed, n_rows = header["master_seed"], header["n_train_rows"]
+    oobs = tuple(_bootstrap(seed, b, n_rows)[2] for b in range(n_trees))
+    if columns is not None:
+        header["columns"] = tuple(FeatureColumn(name, kind) for name, kind in columns)
+    return Forest(trees=trees, oob_indices=oobs, **{key: header[key] for key in _HEADER})
+
+
+def _check_nodes(path, fields, counts, p) -> None:
+    # Children must come after their parent within its tree, and every node
+    # but a root must be the child of exactly one node: then each tree is a
+    # tree, and every descent from its root ends at a leaf.
+    feature, n = fields["feature"], fields["feature"].shape[0]
+    if feature.min() < LEAF or (p is not None and feature.max() >= p):
+        raise InputFormatError(f"{path}: a node tests a feature outside [-1, {p})")
+    split = feature != LEAF
+    first = np.repeat(np.cumsum(counts) - counts, counts)
+    local = np.arange(n) - first
+    kids = np.stack([fields["left"], fields["right"]])
+    if np.any(~split & (kids != LEAF)):
+        raise InputFormatError(f"{path}: a leaf has a child")
+    if np.any(split & ((kids <= local) | (kids >= np.repeat(counts, counts)))):
+        raise InputFormatError(f"{path}: a split node's child is not a later node of its tree")
+    parents = np.bincount(np.where(split, kids + first, n).ravel(), minlength=n + 1)
+    if np.any(parents[:n] != (local > 0)):
+        raise InputFormatError(f"{path}: a node is not the child of exactly one node")

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -149,3 +151,11 @@ def stacked_permutation_importance(forest, train, seed, stacked_rows=2**14):
     if used == 0:
         raise ValueError("no tree had a usable out-of-bag sample")
     return acc / used
+
+
+def edit_header(path, edit):
+    """Replace the header of the forest file at path with edit(header)."""
+    raw = path.read_bytes()
+    size = int.from_bytes(raw[8:12], "little")
+    blob = json.dumps(edit(json.loads(raw[12 : 12 + size]))).encode()
+    path.write_bytes(raw[:8] + len(blob).to_bytes(4, "little") + blob + raw[12 + size :])

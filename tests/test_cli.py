@@ -8,6 +8,8 @@ from e2credit.cli import main
 from e2credit.forest import load_forest
 from e2credit.snapshots import SNAPSHOT_COLUMNS
 
+from conftest import edit_header
+
 
 @pytest.fixture(scope="module")
 def synth_dir(tmp_path_factory):
@@ -257,3 +259,26 @@ class TestImportanceCommand:
             "--firm-frac", "0.4", "--out-dir", str(tmp_path / "o"),
         ])
         assert code == 4
+
+
+def corrupt_forest(trained_dir, tmp_path, case):
+    """A copy of the trained forest file, truncated or with a header key
+    removed."""
+    raw = (trained_dir / "forest.e2cf").read_bytes()
+    path = tmp_path / "corrupt.e2cf"
+    path.write_bytes(raw[: len(raw) // 2] if case == "truncated" else raw)
+    if case == "header_without_key":
+        edit_header(path, lambda h: {k: v for k, v in h.items() if k != "master_seed"})
+    return path
+
+
+@pytest.mark.parametrize("case", ["truncated", "header_without_key"])
+@pytest.mark.parametrize("command", ["evaluate", "importance"])
+def test_corrupt_forest_exit_2(synth_dir, trained_dir, tmp_path, capsys, command, case):
+    path = corrupt_forest(trained_dir, tmp_path, case)
+    code = main([command, str(path), str(synth_dir / "snapshots.csv"),
+                 "--out-dir", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("input error: ") and str(path) in err
+    assert "Traceback" not in err

@@ -1,10 +1,17 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import e2credit.forest as forest_mod
 from e2credit.dataset import FeatureMatrix
+from e2credit.errors import InputFormatError
+
+from conftest import edit_header
 from e2credit.forest import (
     Forest,
     best_split,
@@ -187,9 +194,11 @@ class TestFitForest:
         assert forest.n_trees == 5
         assert len(forest.trees) == 5
         assert forest.n_train_rows == small_matrix.n_rows
-        for boot, oob in zip(forest.bootstrap_indices, forest.oob_indices):
+        for b, oob in enumerate(forest.oob_indices):
+            boot = bootstrap_rows(0, b, small_matrix.n_rows)
             assert boot.shape[0] == small_matrix.n_rows
             assert np.intersect1d(boot, oob).size == 0
+            assert np.union1d(boot, oob).size == small_matrix.n_rows
 
     def test_default_hyperparameters(self):
         assert forest_mod.DEFAULT_N_TREES == 50
@@ -244,7 +253,7 @@ class TestFitForest:
             feature=np.array([-1]), threshold=np.array([0.0]),
             left=np.array([-1]), right=np.array([-1]), value=np.array([200.0]),
             n_samples=np.array([1]), improvement=np.array([0.0]))
-        pair = Forest(trees=(t100, t200), bootstrap_indices=(np.array([0]),) * 2,
+        pair = Forest(trees=(t100, t200),
                       oob_indices=(np.array([], dtype=np.int64),) * 2, n_trees=2,
                       m=1, max_depth=1, master_seed=0, n_train_rows=1)
         assert predict(pair, np.zeros(4)) == 150.0
@@ -266,8 +275,8 @@ class TestFitForest:
                 assert np.array_equal(ta.feature, tb.feature)
                 assert np.array_equal(ta.threshold, tb.threshold)
                 assert np.array_equal(ta.value, tb.value)
-            for ba, bb in zip(reference.bootstrap_indices, other.bootstrap_indices):
-                assert np.array_equal(ba, bb)
+            for oa, ob in zip(reference.oob_indices, other.oob_indices):
+                assert np.array_equal(oa, ob)
 
     def test_oob_fraction_statistics(self):
         n = 100
@@ -295,9 +304,8 @@ class TestFitForest:
         transformed = FeatureMatrix.from_arrays(cubed, small_matrix.y.copy())
         f_base = fit_forest(small_matrix, n_trees=6, m=3, max_depth=6, master_seed=5)
         f_cubed = fit_forest(transformed, n_trees=6, m=3, max_depth=6, master_seed=5)
-        for ta, tb, boot in zip(
-            f_base.trees, f_cubed.trees, f_base.bootstrap_indices
-        ):
+        for b, (ta, tb) in enumerate(zip(f_base.trees, f_cubed.trees)):
+            boot = bootstrap_rows(5, b, small_matrix.n_rows)
             assert np.array_equal(ta.feature, tb.feature)
             assert np.array_equal(ta.value, tb.value)
             assert np.array_equal(
@@ -329,15 +337,161 @@ class TestSerialization:
                          "n_samples", "improvement"):
                 assert getattr(ta, name).tobytes() == getattr(tb, name).tobytes()
         for a, b in zip(forest.oob_indices, loaded.oob_indices):
-            assert np.array_equal(a, b)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
         save_forest(loaded, tmp_path / "again.e2cf")
         assert (tmp_path / "again.e2cf").read_bytes() == path.read_bytes()
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.e2cf"
         path.write_bytes(b"NOTAFOREST")
-        with pytest.raises(ValueError, match="magic"):
+        with pytest.raises(InputFormatError, match="magic"):
             load_forest(path)
+
+    def test_layout(self, small_matrix, tmp_path):
+        # Magic, header, node counts, then each field over all trees, and
+        # nothing else: no bootstrap or out-of-bag rows.
+        forest = fit_forest(small_matrix, n_trees=3, m=2, max_depth=4, master_seed=6)
+        path = tmp_path / "model.e2cf"
+        save_forest(forest, path)
+        raw = path.read_bytes()
+        size = int.from_bytes(raw[8:12], "little")
+        header = json.loads(raw[12 : 12 + size])
+        assert raw[:8] == b"E2CFOR02"
+        assert sorted(header) == ["columns", "m", "master_seed", "max_depth",
+                                  "n_train_rows", "n_trees"]
+        payload = raw[12 + size :]
+        counts = [tree.n_nodes for tree in forest.trees]
+        assert np.frombuffer(payload, "<i8", count=3).tolist() == counts
+        assert payload[24:] == b"".join(
+            np.concatenate([getattr(t, name) for t in forest.trees]).tobytes()
+            for name in ("feature", "threshold", "left", "right", "value",
+                         "n_samples", "improvement")
+        )
+
+
+def forest_file(tmp_path):
+    """A small fitted forest and the path it was saved to."""
+    rng = np.random.default_rng(4)
+    X = rng.normal(size=(40, 3))
+    matrix = FeatureMatrix.from_arrays(X, X[:, 0] + 0.1 * rng.normal(size=40))
+    forest = fit_forest(matrix, n_trees=3, m=2, max_depth=3, master_seed=8)
+    path = tmp_path / "model.e2cf"
+    save_forest(forest, path)
+    return forest, path
+
+
+def with_tree0(forest, **arrays):
+    tree = dataclasses.replace(forest.trees[0], **arrays)
+    return dataclasses.replace(forest, trees=(tree,) + forest.trees[1:])
+
+
+def corrupt_file(forest, path, case):
+    """Rewrite path as the named malformed forest file."""
+    t0 = forest.trees[0]
+    split = int(np.flatnonzero(t0.feature >= 0)[0])
+    leaf = int(np.flatnonzero(t0.feature < 0)[0])
+
+    def node_set(name, at, value):
+        arr = getattr(t0, name).copy()
+        arr[at] = value
+        return with_tree0(forest, **{name: arr})
+
+    raw = path.read_bytes()
+    if case == "format_1":
+        path.write_bytes(b"E2CFOR01" + raw[8:])
+    elif case == "truncated":
+        path.write_bytes(raw[:-1])
+    elif case == "trailing_byte":
+        path.write_bytes(raw + b"\0")
+    elif case == "missing_key":
+        edit_header(path, lambda h: {k: v for k, v in h.items() if k != "n_train_rows"})
+    elif case == "float_key":
+        edit_header(path, lambda h: {**h, "m": 2.0})
+    elif case == "bool_key":
+        edit_header(path, lambda h: {**h, "n_trees": True})
+    elif case == "bad_columns":
+        edit_header(path, lambda h: {**h, "columns": [["x0", 1]]})
+    elif case == "not_an_object":
+        edit_header(path, lambda h: list(h))
+    elif case == "empty_tree":
+        empty = {name: getattr(t0, name)[:0] for name in
+                 ("feature", "threshold", "left", "right", "value", "n_samples",
+                  "improvement")}
+        save_forest(with_tree0(forest, **empty), path)
+    elif case == "feature_too_large":
+        save_forest(node_set("feature", split, 3), path)
+    elif case == "feature_below_leaf":
+        save_forest(node_set("feature", split, -2), path)
+    elif case == "child_outside_tree":
+        save_forest(node_set("left", split, t0.n_nodes), path)
+    elif case == "child_before_parent":
+        save_forest(node_set("right", split, 0), path)
+    elif case == "leaf_with_child":
+        save_forest(node_set("left", leaf, 1), path)
+    elif case == "split_without_child":
+        save_forest(node_set("right", split, -1), path)
+    elif case == "shared_child":
+        save_forest(node_set("right", split, t0.left[split]), path)
+    else:
+        raise AssertionError(case)
+
+
+CORRUPT_CASES = [
+    "format_1", "truncated", "trailing_byte", "missing_key", "float_key",
+    "bool_key", "bad_columns", "not_an_object", "empty_tree",
+    "feature_too_large", "feature_below_leaf", "child_outside_tree",
+    "child_before_parent", "leaf_with_child", "split_without_child",
+    "shared_child",
+]
+
+
+class TestCorruptFile:
+    @pytest.mark.parametrize("case", CORRUPT_CASES)
+    def test_input_format_error_naming_path(self, case, tmp_path):
+        forest, path = forest_file(tmp_path)
+        corrupt_file(forest, path, case)
+        with pytest.raises(InputFormatError, match=str(path)):
+            load_forest(path)
+
+    def test_format_1_says_retrain(self, tmp_path):
+        forest, path = forest_file(tmp_path)
+        corrupt_file(forest, path, "format_1")
+        with pytest.raises(InputFormatError, match="retrain"):
+            load_forest(path)
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    """The bytes of a saved 3-column forest, and a path to write variants to."""
+    _, path = forest_file(tmp_path_factory.mktemp("fuzz"))
+    return path.read_bytes(), path
+
+
+def loads_or_rejects(path, raw):
+    """Write raw to path: load_forest must raise InputFormatError or return
+    a forest that predicts one value per row of a 3-column matrix."""
+    path.write_bytes(raw)
+    try:
+        forest = load_forest(path)
+    except InputFormatError:
+        return
+    assert forest.predict(np.zeros((5, 3))).shape == (5,)
+
+
+class TestCorruptionProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_truncated_anywhere(self, fuzz_file, data):
+        raw, path = fuzz_file
+        loads_or_rejects(path, raw[: data.draw(st.integers(0, len(raw) - 1))])
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_one_byte_overwritten(self, fuzz_file, data):
+        raw, path = fuzz_file
+        at = data.draw(st.integers(0, len(raw) - 1))
+        byte = data.draw(st.integers(0, 255))
+        loads_or_rejects(path, raw[:at] + bytes([byte]) + raw[at + 1 :])
 
 
 def leaf_tree(value):
@@ -367,7 +521,7 @@ def oracle_cases():
          X[:, :1]),
         ("mixed", Forest(
             trees=stumps.trees[:3] + leaves.trees[:1] + (leaf_tree(-0.0),),
-            bootstrap_indices=(np.arange(1),) * 5, oob_indices=(np.arange(1),) * 5,
+            oob_indices=(np.arange(1),) * 5,
             n_trees=5, m=2, max_depth=None, master_seed=0, n_train_rows=100), X),
     ]
 
@@ -411,3 +565,9 @@ class TestPredictMatchesOracle:
         tree = forest.trees[0]
         with pytest.raises(ValueError, match="dimension"):
             tree.predict(X[:, :1])
+
+
+def bootstrap_rows(master_seed, tree_index, n):
+    """The bootstrap rows fit_forest draws for a tree."""
+    rng = forest_mod._tree_rng(master_seed, tree_index)
+    return forest_mod._draw_bootstrap(rng, n)

@@ -5,7 +5,7 @@ import pytest
 
 import e2credit.importance as importance_mod
 from e2credit.dataset import FeatureMatrix
-from e2credit.forest import Forest, RegressionTree, fit_forest
+from e2credit.forest import Forest, RegressionTree, fit_forest, save_forest
 from e2credit.importance import (
     importance_report,
     mdi_importance,
@@ -145,7 +145,7 @@ def leaf_tree(value):
 
 
 def hand_forest(trees, oobs, matrix):
-    return Forest(trees=tuple(trees), bootstrap_indices=(np.arange(1),) * len(trees),
+    return Forest(trees=tuple(trees),
                   oob_indices=tuple(oobs), n_trees=len(trees), m=1, max_depth=None,
                   master_seed=0, n_train_rows=matrix.n_rows, columns=matrix.columns)
 
@@ -226,3 +226,12 @@ class TestPermutationMatchesOracle:
             expected += [(oob.size, rng.permutation(oob.size).tobytes())
                          for _ in range(matrix.n_features)]
         assert calls == expected
+
+
+def test_save_rejects_out_of_bag_sets_not_drawn_from_the_seed(tmp_path):
+    matrix = FeatureMatrix.from_arrays(np.zeros((50, 2)), np.arange(50.0))
+    forest = hand_forest([leaf_tree(1.0), leaf_tree(2.0)],
+                         (np.arange(40), np.arange(10, 30)), matrix)
+    with pytest.raises(ValueError, match="out-of-bag"):
+        save_forest(forest, tmp_path / "hand.e2cf")
+    assert not (tmp_path / "hand.e2cf").exists()
