@@ -29,14 +29,7 @@ from .forest import (
     predict,
     save_forest,
 )
-from .fundamentals import (
-    BalanceSheet,
-    MarketState,
-    VolatilityQuotes,
-    debt_per_share,
-    financial_debt,
-    select_volatility,
-)
+from .fundamentals import debt_per_share, financial_debt, select_volatility
 from .importance import (
     ImportanceReport,
     importance_report,
@@ -54,7 +47,6 @@ from .metrics import (
     rmse,
     truncated_mean,
 )
-from .normal import erf, erfc, norm_cdf
 from .structural import (
     ModelParams,
     SpreadInputs,
@@ -62,17 +54,16 @@ from .structural import (
     creditgrades_survival,
     e2c_spread,
     mad_ratio,
+    norm_cdf,
 )
 from .synth import generate_snapshots
 
 __all__ = [
-    "BalanceSheet",
     "FeatureColumn",
     "FeatureEncoder",
     "FeatureMatrix",
     "Forest",
     "ImportanceReport",
-    "MarketState",
     "ModelParams",
     "PairedSeries",
     "RawRecord",
@@ -80,7 +71,6 @@ __all__ = [
     "RunConfig",
     "Split",
     "SpreadInputs",
-    "VolatilityQuotes",
     "avg_correlation",
     "best_split",
     "creditgrades_spread",
@@ -89,8 +79,6 @@ __all__ = [
     "drop_incomplete",
     "e2c_spread",
     "encode_features",
-    "erf",
-    "erfc",
     "financial_debt",
     "fit_forest",
     "generate_snapshots",

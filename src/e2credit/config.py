@@ -12,7 +12,25 @@ from dataclasses import dataclass, fields, replace
 from .errors import InputFormatError
 from .structural import ModelParams
 
-_INT_FIELDS = {"trees", "features_per_split", "max_depth", "seed", "workers"}
+_MODEL_FIELDS = {f.name for f in fields(ModelParams)}
+_INT_MINIMUM = {"trees": 1, "features_per_split": 1, "max_depth": 1, "seed": 0, "workers": 1}
+_FRACTION_FIELDS = {"firm_frac", "date_frac"}
+
+
+def _check_value(name: str, value) -> None:
+    """Raise InputFormatError if one field's value is out of its range.
+
+    No rule spans two fields, so each value can be checked on its own.
+    """
+    if name in _MODEL_FIELDS:
+        try:
+            ModelParams(**{name: value})
+        except ValueError as exc:
+            raise InputFormatError(str(exc)) from None
+    elif name in _INT_MINIMUM and value < _INT_MINIMUM[name]:
+        raise InputFormatError(f"{name} must be >= {_INT_MINIMUM[name]}, got {value}")
+    elif name in _FRACTION_FIELDS and not 0.0 <= value < 1.0:
+        raise InputFormatError(f"{name} must be in [0, 1), got {value}")
 
 
 @dataclass(frozen=True)
@@ -30,8 +48,8 @@ class RunConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise InputFormatError(f"workers must be >= 1, got {self.workers}")
+        for name, value in self.items():
+            _check_value(name, value)
 
     def model_params(self) -> ModelParams:
         return ModelParams(
@@ -58,7 +76,6 @@ def save_config(config: RunConfig, path) -> None:
 def load_config(path) -> RunConfig:
     names = {f.name for f in fields(RunConfig)}
     values: dict[str, float | int] = {}
-    where: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -72,14 +89,13 @@ def load_config(path) -> RunConfig:
             if key not in names:
                 raise InputFormatError(f"{path}:{lineno}: unknown config key {key!r}")
             try:
-                values[key] = int(text) if key in _INT_FIELDS else float(text)
+                values[key] = int(text) if key in _INT_MINIMUM else float(text)
             except ValueError:
                 raise InputFormatError(
                     f"{path}:{lineno}: bad value {text!r} for {key}"
                 ) from None
-            where[key] = lineno
-    try:
-        return RunConfig(**values)
-    except InputFormatError as exc:
-        # Only workers is range-checked; name the line that set it.
-        raise InputFormatError(f"{path}:{where['workers']}: {exc}") from None
+            try:
+                _check_value(key, values[key])
+            except InputFormatError as exc:
+                raise InputFormatError(f"{path}:{lineno}: {exc}") from None
+    return RunConfig(**values)

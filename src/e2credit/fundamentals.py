@@ -1,17 +1,21 @@
 """Balance-sheet inputs for the spread formulas.
 
 Derives financial debt, debt-per-share (with the standard caps and floor)
-and the volatility input (median of all available quotes).
+and the volatility input (median of all available quotes) from plain
+numbers. Each function checks its own arguments in order and raises
+ValueError naming the first bad one.
 """
 from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass, field
-from typing import Mapping
 
-HIST_WINDOWS = (30, 60, 120, 200, 260, 360)
-IMPLIED_MONTHS = (3, 6, 12, 18, 24)
+#: Snapshot columns of the annualized vol quotes: historical by window
+#: (days), then implied by option maturity (months, puts 0.5 sigma out of
+#: the money).
+QUOTE_COLUMNS = tuple(f"hist_vol_{w}" for w in (30, 60, 120, 200, 260, 360)) + tuple(
+    f"impl_vol_{m}m" for m in (3, 6, 12, 18, 24)
+)
 
 
 def _check_amount(name: str, value: float) -> float:
@@ -21,89 +25,42 @@ def _check_amount(name: str, value: float) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class BalanceSheet:
-    """Liability-side report items, in report currency."""
-
-    long_term_debt: float = 0.0
-    short_term_debt: float = 0.0
-    other_lt_liabilities: float = 0.0
-    other_st_liabilities: float = 0.0
-    lease_obligations: float = 0.0
-    minority_interest: float = 0.0
-    preferred_equity: float = 0.0
-    is_banking: bool = False
-
-    def __post_init__(self) -> None:
-        for name in (
-            "long_term_debt",
-            "short_term_debt",
-            "other_lt_liabilities",
-            "other_st_liabilities",
-            "lease_obligations",
-            "minority_interest",
-            "preferred_equity",
-        ):
-            _check_amount(name, getattr(self, name))
+def _check_positive(name: str, value: float) -> float:
+    value = float(value)
+    if not math.isfinite(value) or value <= 0.0:
+        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+    return value
 
 
-@dataclass(frozen=True)
-class MarketState:
-    """Spot market quotes in the stock's quote currency."""
-
-    stock_price: float
-    market_cap: float
-    fx_report_to_quote: float = 1.0
-
-    def __post_init__(self) -> None:
-        for name in ("stock_price", "market_cap", "fx_report_to_quote"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value) or value <= 0.0:
-                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
-
-
-@dataclass(frozen=True)
-class VolatilityQuotes:
-    """Annualized vol quotes: historical by window (days) and implied by
-    option maturity (months, puts 0.5 sigma out of the money). Entries are
-    optional but at least one quote must be present."""
-
-    historical: Mapping[int, float] = field(default_factory=dict)
-    implied: Mapping[int, float] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        for window in self.historical:
-            if window not in HIST_WINDOWS:
-                raise ValueError(f"unknown historical vol window: {window}")
-        for months in self.implied:
-            if months not in IMPLIED_MONTHS:
-                raise ValueError(f"unknown implied vol maturity: {months}")
-        quotes = list(self.historical.values()) + list(self.implied.values())
-        if not quotes:
-            raise ValueError("at least one volatility quote is required")
-        for q in quotes:
-            _check_amount("volatility quote", q)
-
-    def all_quotes(self) -> list[float]:
-        ordered = [self.historical[w] for w in HIST_WINDOWS if w in self.historical]
-        ordered += [self.implied[m] for m in IMPLIED_MONTHS if m in self.implied]
-        return [float(q) for q in ordered]
+def financial_debt(
+    long_term_debt: float,
+    short_term_debt: float = 0.0,
+    other_lt_liabilities: float = 0.0,
+    other_st_liabilities: float = 0.0,
+    lease_obligations: float = 0.0,
+    is_banking: bool = False,
+) -> float:
+    """Financial debt, in report currency: long-term debt for banks
+    (deposits are not leverage); otherwise LTD + STD + 0.5 * other
+    liabilities + 0.4 * lease obligations. Every amount must be >= 0."""
+    ltd = _check_amount("long_term_debt", long_term_debt)
+    std = _check_amount("short_term_debt", short_term_debt)
+    olt = _check_amount("other_lt_liabilities", other_lt_liabilities)
+    ost = _check_amount("other_st_liabilities", other_st_liabilities)
+    lease = _check_amount("lease_obligations", lease_obligations)
+    if is_banking:
+        return ltd
+    return ltd + std + 0.5 * (olt + ost) + 0.4 * lease
 
 
-def financial_debt(bs: BalanceSheet) -> float:
-    """Financial debt: long-term debt for banks (deposits are not leverage);
-    otherwise LTD + STD + 0.5 * other liabilities + 0.4 * lease obligations."""
-    if bs.is_banking:
-        return bs.long_term_debt
-    return (
-        bs.long_term_debt
-        + bs.short_term_debt
-        + 0.5 * (bs.other_lt_liabilities + bs.other_st_liabilities)
-        + 0.4 * bs.lease_obligations
-    )
-
-
-def debt_per_share(fin_debt: float, bs: BalanceSheet, mkt: MarketState) -> float:
+def debt_per_share(
+    fin_debt: float,
+    minority_interest: float,
+    preferred_equity: float,
+    stock_price: float,
+    market_cap: float,
+    fx_report_to_quote: float = 1.0,
+) -> float:
     """Debt per adjusted share, in quote currency.
 
     Report-currency amounts (financial debt, minority interest, preferred
@@ -115,23 +72,25 @@ def debt_per_share(fin_debt: float, bs: BalanceSheet, mkt: MarketState) -> float
     yields 0: the default barrier vanishes and the spread models treat the
     hazard as null, so the floor must not manufacture debt.
     """
-    fin_debt = _check_amount("fin_debt", fin_debt)
-    fx = mkt.fx_report_to_quote
-    fin_d = fin_debt * fx
+    min_int = _check_amount("minority_interest", minority_interest)
+    pref = _check_amount("preferred_equity", preferred_equity)
+    price = _check_positive("stock_price", stock_price)
+    cap = _check_positive("market_cap", market_cap)
+    fx = _check_positive("fx_report_to_quote", fx_report_to_quote)
+    fin_d = _check_amount("fin_debt", fin_debt) * fx
     if fin_d == 0.0:
         return 0.0
-    min_int = bs.minority_interest * fx
-    pref = bs.preferred_equity * fx
-    min_int = min(min_int, 0.5 * fin_d)
-    pref = min(pref, 0.5 * mkt.market_cap)
-    shares = (mkt.market_cap + pref) / mkt.stock_price
+    min_int = min(min_int * fx, 0.5 * fin_d)
+    pref = min(pref * fx, 0.5 * cap)
+    shares = (cap + pref) / price
     d_raw = (fin_d - min_int) / shares
-    return max(d_raw, 0.1 * mkt.stock_price)
+    return max(d_raw, 0.1 * price)
 
 
-def select_volatility(quotes: VolatilityQuotes) -> float:
-    """Median of all available quotes (mean of the central two when even)."""
-    pool = quotes.all_quotes()
-    if not pool:
-        raise ValueError("no volatility quotes available")
+def select_volatility(quotes: list[float]) -> float:
+    """Median of the quotes (mean of the central two when even); each must
+    be >= 0 and at least one is required."""
+    if not quotes:
+        raise ValueError("at least one volatility quote is required")
+    pool = [_check_amount("volatility quote", q) for q in quotes]
     return float(statistics.median(pool))

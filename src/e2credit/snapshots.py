@@ -14,27 +14,21 @@ import math
 from dataclasses import dataclass
 from datetime import date as _date
 
-from .dataset import RawRecord
+from .dataset import RawRecord, rating_code
 from .errors import InputFormatError
 from .fundamentals import (
-    HIST_WINDOWS,
-    IMPLIED_MONTHS,
-    BalanceSheet,
-    MarketState,
-    VolatilityQuotes,
+    QUOTE_COLUMNS,
     debt_per_share,
     financial_debt,
     select_volatility,
 )
 from .structural import (
+    MAX_SPREAD_BPS,
     ModelParams,
     SpreadInputs,
     creditgrades_spread,
     e2c_spread,
 )
-
-HIST_COLUMNS = tuple(f"hist_vol_{w}" for w in HIST_WINDOWS)
-IMPL_COLUMNS = tuple(f"impl_vol_{m}m" for m in IMPLIED_MONTHS)
 
 SNAPSHOT_COLUMNS = (
     "firm_id",
@@ -50,8 +44,7 @@ SNAPSHOT_COLUMNS = (
     "lease_obligations",
     "minority_interest",
     "preferred_equity",
-    *HIST_COLUMNS,
-    *IMPL_COLUMNS,
+    *QUOTE_COLUMNS,
     "sp_rating",
     "moody_rating",
     "sector",
@@ -75,12 +68,13 @@ _FLOAT_COLUMNS = frozenset(
         "ig_cdx_bps",
         "cds_5y_bps",
     )
-    + HIST_COLUMNS
-    + IMPL_COLUMNS
+    + QUOTE_COLUMNS
 )
 
-# Observed spreads; RawRecord rejects a negative one.
-_NONNEGATIVE_COLUMNS = frozenset(("ig_cdx_bps", "cds_5y_bps"))
+# Observed spreads, in [0, MAX_SPREAD_BPS] like the model spreads: RawRecord
+# rejects a negative one, and the tree kernel squares the labels.
+_OBSERVED_SPREAD_COLUMNS = frozenset(("ig_cdx_bps", "cds_5y_bps"))
+_RATING_COLUMNS = frozenset(("sp_rating", "moody_rating"))
 
 _BANKING_REQUIRED = ("stock_price", "market_cap", "fx_rate", "long_term_debt",
                      "minority_interest", "preferred_equity")
@@ -107,6 +101,35 @@ def _parse_bool(text: str, path, lineno: int):
     if lowered in {"0", "false", "no"}:
         return False
     raise InputFormatError(f"{path}:{lineno}: bad is_banking value {text!r}")
+
+
+def _cell_error(path, lineno: int, col: str, problem: str) -> InputFormatError:
+    return InputFormatError(f"{path}:{lineno}: column {col}: {problem}")
+
+
+def _parse_number(text: str, col: str, path, lineno: int) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise _cell_error(path, lineno, col, f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise _cell_error(path, lineno, col, "non-finite value")
+    if col in _OBSERVED_SPREAD_COLUMNS:
+        if value < 0.0:
+            raise _cell_error(path, lineno, col, f"must be >= 0, got {text!r}")
+        if value > MAX_SPREAD_BPS:
+            raise _cell_error(
+                path, lineno, col, f"must be <= {MAX_SPREAD_BPS:g}, got {text!r}"
+            )
+    return value
+
+
+def _parse_rating(text: str, col: str, path, lineno: int) -> str:
+    try:
+        rating_code(text)
+    except ValueError:
+        raise _cell_error(path, lineno, col, f"unknown rating label {text!r}") from None
+    return text
 
 
 def read_snapshots(path) -> list[FirmSnapshot]:
@@ -148,23 +171,9 @@ def read_snapshots(path) -> list[FirmSnapshot]:
                 elif col == "is_banking":
                     values[col] = _parse_bool(text, path, lineno)
                 elif col in _FLOAT_COLUMNS:
-                    try:
-                        parsed = float(text)
-                    except ValueError:
-                        raise InputFormatError(
-                            f"{path}:{lineno}: column {col}: "
-                            f"not a number: {text!r}"
-                        ) from None
-                    if not math.isfinite(parsed):
-                        raise InputFormatError(
-                            f"{path}:{lineno}: column {col}: non-finite value"
-                        )
-                    if parsed < 0.0 and col in _NONNEGATIVE_COLUMNS:
-                        raise InputFormatError(
-                            f"{path}:{lineno}: column {col}: must be >= 0, "
-                            f"got {text!r}"
-                        )
-                    values[col] = parsed
+                    values[col] = _parse_number(text, col, path, lineno)
+                elif col in _RATING_COLUMNS:
+                    values[col] = _parse_rating(text, col, path, lineno)
                 else:
                     values[col] = text
             snapshots.append(FirmSnapshot(firm_id=firm_id, date=date_text, values=values))
@@ -187,42 +196,38 @@ class SpreadRow:
 
 
 def compute_spread_row(snap: FirmSnapshot, params: ModelParams) -> SpreadRow:
-    """Derive debt-per-share, the vol input and both spreads for one row."""
-    if snap.get("is_banking") is None:
+    """Derive debt-per-share, the vol input and both spreads for one row.
+
+    A bad value gives the reason of the first one in column order: the
+    balance-sheet amounts, then price, cap and fx, then the vol quotes.
+    """
+    is_banking = snap.get("is_banking")
+    if is_banking is None:
         return SpreadRow(reason="missing is_banking")
-    required = list(_BANKING_REQUIRED)
-    if not snap.get("is_banking"):
-        required += list(_NONBANK_EXTRA)
+    required = _BANKING_REQUIRED if is_banking else _BANKING_REQUIRED + _NONBANK_EXTRA
     for col in required:
         if snap.get(col) is None:
             return SpreadRow(reason=f"missing {col}")
-    hist = {w: snap.get(f"hist_vol_{w}") for w in HIST_WINDOWS}
-    impl = {m: snap.get(f"impl_vol_{m}m") for m in IMPLIED_MONTHS}
-    hist = {w: v for w, v in hist.items() if v is not None}
-    impl = {m: v for m, v in impl.items() if v is not None}
-    if not hist and not impl:
+    quotes = [snap.get(col) for col in QUOTE_COLUMNS if snap.get(col) is not None]
+    if not quotes:
         return SpreadRow(reason="no volatility quotes")
     try:
-        bs = BalanceSheet(
-            long_term_debt=snap.get("long_term_debt"),
-            short_term_debt=snap.get("short_term_debt") or 0.0,
-            other_lt_liabilities=snap.get("other_lt_liabilities") or 0.0,
-            other_st_liabilities=snap.get("other_st_liabilities") or 0.0,
-            lease_obligations=snap.get("lease_obligations") or 0.0,
-            minority_interest=snap.get("minority_interest"),
-            preferred_equity=snap.get("preferred_equity"),
-            is_banking=bool(snap.get("is_banking")),
+        fin_debt = financial_debt(
+            snap.get("long_term_debt"),
+            *(snap.get(col) or 0.0 for col in _NONBANK_EXTRA),
+            is_banking=is_banking,
         )
-        mkt = MarketState(
-            stock_price=snap.get("stock_price"),
-            market_cap=snap.get("market_cap"),
-            fx_report_to_quote=snap.get("fx_rate"),
+        d = debt_per_share(
+            fin_debt,
+            snap.get("minority_interest"),
+            snap.get("preferred_equity"),
+            snap.get("stock_price"),
+            snap.get("market_cap"),
+            snap.get("fx_rate"),
         )
-        quotes = VolatilityQuotes(historical=hist, implied=impl)
-        d = debt_per_share(financial_debt(bs), bs, mkt)
         vol = select_volatility(quotes)
         inputs = SpreadInputs(
-            stock_price=mkt.stock_price, equity_vol=vol, debt_per_share=d
+            stock_price=snap.get("stock_price"), equity_vol=vol, debt_per_share=d
         )
         return SpreadRow(
             debt_per_share=d,

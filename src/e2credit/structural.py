@@ -9,10 +9,9 @@ Two models, both returning annualized spreads in basis points:
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
-
-from .normal import norm_cdf
 
 BPS = 1.0e4
 #: Spread reported when the survival probability underflows to zero;
@@ -23,6 +22,14 @@ GAUSS_FACTOR = 4.0 / 9.0
 #: Survival values may leave [0, 1] by float noise; clamping beyond this
 #: margin is reported as a numerical warning.
 _CLAMP_TOL = 1.0e-9
+#: Largest lam^2 for which exp(lam^2) is a finite double.
+_MAX_EXPONENT = math.log(sys.float_info.max)
+_SQRT2 = math.sqrt(2.0)
+
+
+def norm_cdf(x: float) -> float:
+    """P(Z <= x) for a standard normal Z, through the stdlib's math.erfc."""
+    return 0.5 * math.erfc(-x / _SQRT2)
 
 
 def _require_finite(name: str, value: float) -> float:
@@ -40,7 +47,8 @@ class ModelParams:
     debt_recovery: average recovery on the debt (defines the default
         barrier as debt_recovery * debt_per_share), in (0, 1].
     debt_recovery_vol: standard deviation of the global recovery rate,
-        used only by CreditGrades; >= 0.
+        used only by CreditGrades; >= 0, with exp(debt_recovery_vol^2)
+        finite (about 26.6 at most).
     maturity: horizon in years used to convert survival to a spread; > 0.
 
     Defaults are the conservative market-standard calibration
@@ -63,6 +71,11 @@ class ModelParams:
             raise ValueError(f"debt_recovery must be in (0, 1], got {lbar}")
         if lam < 0.0:
             raise ValueError(f"debt_recovery_vol must be >= 0, got {lam}")
+        if lam * lam > _MAX_EXPONENT:
+            raise ValueError(
+                f"debt_recovery_vol must be <= {math.sqrt(_MAX_EXPONENT):.4g} "
+                f"so that exp(debt_recovery_vol^2) is finite, got {lam}"
+            )
         if t <= 0.0:
             raise ValueError(f"maturity must be > 0, got {t}")
 
@@ -105,10 +118,11 @@ def e2c_spread(inputs: SpreadInputs, params: ModelParams) -> float:
 
     spread = (1 - R) * (4/9) * mad_ratio * equity_vol^2, scaled to bps.
     Zero iff the debt or the volatility is zero or recovery is total.
+    Raises ValueError when the spread overflows to a non-finite value.
     """
     ratio = mad_ratio(inputs, params.debt_recovery)
     hazard = GAUSS_FACTOR * ratio * inputs.equity_vol * inputs.equity_vol
-    return (1.0 - params.recovery) * hazard * BPS
+    return _require_finite("e2c_bps", (1.0 - params.recovery) * hazard * BPS)
 
 
 def _clamp_probability(value: float) -> float:
@@ -133,25 +147,26 @@ def creditgrades_survival(
         A^2  = (vol * S0 / (S0 + L*D))^2 * horizon + lam^2
         surv = Phi(-A/2 + ln(d)/A) - d * Phi(-A/2 - ln(d)/A)
 
-    Conventions: zero debt means the barrier is never hit (survival 1); a
-    vanishing A with d > 1 is the unreachable-barrier limit (survival 1).
-    The result is clamped into [0, 1].
+    Conventions: a zero barrier L*D (no debt, or one that underflows) is
+    never hit (survival 1); a vanishing A with d > 1, and a d too large for
+    a float, are the unreachable-barrier limit (survival 1). The result is
+    clamped into [0, 1].
     """
     horizon = _require_finite("horizon", horizon)
     if horizon <= 0.0:
         raise ValueError(f"horizon must be > 0, got {horizon}")
-    if inputs.debt_per_share == 0.0:
-        return 1.0
-    lbar = params.debt_recovery
     lam = params.debt_recovery_vol
-    barrier = lbar * inputs.debt_per_share
+    barrier = params.debt_recovery * inputs.debt_per_share
+    if barrier == 0.0:
+        return 1.0
     enterprise = inputs.stock_price + barrier
     d = enterprise / barrier * math.exp(lam * lam)
-    a_sq = (inputs.equity_vol * inputs.stock_price / enterprise) ** 2 * horizon
-    a_sq += lam * lam
-    if a_sq == 0.0:
+    scaled_vol = inputs.equity_vol * inputs.stock_price / enterprise
+    a_sq = scaled_vol * scaled_vol * horizon + lam * lam
+    if a_sq == 0.0 or d == math.inf:
         # d > 1 always holds here (enterprise > barrier), so the barrier
-        # cannot be reached without variance.
+        # cannot be reached without variance; survival also tends to 1 as
+        # d grows past the float range.
         return 1.0
     a = math.sqrt(a_sq)
     log_d = math.log(d)

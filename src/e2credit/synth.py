@@ -21,11 +21,7 @@ import numpy as np
 
 from .dataset import merge_ratings, moody_label, rating_code, rating_label
 from .fundamentals import (
-    HIST_WINDOWS,
-    IMPLIED_MONTHS,
-    BalanceSheet,
-    MarketState,
-    VolatilityQuotes,
+    QUOTE_COLUMNS,
     debt_per_share,
     financial_debt,
     select_volatility,
@@ -123,17 +119,16 @@ def generate_snapshots(
         # Balance sheet, constant per firm, in report currency. The non-bank
         # pieces are weighted so financial_debt() recovers leverage * cap0.
         fin_d_report = leverage * cap0 / fx
-        bs = BalanceSheet(
-            long_term_debt=(1.0 if is_banking else 0.55) * fin_d_report,
-            short_term_debt=0.20 * fin_d_report,
-            other_lt_liabilities=0.30 * fin_d_report,
-            other_st_liabilities=0.10 * fin_d_report,
-            lease_obligations=0.125 * fin_d_report,
-            minority_interest=min_int_frac * fin_d_report,
-            preferred_equity=pref_frac * cap0 / fx,
-            is_banking=is_banking,
-        )
-        fin_debt = financial_debt(bs)
+        sheet = {
+            "long_term_debt": (1.0 if is_banking else 0.55) * fin_d_report,
+            "short_term_debt": 0.20 * fin_d_report,
+            "other_lt_liabilities": 0.30 * fin_d_report,
+            "other_st_liabilities": 0.10 * fin_d_report,
+            "lease_obligations": 0.125 * fin_d_report,
+        }
+        minority = min_int_frac * fin_d_report
+        preferred = pref_frac * cap0 / fx
+        fin_debt = financial_debt(**sheet, is_banking=is_banking)
 
         merged = merge_ratings(
             rating_label(sp_code), None if moody_missing else moody_label(moody_code)
@@ -148,17 +143,8 @@ def generate_snapshots(
             vol_t = base_vol * math.exp(vol_state)
             price_t = price0 * math.exp(walk)
             cap_t = cap0 * math.exp(walk)
-            mkt = MarketState(
-                stock_price=price_t, market_cap=cap_t, fx_report_to_quote=fx
-            )
-            hist = {
-                w: vol_t * mult for w, mult in zip(HIST_WINDOWS, _HIST_MULT)
-            }
-            impl = {
-                m: vol_t * mult for m, mult in zip(IMPLIED_MONTHS, _IMPL_MULT)
-            }
-            quotes = VolatilityQuotes(historical=hist, implied=impl)
-            d = debt_per_share(fin_debt, bs, mkt)
+            quotes = [vol_t * mult for mult in _HIST_MULT + _IMPL_MULT]
+            d = debt_per_share(fin_debt, minority, preferred, price_t, cap_t, fx)
             sel_vol = select_volatility(quotes)
             e2c = e2c_spread(
                 SpreadInputs(stock_price=price_t, equity_vol=sel_vol, debt_per_share=d),
@@ -180,23 +166,16 @@ def generate_snapshots(
                 "market_cap": cap_t,
                 "fx_rate": fx,
                 "is_banking": is_banking,
-                "long_term_debt": bs.long_term_debt,
-                "short_term_debt": bs.short_term_debt,
-                "other_lt_liabilities": bs.other_lt_liabilities,
-                "other_st_liabilities": bs.other_st_liabilities,
-                "lease_obligations": bs.lease_obligations,
-                "minority_interest": bs.minority_interest,
-                "preferred_equity": bs.preferred_equity,
+                **sheet,
+                "minority_interest": minority,
+                "preferred_equity": preferred,
                 "sp_rating": rating_label(sp_code),
                 "moody_rating": None if moody_missing else moody_label(moody_code),
                 "sector": sector,
                 "country": country,
                 "ig_cdx_bps": cdx[t],
             }
-            for w in HIST_WINDOWS:
-                row[f"hist_vol_{w}"] = hist[w]
-            for m in IMPLIED_MONTHS:
-                row[f"impl_vol_{m}m"] = impl[m]
+            row.update(zip(QUOTE_COLUMNS, quotes))
             rows.append(row)
 
     signal_arr = np.array(signals)

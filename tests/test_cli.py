@@ -120,6 +120,91 @@ class TestMalformedInput:
         assert f"{config}:2: workers must be >= 1" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("command", ["spread", "train", "evaluate", "importance"])
+    def test_directory_path_exit_2(self, synth_dir, trained_dir, tmp_path, capsys, command):
+        # A directory as the CSV (spread, train) or as the forest (evaluate,
+        # importance): the path exists but cannot be read as a file.
+        if command in ("spread", "train"):
+            argv = [command, str(tmp_path)]
+        else:
+            argv = [command, str(tmp_path), str(synth_dir / "snapshots.csv")]
+        code = main([*argv, "--out-dir", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and str(tmp_path) in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("column", ["sp_rating", "moody_rating"])
+    @pytest.mark.parametrize("command", ["spread", "train"])
+    def test_unknown_rating_label_exit_2(self, synth_dir, tmp_path, capsys, command, column):
+        lines = (synth_dir / "snapshots.csv").read_text().splitlines()
+        row = lines[3].split(",")
+        row[lines[0].split(",").index(column)] = "ZZZ"
+        lines[3] = ",".join(row)
+        bad = tmp_path / "ratings.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        code = main([command, str(bad), "--out-dir", str(tmp_path / "o")])
+        assert code == 2
+        assert f"{bad}:4: column {column}: unknown rating label 'ZZZ'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--recovery", "2"], "recovery must be in [0, 1]"),
+            (["--debt-recovery", "0"], "debt_recovery must be in (0, 1]"),
+            (["--debt-recovery-vol", "30"], "debt_recovery_vol must be <= 26.64"),
+            (["--maturity", "-1"], "maturity must be > 0"),
+            (["--trees", "0"], "trees must be >= 1"),
+            (["--features-per-split", "0"], "features_per_split must be >= 1"),
+            (["--max-depth", "0"], "max_depth must be >= 1"),
+            (["--seed", "-1"], "seed must be >= 0"),
+            (["--firm-frac", "1"], "firm_frac must be in [0, 1)"),
+            (["--date-frac", "-0.5"], "date_frac must be in [0, 1)"),
+        ],
+    )
+    def test_out_of_range_flag_exit_2(self, synth_dir, tmp_path, capsys, flags, message):
+        code = main(["train", str(synth_dir / "snapshots.csv"), *flags,
+                     "--out-dir", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"input error: {message}")
+
+    def test_out_of_range_config_exit_2(self, synth_dir, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("workers = 1\nmax_depth = 0\n")
+        code = main(["train", str(synth_dir / "snapshots.csv"), "--config", str(config),
+                     "--out-dir", str(tmp_path / "o")])
+        assert code == 2
+        assert f"{config}:2: max_depth must be >= 1, got 0" in capsys.readouterr().err
+
+    def test_debt_recovery_vol_30_spread_exit_2(self, synth_dir, tmp_path, capsys):
+        code = main(["spread", str(synth_dir / "snapshots.csv"), "--debt-recovery-vol", "30",
+                     "--out-dir", str(tmp_path / "o")])
+        assert code == 2
+        assert "debt_recovery_vol" in capsys.readouterr().err
+
+    def test_overflowing_vol_row_priced_as_reason(self, synth_dir, tmp_path):
+        # Most of one row's vol quotes are 1e200: E2C overflows. The row
+        # gets a reason and falls out of the dataset; every command runs.
+        lines = (synth_dir / "snapshots.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        row = lines[3].split(",")
+        for column in header:
+            if column.startswith(("hist_vol_", "impl_vol_")) and column != "impl_vol_24m":
+                row[header.index(column)] = "1e200"
+        lines[3] = ",".join(row)
+        bad = tmp_path / "huge_vol.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        assert main(["spread", str(bad), "--out-dir", str(tmp_path / "s")]) == 0
+        reasons = [r["reason"] for r in read_table(tmp_path / "s" / "spreads.csv")]
+        assert reasons[2] == "e2c_bps must be finite, got inf"
+        assert reasons.count("") == len(reasons) - 1
+        assert main(["train", str(bad), "--trees", "2", "--features-per-split", "8",
+                     "--out-dir", str(tmp_path / "t")]) == 0
+        metrics = dict((r["metric"], r["value"])
+                       for r in read_table(tmp_path / "t" / "train_metrics.csv"))
+        assert metrics["n_complete_rows"] == str(30 * 20 - 1)
+
+
 class TestTrainCommand:
     def test_outputs(self, trained_dir):
         for name in ("forest.e2cf", "split_manifest.csv", "train_metrics.csv",

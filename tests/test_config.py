@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from e2credit.config import RunConfig, load_config, save_config
@@ -45,6 +47,36 @@ class TestRunConfig:
         with pytest.raises(InputFormatError, match="workers must be >= 1"):
             RunConfig().with_overrides(workers=workers)
 
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("recovery", 2.0, "recovery must be in [0, 1]"),
+            ("recovery", float("nan"), "recovery must be finite"),
+            ("debt_recovery", 0.0, "debt_recovery must be in (0, 1]"),
+            ("debt_recovery_vol", -0.1, "debt_recovery_vol must be >= 0"),
+            ("debt_recovery_vol", 30.0, "debt_recovery_vol must be <= 26.64"),
+            ("maturity", 0.0, "maturity must be > 0"),
+            ("trees", 0, "trees must be >= 1"),
+            ("features_per_split", 0, "features_per_split must be >= 1"),
+            ("max_depth", -2, "max_depth must be >= 1"),
+            ("seed", -1, "seed must be >= 0"),
+            ("firm_frac", 1.0, "firm_frac must be in [0, 1)"),
+            ("firm_frac", -0.1, "firm_frac must be in [0, 1)"),
+            ("date_frac", float("nan"), "date_frac must be in [0, 1)"),
+        ],
+    )
+    def test_out_of_range_rejected(self, name, value, message):
+        with pytest.raises(InputFormatError, match=re.escape(message)):
+            RunConfig(**{name: value})
+        with pytest.raises(InputFormatError, match=re.escape(message)):
+            RunConfig().with_overrides(**{name: value})
+
+    def test_range_edges_accepted(self):
+        config = RunConfig(recovery=1.0, debt_recovery=1.0, debt_recovery_vol=26.6,
+                           trees=1, features_per_split=1, max_depth=1, seed=0,
+                           firm_frac=0.0, date_frac=0.0)
+        assert config.model_params().debt_recovery_vol == 26.6
+
     def test_model_params_view(self):
         params = RunConfig().model_params()
         assert params.recovery == 0.3 and params.maturity == 5.0
@@ -73,6 +105,21 @@ class TestConfigFile:
         path = tmp_path / "run.cfg"
         path.write_text("seed = 3\n\nworkers = 0\n")
         with pytest.raises(InputFormatError, match=r"run.cfg:3: workers must be >= 1"):
+            load_config(path)
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("recovery = 2", "recovery must be in [0, 1], got 2.0"),
+            ("debt_recovery_vol = 30", "debt_recovery_vol must be <= 26.64"),
+            ("trees = 0", "trees must be >= 1, got 0"),
+            ("date_frac = 1", "date_frac must be in [0, 1), got 1.0"),
+        ],
+    )
+    def test_out_of_range_names_its_line(self, tmp_path, line, message):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"seed = 3\n# comment\n{line}\nworkers = 2\n")
+        with pytest.raises(InputFormatError, match=re.escape(f"run.cfg:3: {message}")):
             load_config(path)
 
     def test_missing_equals(self, tmp_path):

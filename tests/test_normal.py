@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 
-from e2credit.normal import erf, erfc, norm_cdf
+from e2credit.structural import norm_cdf
 
 
 def quadrature_norm_cdf(x: float) -> float:
@@ -38,9 +38,3 @@ def test_extreme_tails():
     assert norm_cdf(40.0) == 1.0
     assert 0.0 < norm_cdf(-8.0) < 1e-14
 
-
-def test_erf_erfc_consistency():
-    for x in (-5.0, -1.2, -0.3, 0.0, 0.2, 0.47, 1.0, 3.9, 6.0):
-        assert abs(erf(x) + erfc(x) - 1.0) < 1e-14
-        assert abs(erf(x) - math.erf(x)) < 1e-14
-        assert abs(erfc(x) - math.erfc(x)) < 1e-14

@@ -82,6 +82,33 @@ class TestReadSnapshots:
         with pytest.raises(InputFormatError, match=rf"bad.csv:3: column {column}: must be >= 0"):
             read_snapshots(path)
 
+    @pytest.mark.parametrize("column", ["ig_cdx_bps", "cds_5y_bps"])
+    def test_observed_spread_above_model_ceiling_reports_line(self, tmp_path, column):
+        # The tree kernel squares the labels: 1e154 bps would overflow.
+        ok = write_rows(tmp_path / "ok.csv", [base_row(**{column: 1e6})])
+        assert read_snapshots(ok)[0].get(column) == 1e6
+        path = write_rows(
+            tmp_path / "bad.csv", [base_row(), base_row(firm_id="B", **{column: 1e154})]
+        )
+        with pytest.raises(
+            InputFormatError, match=rf"bad.csv:3: column {column}: must be <= 1e\+06, got '1e\+154'"
+        ):
+            read_snapshots(path)
+
+    @pytest.mark.parametrize("column", ["sp_rating", "moody_rating"])
+    def test_unknown_rating_label_reports_line(self, tmp_path, column):
+        path = write_rows(
+            tmp_path / "bad.csv", [base_row(), base_row(firm_id="B", **{column: "ZZZ"})]
+        )
+        with pytest.raises(
+            InputFormatError, match=rf"bad.csv:3: column {column}: unknown rating label 'ZZZ'"
+        ):
+            read_snapshots(path)
+
+    def test_rating_labels_any_case_accepted(self, tmp_path):
+        path = write_rows(tmp_path / "ok.csv", [base_row(sp_rating="bbb-", moody_rating="caa1")])
+        assert read_snapshots(path)[0].get("sp_rating") == "bbb-"
+
     def test_bad_date(self, tmp_path):
         path = write_rows(tmp_path / "bad.csv", [base_row(date="05/02/2016")])
         with pytest.raises(InputFormatError, match="ISO date"):
@@ -140,6 +167,57 @@ class TestComputeSpreadRow:
         snap = read_snapshots(write_rows(tmp_path / "s.csv", [row]))[0]
         spread = compute_spread_row(snap, PARAMS)
         assert spread.reason == "no volatility quotes"
+
+    # One row per failure kind, and rows with two faults: the reason is the
+    # first bad value in column order (amounts, then price, cap and fx, then
+    # the vol quotes).
+    @pytest.mark.parametrize(
+        "overrides, reason",
+        [
+            ({"is_banking": None}, "missing is_banking"),
+            ({"market_cap": None}, "missing market_cap"),
+            ({"lease_obligations": None}, "missing lease_obligations"),
+            (
+                {"hist_vol_30": None, "hist_vol_60": None, "hist_vol_120": None},
+                "no volatility quotes",
+            ),
+            (
+                {"other_st_liabilities": -5.0},
+                "other_st_liabilities must be a finite amount >= 0, got -5.0",
+            ),
+            (
+                {"minority_interest": -1.0},
+                "minority_interest must be a finite amount >= 0, got -1.0",
+            ),
+            ({"stock_price": 0.0}, "stock_price must be finite and > 0, got 0.0"),
+            ({"market_cap": -3.0}, "market_cap must be finite and > 0, got -3.0"),
+            ({"fx_rate": 0.0}, "fx_report_to_quote must be finite and > 0, got 0.0"),
+            (
+                {"hist_vol_60": -0.2},
+                "volatility quote must be a finite amount >= 0, got -0.2",
+            ),
+            (
+                {"preferred_equity": -2.0, "stock_price": -1.0},
+                "preferred_equity must be a finite amount >= 0, got -2.0",
+            ),
+            (
+                {"hist_vol_30": -0.1, "fx_rate": -1.0},
+                "fx_report_to_quote must be finite and > 0, got -1.0",
+            ),
+        ],
+    )
+    def test_reason_text(self, tmp_path, overrides, reason):
+        snap = read_snapshots(write_rows(tmp_path / "s.csv", [base_row(**overrides)]))[0]
+        spread = compute_spread_row(snap, PARAMS)
+        assert spread.reason == reason
+        assert spread.e2c_bps is None and spread.creditgrades_bps is None
+
+    def test_overflowing_e2c_reason(self, tmp_path):
+        row = base_row(hist_vol_30=1e200, hist_vol_60=1e200)
+        snaps = read_snapshots(write_rows(tmp_path / "s.csv", [row]))
+        records, spreads = build_records(snaps, PARAMS)
+        assert spreads[("ACME", "2016-02-05")].reason == "e2c_bps must be finite, got inf"
+        assert records[0].e2c_bps is None
 
     def test_banking_needs_only_ltd(self, tmp_path):
         row = base_row(

@@ -78,6 +78,10 @@ class TestE2C:
         assert e2c_spread(SpreadInputs(100, 0.35, 50), PARAMS) > base
         assert e2c_spread(SpreadInputs(120, 0.30, 50), PARAMS) < base
 
+    def test_overflow_rejected(self):
+        with pytest.raises(ValueError, match="e2c_bps must be finite, got inf"):
+            e2c_spread(SpreadInputs(100, 1e200, 50), PARAMS)
+
     def test_linear_in_one_minus_recovery(self):
         inputs = SpreadInputs(87.0, 0.41, 33.0)
         no_recovery = e2c_spread(inputs, ModelParams(recovery=0.0))
@@ -148,6 +152,22 @@ class TestCreditGradesSpread:
         spread = creditgrades_spread(SpreadInputs(100, 200.0, 50), PARAMS)
         assert spread == MAX_SPREAD_BPS
 
+    def test_infinite_scaled_vol_saturates(self):
+        # vol^2 overflows: the survival reaches 0 rather than raising.
+        spread = creditgrades_spread(SpreadInputs(100, 1e200, 50), PARAMS)
+        assert spread == MAX_SPREAD_BPS
+
+    def test_underflowing_barrier_is_never_hit(self):
+        # debt_recovery * debt_per_share rounds to 0.
+        params = ModelParams(debt_recovery=1e-320)
+        assert creditgrades_spread(SpreadInputs(100, 0.3, 1e-10), params) == 0.0
+
+    def test_largest_debt_recovery_vol_stays_finite(self):
+        # exp(lam^2) * (S0 + L*D) / (L*D) exceeds the float range: the
+        # barrier is out of reach, not a NaN.
+        params = ModelParams(debt_recovery_vol=26.64)
+        assert creditgrades_spread(SpreadInputs(100, 0.3, 10), params) == 0.0
+
     def test_nonnegative_randomized(self):
         rng = np.random.default_rng(11)
         for _ in range(1000):
@@ -173,6 +193,8 @@ class TestModelParams:
             {"debt_recovery": 0.0},
             {"debt_recovery": 1.5},
             {"debt_recovery_vol": -0.2},
+            {"debt_recovery_vol": 26.65},
+            {"debt_recovery_vol": 30.0},
             {"maturity": 0.0},
             {"maturity": float("inf")},
         ],
