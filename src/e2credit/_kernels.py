@@ -259,21 +259,23 @@ def _draw_subsets(rngs, node_tree, p, m):
     return sel
 
 
-_NODE_FIELDS = ("feature", "threshold", "left", "right", "value", "n_samples", "improvement")
+_NODE_FIELDS = ("feature", "threshold", "value", "n_samples", "improvement")
 
 
 def build_trees(pre, y, samples, m, max_depth, rngs):
     """Grow one regression tree per (row sample, Generator) pair on the
-    presorted matrix; returns one dict of node arrays per tree.
+    presorted matrix; returns each node field concatenated over the trees in
+    tree order, and "sizes", the node count of each tree.
 
     The trees grow together, level by level, but never interact: each
     node's sums run over its own rows only and each tree draws from its own
     Generator, so a tree comes out bit-identical whichever trees share its
-    batch. Nodes are numbered breadth-first, root 0. A node stays a leaf
-    when it has fewer than two rows, constant labels, sits max_depth levels
-    below the root, or no candidate feature has two distinct values.
-    Per-node feature subsets are drawn level by level in node order.
-    max_depth=None grows until no node can split.
+    batch. Nodes are numbered breadth-first, root 0, so the children of a
+    tree's k-th split node are its nodes 2k+1 (left) and 2k+2 (right). A
+    node stays a leaf when it has fewer than two rows, constant labels, sits
+    max_depth levels below the root, or no candidate feature has two
+    distinct values. Per-node feature subsets are drawn level by level in
+    node order. max_depth=None grows until no node can split.
     """
     samples = [np.asarray(rows, dtype=np.int64) for rows in samples]
     if any(rows.shape[0] == 0 for rows in samples):
@@ -285,7 +287,6 @@ def build_trees(pre, y, samples, m, max_depth, rngs):
     m = min(int(m), pre.p)
     O, counts = batch.root_layout()
     tree = np.arange(n_trees)
-    numbered = np.zeros(n_trees, dtype=np.int64)
     levels = []
     depth = 0
     while True:
@@ -297,14 +298,11 @@ def build_trees(pre, y, samples, m, max_depth, rngs):
             "tree": tree,
             "feature": np.full(K, LEAF, dtype=np.int64),
             "threshold": np.zeros(K),
-            "left": np.full(K, LEAF, dtype=np.int64),
-            "right": np.full(K, LEAF, dtype=np.int64),
             "value": mean,
             "n_samples": counts,
             "improvement": np.zeros(K),
         }
         levels.append(level)
-        numbered += np.bincount(tree, minlength=n_trees)
         if max_depth is not None and depth >= max_depth:
             break
         can_split = (counts >= 2) & (
@@ -322,28 +320,21 @@ def build_trees(pre, y, samples, m, max_depth, rngs):
         if not split.any():
             break
         at = at[split]
-        # A tree's next level holds the children of its split nodes, in
-        # order, numbered after every node of its levels so far.
-        split_tree = tree[at]
-        per_tree = np.bincount(split_tree, minlength=n_trees)
-        rank = np.arange(at.shape[0]) - (np.cumsum(per_tree) - per_tree)[split_tree]
-        children = numbered[split_tree] + 2 * rank
         level["feature"][at] = feature[split]
         level["threshold"][at] = threshold[split]
         level["improvement"][at] = np.maximum(node_sse - sse_after, 0.0)[split]
-        level["left"][at] = children
-        level["right"][at] = children + 1
         O, counts = _partition(batch, O, counts, split, feature, threshold)
-        tree = np.repeat(split_tree, 2)
+        # The next level holds the children of the split nodes, in order.
+        tree = np.repeat(tree[at], 2)
         depth += 1
     node_tree = np.concatenate([level["tree"] for level in levels])
     by_tree = np.argsort(node_tree, kind="stable")
-    bounds = np.cumsum(np.bincount(node_tree, minlength=n_trees))[:-1]
-    fields = {
-        name: np.split(np.concatenate([level[name] for level in levels])[by_tree], bounds)
+    nodes = {
+        name: np.concatenate([level[name] for level in levels])[by_tree]
         for name in _NODE_FIELDS
     }
-    return [{name: fields[name][t] for name in _NODE_FIELDS} for t in range(n_trees)]
+    nodes["sizes"] = np.bincount(node_tree, minlength=n_trees)
+    return nodes
 
 
 def scan_best_split(X, y, row_indices, feats):

@@ -287,11 +287,11 @@ def cmd_importance(args) -> int:
     _check_columns(forest, matrix)
     split = split_in_out(matrix, config.firm_frac, config.date_frac, forest.master_seed)
     train = split.in_sample
-    if train.n_rows != forest.n_train_rows:
+    if train.sha256() != forest.train_sha256:
         raise CompatibilityError(
-            f"rebuilt in-sample set has {train.n_rows} rows but the forest "
-            f"was trained on {forest.n_train_rows}; pass the same snapshot "
-            "CSV and config used for training"
+            f"the rebuilt in-sample set ({train.n_rows} rows) is not the one the "
+            f"forest was trained on ({forest.n_train_rows} rows); pass the same "
+            "snapshot CSV and config used for training"
         )
     report = importance_report(forest, train, seed=config.seed)
     names = report.feature_names
@@ -328,6 +328,14 @@ def cmd_importance(args) -> int:
 
 def cmd_synth(args) -> int:
     config = _load_effective_config(args)
+    for flag, value, ok, rule in (
+        ("--firms", args.firms, args.firms >= 1, ">= 1"),
+        ("--dates", args.dates, args.dates >= 1, ">= 1"),
+        ("--missing-rate", args.missing_rate, 0.0 <= args.missing_rate < 1.0, "in [0, 1)"),
+        ("--bayes-r2", args.bayes_r2, 0.0 < args.bayes_r2 <= 1.0, "in (0, 1]"),
+    ):
+        if not ok:
+            raise InputFormatError(f"{flag} must be {rule}, got {value}")
     out_dir = _prepare_out_dir(args)
     rows, meta = generate_snapshots(
         n_firms=args.firms,

@@ -7,6 +7,8 @@ holdout split.
 """
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -203,6 +205,14 @@ class FeatureMatrix:
 
     def column_names(self) -> tuple[str, ...]:
         return tuple(col.name for col in self.columns)
+
+    def sha256(self) -> str:
+        """Hex SHA-256 over the X bytes, the y bytes and the column names: a
+        forest records its training set's, and importance checks it."""
+        digest = hashlib.sha256(self.X.tobytes())
+        digest.update(self.y.tobytes())
+        digest.update(json.dumps(self.column_names()).encode("utf-8"))
+        return digest.hexdigest()
 
     def take(self, row_indices: np.ndarray) -> "FeatureMatrix":
         idx = np.asarray(row_indices, dtype=np.int64)

@@ -4,15 +4,16 @@ random feature subsets.
 Training is deterministic for a fixed master seed no matter how many worker
 threads run: each tree owns an independent generator derived from
 (master_seed, tree_index) through numpy's SeedSequence spawn keys, so
-scheduling order cannot leak into the result. Trees store their split
-records (feature, threshold, per-node SSE improvement, sample counts),
-which the importance module consumes. Prediction concatenates the trees'
-nodes into one FlatForest and moves every (tree, row) pair down a level
-at a time, all pairs in the same few array operations.
+scheduling order cannot leak into the result. A forest's nodes live in one
+store, each field concatenated over the trees (feature, threshold, value,
+sample count, SSE improvement); the importance module consumes the split
+records. Prediction moves every (tree, row) pair down a level at a time,
+all pairs in the same few array operations.
 """
 from __future__ import annotations
 
 import json
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -78,98 +79,94 @@ def best_split(
     )
 
 
-@dataclass(frozen=True)
-class RegressionTree:
-    """Fitted CART stored as parallel node arrays (root at index 0).
-
-    feature[i] is -1 for leaves; value[i] is the mean label of the node's
-    training rows, improvement[i] the SSE decrease achieved by its split.
-    """
-
-    feature: np.ndarray
-    threshold: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    value: np.ndarray
-    n_samples: np.ndarray
-    improvement: np.ndarray
-    max_depth: int | None = None
-
-    @property
-    def n_nodes(self) -> int:
-        return self.feature.shape[0]
-
-    def depth(self) -> int:
-        return int(self.flat.depths[0])
-
-    @cached_property
-    def flat(self) -> "FlatForest":
-        return FlatForest((self,))
-
-    def predict(self, X: np.ndarray) -> np.ndarray | float:
-        X, single = _as_rows(X)
-        out = np.empty(X.shape[0], dtype=np.float64)
-        for rows, values in self.flat.leaf_values(X):
-            out[rows] = values[0]
-        return float(out[0]) if single else out
-
-
-def _as_rows(X: np.ndarray) -> tuple[np.ndarray, bool]:
-    """X as a C-contiguous float64 matrix, and whether it was one row."""
-    X = np.asarray(X, dtype=np.float64)
-    single = X.ndim == 1
-    return np.ascontiguousarray(X[None, :] if single else X), single
-
-
 # Forest.predict descends at most this many (tree, row) pairs at a time, so
 # its scratch arrays stay about 2 MB whatever the number of rows.
 _PREDICT_PAIRS = 2**15
 
 
-class FlatForest:
-    """The nodes of a sequence of trees, concatenated into one set of arrays.
+@dataclass(frozen=True, eq=False)
+class Nodes:
+    """The nodes of a sequence of trees, each field concatenated over the
+    trees in tree order; sizes[t] is tree t's node count.
 
-    Node j of tree t is node roots[t] + j; children[2 * i + go_left] is the
-    child of node i on that side, and key[i] is its split threshold, or its
-    value when it is a leaf. A leaf is its own child on both sides, so a
-    descent runs a fixed number of levels over every (tree, row) pair and
-    pairs that reach a leaf early stay put. A leaf's feature stays LEAF: the
-    value it reads, one element before its row (or the matrix's last), is
-    never used. depths[t] is tree t's deepest level.
+    feature[i] is LEAF for a leaf; value[i] is the mean label of the node's
+    training rows, improvement[i] the SSE decrease achieved by its split.
+    Each tree is numbered breadth-first from its root, so it has 2s + 1
+    nodes for s splits and the children of its k-th split node are its
+    nodes 2k+1 (left) and 2k+2 (right). Children are derived, never stored.
     """
 
-    def __init__(self, trees):
-        sizes = np.array([tree.n_nodes for tree in trees], dtype=np.intp)
-        self.roots = np.cumsum(sizes) - sizes
-        n = int(sizes.sum())
-        self.feature = np.empty(n, dtype=np.intp)
-        self.key = np.empty(n, dtype=np.float64)
-        self.children = np.empty(2 * n, dtype=np.intp)
-        for root, tree in zip(self.roots, trees):
-            end = root + tree.n_nodes
-            leaf = tree.feature == LEAF
-            own = np.arange(root, end)
-            self.feature[root:end] = tree.feature
-            self.key[root:end] = np.where(leaf, tree.value, tree.threshold)
-            self.children[2 * root : 2 * end : 2] = np.where(leaf, own, tree.right + root)
-            self.children[2 * root + 1 : 2 * end : 2] = np.where(leaf, own, tree.left + root)
-        self.max_feature = int(self.feature.max(initial=0))
-        self.depths = self._depths(sizes)
+    feature: np.ndarray
+    threshold: np.ndarray
+    value: np.ndarray
+    n_samples: np.ndarray
+    improvement: np.ndarray
+    sizes: np.ndarray
 
-    def _depths(self, sizes) -> np.ndarray:
-        tree_of = np.repeat(np.arange(sizes.shape[0]), sizes)
-        depths = np.zeros(sizes.shape[0], dtype=np.intp)
-        level, reached, d = self.roots, sizes.shape[0], 0
+    @staticmethod
+    def join(stores) -> "Nodes":
+        return Nodes(*(np.concatenate([getattr(s, name) for s in stores])
+                       for name in _kernels._NODE_FIELDS + ("sizes",)))
+
+    @property
+    def n_nodes(self) -> int:
+        return self.feature.shape[0]
+
+    @cached_property
+    def roots(self) -> np.ndarray:
+        return np.cumsum(self.sizes) - self.sizes
+
+    def tree(self, t: int) -> "RegressionTree":
+        """Tree t, as arrays that share this store's memory."""
+        at = slice(self.roots[t], self.roots[t] + self.sizes[t])
+        return RegressionTree(*(getattr(self, name)[at] for name in _kernels._NODE_FIELDS))
+
+    @cached_property
+    def tree_of(self) -> np.ndarray:
+        return np.repeat(np.arange(self.sizes.shape[0]), self.sizes)
+
+    @cached_property
+    def key(self) -> np.ndarray:
+        """A split node's threshold, or a leaf's value."""
+        return np.where(self.feature == LEAF, self.value, self.threshold)
+
+    @cached_property
+    def children(self) -> np.ndarray:
+        """children[2 * i + go_left]: the child of node i on that side. The
+        left child of a split node of tree t with K split nodes before it in
+        the store is node 2K + t + 1, as a tree of s splits holds 2s + 1
+        nodes. A leaf is its own child, so a descent runs a fixed number of
+        levels and pairs that reach a leaf early stay put; the value a leaf's
+        LEAF feature reads, one before its row (or the matrix's last), is unused."""
+        kids = np.repeat(np.arange(self.n_nodes), 2)
+        split = np.flatnonzero(self.feature != LEAF)
+        left = 2 * np.arange(split.shape[0]) + self.tree_of[split] + 1
+        kids[2 * split + 1] = left
+        kids[2 * split] = left + 1
+        return kids
+
+    @property
+    def left(self) -> np.ndarray:
+        """Store index of each node's left child, LEAF at a leaf."""
+        return np.where(self.feature == LEAF, LEAF, self.children[1::2])
+
+    @property
+    def right(self) -> np.ndarray:
+        """Store index of each node's right child, LEAF at a leaf."""
+        return np.where(self.feature == LEAF, LEAF, self.children[::2])
+
+    @cached_property
+    def depths(self) -> np.ndarray:
+        """Each tree's deepest level."""
+        depths = np.zeros(self.sizes.shape[0], dtype=np.intp)
+        level, d = self.roots, 0
         while True:
             level = level[self.feature[level] != LEAF]
             if level.shape[0] == 0:
                 return depths
             level = np.concatenate([self.children[2 * level + 1], self.children[2 * level]])
-            reached += level.shape[0]
-            if reached > self.feature.shape[0]:
-                raise ValueError("malformed tree: a node is reached twice")
             d += 1
-            depths[tree_of[level]] = d
+            depths[self.tree_of[level]] = d
 
     def step(self, Xf, node, base, swap=None):
         """Move each pair one level down: node is its current node, base the
@@ -186,9 +183,9 @@ class FlatForest:
 
     def check_columns(self, p: int) -> None:
         # A column past the row's end would silently read the next row.
-        if self.max_feature >= p:
+        if self.feature.max(initial=0) >= p:
             raise ValueError(
-                f"feature dimension mismatch: trees test column {self.max_feature}, "
+                f"feature dimension mismatch: trees test column {self.feature.max()}, "
                 f"got {p} columns"
             )
 
@@ -199,7 +196,7 @@ class FlatForest:
         n, p = X.shape
         self.check_columns(p)
         Xf = X.ravel()
-        n_trees = self.roots.shape[0]
+        n_trees = self.sizes.shape[0]
         block = max(1, _PREDICT_PAIRS // n_trees)
         levels = int(self.depths.max(initial=0))
         for start in range(0, n, block):
@@ -210,6 +207,31 @@ class FlatForest:
             for _ in range(levels):
                 node = self.step(Xf, node, base)
             yield rows, self.key[node].reshape(n_trees, -1)
+
+
+class RegressionTree(Nodes):
+    """Fitted CART: a store of one tree, root at index 0."""
+
+    def __init__(self, feature, threshold, value, n_samples, improvement):
+        super().__init__(feature, threshold, value, n_samples, improvement,
+                         np.array([feature.shape[0]]))
+
+    def depth(self) -> int:
+        return int(self.depths[0])
+
+    def predict(self, X: np.ndarray) -> np.ndarray | float:
+        X, single = _as_rows(X)
+        out = np.empty(X.shape[0], dtype=np.float64)
+        for rows, values in self.leaf_values(X):
+            out[rows] = values[0]
+        return float(out[0]) if single else out
+
+
+def _as_rows(X: np.ndarray) -> tuple[np.ndarray, bool]:
+    """X as a C-contiguous float64 matrix, and whether it was one row."""
+    X = np.asarray(X, dtype=np.float64)
+    single = X.ndim == 1
+    return np.ascontiguousarray(X[None, :] if single else X), single
 
 
 def grow_tree(
@@ -229,24 +251,21 @@ def grow_tree(
     """
     X = np.ascontiguousarray(X, dtype=np.float64)
     y = np.ascontiguousarray(y, dtype=np.float64)
-    return _grow(_kernels.Presorted(X), y, [bootstrap_rows], m, max_depth, [rng])[0]
+    return _grow(_kernels.Presorted(X), y, [bootstrap_rows], m, max_depth, [rng]).tree(0)
 
 
-def _grow(presorted, y, samples, m, max_depth, rngs) -> list[RegressionTree]:
+def _grow(presorted, y, samples, m, max_depth, rngs) -> Nodes:
     p = presorted.p
     if not 1 <= m <= p:
         raise ValueError(f"m must be in [1, {p}], got {m}")
-    return [
-        RegressionTree(max_depth=max_depth, **arrays)
-        for arrays in _kernels.build_trees(presorted, y, samples, m, max_depth, rngs)
-    ]
+    return Nodes(**_kernels.build_trees(presorted, y, samples, m, max_depth, rngs))
 
 
 @dataclass(frozen=True)
 class Forest:
     """Bagged ensemble; prediction is the arithmetic mean of tree outputs."""
 
-    trees: tuple[RegressionTree, ...]
+    nodes: Nodes
     oob_indices: tuple[np.ndarray, ...]
     n_trees: int
     m: int
@@ -254,14 +273,15 @@ class Forest:
     master_seed: int
     n_train_rows: int
     columns: tuple[FeatureColumn, ...] | None = field(default=None)
+    train_sha256: str | None = None  # FeatureMatrix.sha256() of the training set
 
     @property
     def n_features(self) -> int | None:
         return len(self.columns) if self.columns is not None else None
 
     @cached_property
-    def flat(self) -> "FlatForest":
-        return FlatForest(self.trees)
+    def trees(self) -> tuple[RegressionTree, ...]:
+        return tuple(self.nodes.tree(t) for t in range(self.n_trees))
 
     def predict(self, X: np.ndarray) -> np.ndarray | float:
         X, single = _as_rows(X)
@@ -273,7 +293,7 @@ class Forest:
         # Summed tree by tree, in tree order, so the mean is the same to the
         # last bit however the descent is laid out.
         acc = np.zeros(X.shape[0], dtype=np.float64)
-        for rows, values in self.flat.leaf_values(X):
+        for rows, values in self.nodes.leaf_values(X):
             for tree_values in values:
                 acc[rows] += tree_values
         acc /= self.n_trees
@@ -312,7 +332,7 @@ def _bootstrap(master_seed: int, tree_index: int, n: int):
 
 def _fit_batch(presorted, y, n, trees, m, max_depth, master_seed):
     rngs, boots, oobs = zip(*(_bootstrap(master_seed, b, n) for b in trees))
-    return list(zip(_grow(presorted, y, boots, m, max_depth, rngs), oobs))
+    return _grow(presorted, y, boots, m, max_depth, rngs), oobs
 
 
 # Trees grow in batches of about this many rows in total: one batch's level
@@ -337,7 +357,7 @@ def fit_forest(
     Each tree draws a bootstrap sample of n rows with replacement and grows
     with per-node feature subsets of size m; rows never drawn are recorded
     as the tree's out-of-bag set. The result is identical for any worker
-    count.
+    count, so at most os.cpu_count() threads run.
     """
     if train.n_rows == 0:
         raise ValueError("cannot fit a forest on an empty training set")
@@ -351,21 +371,22 @@ def fit_forest(
         (presorted, y, n, range(start, min(start + size, n_trees)), m, max_depth, master_seed)
         for start in range(0, n_trees, size)
     ]
+    workers = min(workers, os.cpu_count() or 1)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             batches = list(pool.map(lambda args: _fit_batch(*args), jobs))
     else:
         batches = [_fit_batch(*args) for args in jobs]
-    trees, oobs = zip(*(result for batch in batches for result in batch))
     return Forest(
-        trees=tuple(trees),
-        oob_indices=tuple(oobs),
+        nodes=Nodes.join([nodes for nodes, _ in batches]),
+        oob_indices=tuple(oob for _, oobs in batches for oob in oobs),
         n_trees=n_trees,
         m=m,
         max_depth=max_depth,
         master_seed=master_seed,
         n_train_rows=n,
         columns=train.columns,
+        train_sha256=train.sha256(),
     )
 
 
@@ -373,18 +394,19 @@ def fit_forest(
 # Serialization
 # ---------------------------------------------------------------------------
 
-_MAGIC = b"E2CFOR02"
+_MAGIC = b"E2CFOR03"
 
-# Node fields in file order; each takes 8 bytes a node.
-_TREE_FIELDS = (
-    ("feature", "<i8"),
-    ("threshold", "<f8"),
-    ("left", "<i8"),
-    ("right", "<i8"),
-    ("value", "<f8"),
-    ("n_samples", "<i8"),
-    ("improvement", "<f8"),
+# Node fields in file order, with their types on disk and in memory. Integer
+# fields are widened on load: descents index with feature, and MDI weighs
+# by n_samples as it does for a fitted forest.
+_FILE_FIELDS = (
+    ("feature", "<i4", np.intp),
+    ("threshold", "<f8", np.float64),
+    ("value", "<f8", np.float64),
+    ("n_samples", "<i4", np.int64),
+    ("improvement", "<f8", np.float64),
 )
+_NODE_BYTES = sum(np.dtype(disk).itemsize for _, disk, _ in _FILE_FIELDS)
 
 
 def _at_least(low: int):
@@ -402,18 +424,21 @@ _HEADER = {
     "columns": lambda v: v is None or type(v) is list and all(
         type(c) is list and len(c) == 2 and all(type(s) is str for s in c) for c in v
     ),
+    "train_sha256": lambda v: v is None or type(v) is str and len(v) == 64,
 }
 
 
 def save_forest(forest: Forest, path) -> None:
     """Write the forest to a binary file; identical forests give identical bytes.
 
-    Layout: the magic "E2CFOR02" (the only version marker), a little-endian
+    Layout: the magic "E2CFOR03" (the only version marker), a little-endian
     uint32 header length, a JSON header (sorted keys, no spaces) with the
     _HEADER keys, then the trees' node counts as <i8 and each of the
-    _TREE_FIELDS concatenated over the trees in tree order. Out-of-bag rows
-    are redrawn from (master_seed, tree, n_train_rows) on load, not stored,
-    so a forest whose out-of-bag sets are not its seed's raises ValueError.
+    _FILE_FIELDS concatenated over the trees in tree order. Children are
+    not stored: they follow from the breadth-first numbering. Out-of-bag
+    rows are redrawn from (master_seed, tree, n_train_rows) on load, not
+    stored, so a forest whose out-of-bag sets are not its seed's raises
+    ValueError.
     """
     for b, oob in enumerate(forest.oob_indices):
         if not np.array_equal(oob, _bootstrap(forest.master_seed, b, forest.n_train_rows)[2]):
@@ -422,21 +447,20 @@ def save_forest(forest: Forest, path) -> None:
     if forest.columns is not None:
         header["columns"] = [[c.name, c.kind] for c in forest.columns]
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    counts = np.array([tree.n_nodes for tree in forest.trees], dtype="<i8")
+    sizes = forest.nodes.sizes.astype("<i8")
     with open(path, "wb") as fh:
-        fh.write(_MAGIC + len(blob).to_bytes(4, "little") + blob + counts.tobytes())
-        for name, dtype in _TREE_FIELDS:
-            nodes = np.concatenate([getattr(tree, name) for tree in forest.trees])
-            fh.write(nodes.astype(dtype).tobytes())
+        fh.write(_MAGIC + len(blob).to_bytes(4, "little") + blob + sizes.tobytes())
+        for name, disk, _ in _FILE_FIELDS:
+            fh.write(getattr(forest.nodes, name).astype(disk).tobytes())
 
 
 def load_forest(path) -> Forest:
     """Read a forest written by save_forest; round-trips bit-exactly. Any
-    other file, a format-1 one included, raises InputFormatError."""
+    other file, one of an earlier format included, raises InputFormatError."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    if raw[:8] == b"E2CFOR01":
-        raise InputFormatError(f"{path}: forest file format 1 is no longer read; retrain")
+    if raw[:8] in (b"E2CFOR01", b"E2CFOR02"):
+        raise InputFormatError(f"{path}: {raw[:8].decode()} is an earlier forest format; retrain")
     if raw[:8] != _MAGIC:
         raise InputFormatError(f"{path}: not a forest file (bad magic {raw[:8]!r})")
     size = int.from_bytes(raw[8:12], "little")
@@ -449,40 +473,34 @@ def load_forest(path) -> Forest:
             raise InputFormatError(f"{path}: forest header key {key!r} missing or malformed")
     n_trees, columns = header["n_trees"], header["columns"]
     payload = memoryview(raw)[12 + size :]
-    counts = np.frombuffer(payload, "<i8", count=min(n_trees, len(payload) // 8))
-    if np.any(counts < 1):
+    sizes = np.frombuffer(payload, "<i8", count=min(n_trees, len(payload) // 8))
+    if np.any(sizes < 1):
         raise InputFormatError(f"{path}: a tree has no nodes")
-    n = sum(counts.tolist())
-    if len(payload) != 8 * n_trees + 56 * n:
+    n = sum(sizes.tolist())
+    if len(payload) != 8 * n_trees + _NODE_BYTES * n:
         raise InputFormatError(f"{path}: payload is not {n_trees} trees of {n} nodes")
-    block = np.frombuffer(payload, "<i8", offset=8 * n_trees).reshape(len(_TREE_FIELDS), n)
-    fields = {name: row.view(dtype) for (name, dtype), row in zip(_TREE_FIELDS, block)}
-    _check_nodes(path, fields, counts, None if columns is None else len(columns))
-    per_tree = zip(*(np.split(nodes, np.cumsum(counts)[:-1]) for nodes in fields.values()))
-    max_depth = header["max_depth"]
-    trees = tuple(RegressionTree(max_depth=max_depth, **dict(zip(fields, t))) for t in per_tree)
+    fields, at = {}, 8 * n_trees
+    for name, disk, memory in _FILE_FIELDS:
+        fields[name] = np.frombuffer(payload, disk, n, at).astype(memory, copy=False)
+        at += n * np.dtype(disk).itemsize
+    nodes = Nodes(sizes=sizes.astype(np.int64), **fields)
+    _check_nodes(path, nodes, None if columns is None else len(columns))
     seed, n_rows = header["master_seed"], header["n_train_rows"]
     oobs = tuple(_bootstrap(seed, b, n_rows)[2] for b in range(n_trees))
     if columns is not None:
         header["columns"] = tuple(FeatureColumn(name, kind) for name, kind in columns)
-    return Forest(trees=trees, oob_indices=oobs, **{key: header[key] for key in _HEADER})
+    return Forest(nodes=nodes, oob_indices=oobs, **{key: header[key] for key in _HEADER})
 
 
-def _check_nodes(path, fields, counts, p) -> None:
-    # Children must come after their parent within its tree, and every node
-    # but a root must be the child of exactly one node: then each tree is a
-    # tree, and every descent from its root ends at a leaf.
-    feature, n = fields["feature"], fields["feature"].shape[0]
-    if feature.min() < LEAF or (p is not None and feature.max() >= p):
+def _check_nodes(path, nodes: Nodes, p) -> None:
+    # A tree of s splits has 2s + 1 nodes, and its k-th split node is at most
+    # its node 2k, before its children 2k+1 and 2k+2: then every node but the
+    # root is the child of exactly one earlier node, and every descent from
+    # the root ends at a leaf.
+    if nodes.feature.min() < LEAF or (p is not None and nodes.feature.max() >= p):
         raise InputFormatError(f"{path}: a node tests a feature outside [-1, {p})")
-    split = feature != LEAF
-    first = np.repeat(np.cumsum(counts) - counts, counts)
-    local = np.arange(n) - first
-    kids = np.stack([fields["left"], fields["right"]])
-    if np.any(~split & (kids != LEAF)):
-        raise InputFormatError(f"{path}: a leaf has a child")
-    if np.any(split & ((kids <= local) | (kids >= np.repeat(counts, counts)))):
-        raise InputFormatError(f"{path}: a split node's child is not a later node of its tree")
-    parents = np.bincount(np.where(split, kids + first, n).ravel(), minlength=n + 1)
-    if np.any(parents[:n] != (local > 0)):
-        raise InputFormatError(f"{path}: a node is not the child of exactly one node")
+    split = nodes.feature != LEAF
+    if np.any(nodes.sizes != 2 * np.add.reduceat(split, nodes.roots, dtype=np.int64) + 1):
+        raise InputFormatError(f"{path}: a tree's node count is not twice its splits plus one")
+    if np.any(split & (nodes.left <= np.arange(nodes.n_nodes))):
+        raise InputFormatError(f"{path}: a split node comes after its children")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import FeatureMatrix
-from .forest import Forest
+from .forest import LEAF, Forest
 from .metrics import r_squared_arrays
 
 
@@ -71,12 +71,10 @@ def mdi_importance(forest: Forest, train: FeatureMatrix) -> ImportanceReport:
     """
     names = _feature_names(forest, train)
     p = len(names)
+    nodes = forest.nodes
+    split = nodes.feature != LEAF
     totals = np.zeros(p, dtype=np.float64)
-    for tree in forest.trees:
-        internal = tree.feature != -1
-        feats = tree.feature[internal]
-        weights = tree.n_samples[internal] * tree.improvement[internal]
-        np.add.at(totals, feats, weights)
+    np.add.at(totals, nodes.feature[split], (nodes.n_samples * nodes.improvement)[split])
     totals /= forest.n_trees
     total = totals.sum()
     if total > 0.0:
@@ -117,12 +115,12 @@ def permutation_importance(
     names = _feature_names(forest, train)
     p = len(names)
     X = np.ascontiguousarray(train.X, dtype=np.float64)
-    forest.flat.check_columns(p)
+    forest.nodes.check_columns(p)
     acc = np.zeros(p, dtype=np.float64)
     used = 0
     skipped: list[tuple[int, str]] = []
     for chunk in _chunks(forest, train, seed, skipped):
-        for b, vi in _score_chunk(forest.flat, X, chunk):
+        for b, vi in _score_chunk(forest.nodes, X, chunk):
             if vi is None:
                 skipped.append((b, f"tree {b}: zero OOB R^2, skipped"))
             else:
@@ -140,7 +138,7 @@ def _chunks(forest: Forest, train: FeatureMatrix, seed: int, skipped: list):
     _CHUNK_ROWS OOB rows or a little more each; trees that cannot be scored
     go to skipped instead."""
     chunk, rows = [], 0
-    for b in range(len(forest.trees)):
+    for b in range(forest.n_trees):
         oob = forest.oob_indices[b]
         if oob.size < 2:
             skipped.append((b, f"tree {b}: OOB set too small, skipped"))
@@ -160,7 +158,7 @@ def _chunks(forest: Forest, train: FeatureMatrix, seed: int, skipped: list):
         yield chunk
 
 
-def _score_chunk(flat, X, chunk):
+def _score_chunk(nodes, X, chunk):
     """(tree, per-feature VI terms) for each tree of the chunk; the terms are
     None where the tree's OOB R^2 is zero."""
     trees = [b for b, _, _, _ in chunk]
@@ -171,24 +169,24 @@ def _score_chunk(flat, X, chunk):
     # Row offsets into Xf of the chunk's rows, tree after tree.
     base = np.concatenate([oob for _, oob, _, _ in chunk]) * p
     K = base.shape[0]
-    depth = int(flat.depths[trees].max())
+    depth = int(nodes.depths[trees].max())
 
     # Descend the OOB rows once. At each depth, a row whose node tests a
     # feature its path has not tested before starts a (feature, row) pair
     # there: with that feature permuted, the row re-descends from this node,
     # while a row whose path never tests it keeps its leaf.
-    node = np.repeat(flat.roots[trees], sizes)
+    node = np.repeat(nodes.roots[trees], sizes)
     every_row = np.arange(K)
     seen = np.zeros((p, K), dtype=bool)
     entering = []
     for _ in range(depth):
-        tests = flat.feature[node]
+        tests = nodes.feature[node]
         at = every_row[tests >= 0]
         at = at[~seen[tests[at], at]]
         seen[tests[at], at] = True
         entering.append((tests[at], at, node[at]))
-        node = flat.step(Xf, node, base)
-    leaf_value = flat.key[node]
+        node = nodes.step(Xf, node, base)
+    leaf_value = nodes.key[node]
 
     permuted = np.repeat(leaf_value[None], p, axis=0)
     if entering:
@@ -202,8 +200,8 @@ def _score_chunk(flat, X, chunk):
         )[feature, row]
         row_base, source_base = base[row], base[source]
         for n in np.cumsum([part[0].shape[0] for part in entering]):
-            node[:n] = flat.step(Xf, node[:n], row_base[:n], (feature[:n], source_base[:n]))
-        permuted[feature, row] = flat.key[node]
+            node[:n] = nodes.step(Xf, node[:n], row_base[:n], (feature[:n], source_base[:n]))
+        permuted[feature, row] = nodes.key[node]
 
     out = []
     for (b, _, y_oob, _), end, size in zip(chunk, ends, sizes):

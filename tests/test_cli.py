@@ -45,6 +45,21 @@ class TestSynthCommand:
         header = (synth_dir / "snapshots.csv").read_text().splitlines()[0]
         assert header == ",".join(SNAPSHOT_COLUMNS)
 
+    @pytest.mark.parametrize("flag, value, rule", [
+        ("--firms", "0", ">= 1"),
+        ("--dates", "-1", ">= 1"),
+        ("--missing-rate", "1", "in [0, 1)"),
+        ("--bayes-r2", "0", "in (0, 1]"),
+        ("--bayes-r2", "nan", "in (0, 1]"),
+    ])
+    def test_out_of_range_flag_exit_2(self, tmp_path, capsys, flag, value, rule):
+        code = main(["synth", "--firms", "3", "--dates", "2", flag, value,
+                     "--out-dir", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"input error: {flag} must be {rule}")
+        assert "Traceback" not in err
+
 
 class TestSpreadCommand:
     def test_augments_rows(self, synth_dir, tmp_path):
@@ -343,6 +358,28 @@ class TestImportanceCommand:
             str(synth_dir / "snapshots.csv"), "--seed", "3",
             "--firm-frac", "0.4", "--out-dir", str(tmp_path / "o"),
         ])
+        assert code == 4
+
+    def test_same_size_other_labels_exit_4(self, synth_dir, trained_dir, tmp_path, capsys):
+        # Same rows and columns as at training, but every label tripled.
+        lines = (synth_dir / "snapshots.csv").read_text().splitlines()
+        at = lines[0].split(",").index("cds_5y_bps")
+        for i in range(1, len(lines)):
+            row = lines[i].split(",")
+            row[at] = repr(3.0 * float(row[at]))
+            lines[i] = ",".join(row)
+        tripled = tmp_path / "tripled.csv"
+        tripled.write_text("\n".join(lines) + "\n")
+        code = main(["importance", str(trained_dir / "forest.e2cf"), str(tripled),
+                     "--seed", "3", "--out-dir", str(tmp_path / "o")])
+        assert code == 4
+        assert "not the one the forest was trained on" in capsys.readouterr().err
+
+    def test_other_model_params_exit_4(self, synth_dir, trained_dir, tmp_path):
+        # A different recovery rate changes the E2C feature column only.
+        code = main(["importance", str(trained_dir / "forest.e2cf"),
+                     str(synth_dir / "snapshots.csv"), "--seed", "3",
+                     "--recovery", "0.6", "--out-dir", str(tmp_path / "o")])
         assert code == 4
 
 

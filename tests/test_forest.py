@@ -14,6 +14,7 @@ from e2credit.errors import InputFormatError
 from conftest import edit_header
 from e2credit.forest import (
     Forest,
+    Nodes,
     best_split,
     fit_forest,
     grow_tree,
@@ -245,15 +246,7 @@ class TestFitForest:
                            rtol=1e-12, atol=1e-12)
 
     def test_two_tree_mean(self):
-        t100 = forest_mod.RegressionTree(
-            feature=np.array([-1]), threshold=np.array([0.0]),
-            left=np.array([-1]), right=np.array([-1]), value=np.array([100.0]),
-            n_samples=np.array([1]), improvement=np.array([0.0]))
-        t200 = forest_mod.RegressionTree(
-            feature=np.array([-1]), threshold=np.array([0.0]),
-            left=np.array([-1]), right=np.array([-1]), value=np.array([200.0]),
-            n_samples=np.array([1]), improvement=np.array([0.0]))
-        pair = Forest(trees=(t100, t200),
+        pair = Forest(nodes=Nodes.join((leaf_tree(100.0), leaf_tree(200.0))),
                       oob_indices=(np.array([], dtype=np.int64),) * 2, n_trees=2,
                       m=1, max_depth=1, master_seed=0, n_train_rows=1)
         assert predict(pair, np.zeros(4)) == 150.0
@@ -277,6 +270,27 @@ class TestFitForest:
                 assert np.array_equal(ta.value, tb.value)
             for oa, ob in zip(reference.oob_indices, other.oob_indices):
                 assert np.array_equal(oa, ob)
+
+    @pytest.mark.parametrize("cpus, threads", [(1, []), (2, [2]), (None, [])])
+    def test_workers_capped_at_cpu_count(self, small_matrix, monkeypatch, cpus, threads):
+        # Never more threads than CPUs (one when the count is unknown), and
+        # the same forest as with one worker.
+        started = []
+
+        class Recording(forest_mod.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                started.append(max_workers)
+                super().__init__(max_workers)
+
+        reference = fit_forest(small_matrix, n_trees=4, m=3, max_depth=4, master_seed=3)
+        monkeypatch.setattr(forest_mod.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(forest_mod, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(forest_mod, "_BATCH_ROWS", small_matrix.n_rows)
+        forest = fit_forest(small_matrix, n_trees=4, m=3, max_depth=4, master_seed=3,
+                            workers=4)
+        assert started == threads
+        for name in ("feature", "threshold", "value", "n_samples", "improvement", "sizes"):
+            assert getattr(forest.nodes, name).tobytes() == getattr(reference.nodes, name).tobytes()
 
     def test_oob_fraction_statistics(self):
         n = 100
@@ -341,6 +355,16 @@ class TestSerialization:
         save_forest(loaded, tmp_path / "again.e2cf")
         assert (tmp_path / "again.e2cf").read_bytes() == path.read_bytes()
 
+    def test_trees_share_the_store(self, small_matrix, tmp_path):
+        # One copy of the nodes: a tree's arrays are views of its forest's.
+        forest = fit_forest(small_matrix, n_trees=4, m=2, max_depth=5, master_seed=1)
+        save_forest(forest, tmp_path / "model.e2cf")
+        for f in (forest, load_forest(tmp_path / "model.e2cf")):
+            assert sum(tree.n_nodes for tree in f.trees) == f.nodes.n_nodes
+            for tree in f.trees:
+                for name in ("feature", "threshold", "value", "n_samples", "improvement"):
+                    assert np.shares_memory(getattr(tree, name), getattr(f.nodes, name))
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.e2cf"
         path.write_bytes(b"NOTAFOREST")
@@ -349,23 +373,24 @@ class TestSerialization:
 
     def test_layout(self, small_matrix, tmp_path):
         # Magic, header, node counts, then each field over all trees, and
-        # nothing else: no bootstrap or out-of-bag rows.
+        # nothing else: no children, bootstrap or out-of-bag rows.
         forest = fit_forest(small_matrix, n_trees=3, m=2, max_depth=4, master_seed=6)
         path = tmp_path / "model.e2cf"
         save_forest(forest, path)
         raw = path.read_bytes()
         size = int.from_bytes(raw[8:12], "little")
         header = json.loads(raw[12 : 12 + size])
-        assert raw[:8] == b"E2CFOR02"
+        assert raw[:8] == b"E2CFOR03"
         assert sorted(header) == ["columns", "m", "master_seed", "max_depth",
-                                  "n_train_rows", "n_trees"]
+                                  "n_train_rows", "n_trees", "train_sha256"]
+        assert header["train_sha256"] == small_matrix.sha256()
         payload = raw[12 + size :]
         counts = [tree.n_nodes for tree in forest.trees]
         assert np.frombuffer(payload, "<i8", count=3).tolist() == counts
         assert payload[24:] == b"".join(
-            np.concatenate([getattr(t, name) for t in forest.trees]).tobytes()
-            for name in ("feature", "threshold", "left", "right", "value",
-                         "n_samples", "improvement")
+            np.concatenate([getattr(t, name) for t in forest.trees]).astype(dtype).tobytes()
+            for name, dtype in (("feature", "<i4"), ("threshold", "<f8"), ("value", "<f8"),
+                                ("n_samples", "<i4"), ("improvement", "<f8"))
         )
 
 
@@ -380,9 +405,13 @@ def forest_file(tmp_path):
     return forest, path
 
 
+NODE_FIELDS = ("feature", "threshold", "value", "n_samples", "improvement")
+
+
 def with_tree0(forest, **arrays):
-    tree = dataclasses.replace(forest.trees[0], **arrays)
-    return dataclasses.replace(forest, trees=(tree,) + forest.trees[1:])
+    t0 = forest.trees[0]
+    tree = forest_mod.RegressionTree(**{n: arrays.get(n, getattr(t0, n)) for n in NODE_FIELDS})
+    return dataclasses.replace(forest, nodes=Nodes.join((tree,) + forest.trees[1:]))
 
 
 def corrupt_file(forest, path, case):
@@ -397,8 +426,8 @@ def corrupt_file(forest, path, case):
         return with_tree0(forest, **{name: arr})
 
     raw = path.read_bytes()
-    if case == "format_1":
-        path.write_bytes(b"E2CFOR01" + raw[8:])
+    if case in ("format_1", "format_2"):
+        path.write_bytes(b"E2CFOR0" + case[-1].encode() + raw[8:])
     elif case == "truncated":
         path.write_bytes(raw[:-1])
     elif case == "trailing_byte":
@@ -414,34 +443,32 @@ def corrupt_file(forest, path, case):
     elif case == "not_an_object":
         edit_header(path, lambda h: list(h))
     elif case == "empty_tree":
-        empty = {name: getattr(t0, name)[:0] for name in
-                 ("feature", "threshold", "left", "right", "value", "n_samples",
-                  "improvement")}
+        empty = {name: getattr(t0, name)[:0] for name in NODE_FIELDS}
         save_forest(with_tree0(forest, **empty), path)
     elif case == "feature_too_large":
         save_forest(node_set("feature", split, 3), path)
     elif case == "feature_below_leaf":
         save_forest(node_set("feature", split, -2), path)
-    elif case == "child_outside_tree":
-        save_forest(node_set("left", split, t0.n_nodes), path)
-    elif case == "child_before_parent":
-        save_forest(node_set("right", split, 0), path)
-    elif case == "leaf_with_child":
-        save_forest(node_set("left", leaf, 1), path)
-    elif case == "split_without_child":
-        save_forest(node_set("right", split, -1), path)
-    elif case == "shared_child":
-        save_forest(node_set("right", split, t0.left[split]), path)
+    elif case == "leaf_made_split":
+        save_forest(node_set("feature", leaf, 0), path)
+    elif case == "split_made_leaf":
+        save_forest(node_set("feature", split, -1), path)
+    elif case == "split_after_children":
+        # The node count still fits the splits, but the last split node
+        # moves to the tree's last node, after where its children would be.
+        last_split = int(np.flatnonzero(t0.feature >= 0)[-1])
+        feature = t0.feature.copy()
+        feature[[last_split, -1]] = feature[[-1, last_split]]
+        save_forest(with_tree0(forest, feature=feature), path)
     else:
         raise AssertionError(case)
 
 
 CORRUPT_CASES = [
-    "format_1", "truncated", "trailing_byte", "missing_key", "float_key",
-    "bool_key", "bad_columns", "not_an_object", "empty_tree",
-    "feature_too_large", "feature_below_leaf", "child_outside_tree",
-    "child_before_parent", "leaf_with_child", "split_without_child",
-    "shared_child",
+    "format_1", "format_2", "truncated", "trailing_byte", "missing_key",
+    "float_key", "bool_key", "bad_columns", "not_an_object", "empty_tree",
+    "feature_too_large", "feature_below_leaf", "leaf_made_split",
+    "split_made_leaf", "split_after_children",
 ]
 
 
@@ -457,6 +484,23 @@ class TestCorruptFile:
         forest, path = forest_file(tmp_path)
         corrupt_file(forest, path, "format_1")
         with pytest.raises(InputFormatError, match="retrain"):
+            load_forest(path)
+
+    def test_format_2_says_retrain(self, tmp_path):
+        forest, path = forest_file(tmp_path)
+        corrupt_file(forest, path, "format_2")
+        with pytest.raises(InputFormatError, match="E2CFOR02 is an earlier forest format; retrain"):
+            load_forest(path)
+
+    @pytest.mark.parametrize("case, message", [
+        ("leaf_made_split", "node count is not twice its splits plus one"),
+        ("split_made_leaf", "node count is not twice its splits plus one"),
+        ("split_after_children", "split node comes after its children"),
+    ])
+    def test_tree_shape_named(self, case, message, tmp_path):
+        forest, path = forest_file(tmp_path)
+        corrupt_file(forest, path, case)
+        with pytest.raises(InputFormatError, match=message):
             load_forest(path)
 
 
@@ -496,9 +540,8 @@ class TestCorruptionProperty:
 
 def leaf_tree(value):
     return forest_mod.RegressionTree(
-        feature=np.array([-1]), threshold=np.array([0.0]), left=np.array([-1]),
-        right=np.array([-1]), value=np.array([value]), n_samples=np.array([1]),
-        improvement=np.array([0.0]))
+        feature=np.array([-1]), threshold=np.array([0.0]), value=np.array([value]),
+        n_samples=np.array([1]), improvement=np.array([0.0]))
 
 
 def oracle_cases():
@@ -520,7 +563,7 @@ def oracle_cases():
         ("one_column", fit_forest(one, n_trees=8, m=1, max_depth=None, master_seed=4),
          X[:, :1]),
         ("mixed", Forest(
-            trees=stumps.trees[:3] + leaves.trees[:1] + (leaf_tree(-0.0),),
+            nodes=Nodes.join(stumps.trees[:3] + leaves.trees[:1] + (leaf_tree(-0.0),)),
             oob_indices=(np.arange(1),) * 5,
             n_trees=5, m=2, max_depth=None, master_seed=0, n_train_rows=100), X),
     ]
@@ -557,7 +600,7 @@ class TestPredictMatchesOracle:
 
         for _, forest, _ in oracle_cases():
             expected = [reference(tree) for tree in forest.trees]
-            assert forest.flat.depths.tolist() == expected
+            assert forest.nodes.depths.tolist() == expected
             assert [tree.depth() for tree in forest.trees] == expected
 
     def test_too_few_columns_rejected(self):

@@ -5,7 +5,7 @@ import pytest
 
 import e2credit.importance as importance_mod
 from e2credit.dataset import FeatureMatrix
-from e2credit.forest import Forest, RegressionTree, fit_forest, save_forest
+from e2credit.forest import Forest, Nodes, RegressionTree, fit_forest, save_forest
 from e2credit.importance import (
     importance_report,
     mdi_importance,
@@ -139,13 +139,12 @@ def recorded(fn, *args):
 
 def leaf_tree(value):
     return RegressionTree(
-        feature=np.array([-1]), threshold=np.array([0.0]), left=np.array([-1]),
-        right=np.array([-1]), value=np.array([value]), n_samples=np.array([1]),
-        improvement=np.array([0.0]))
+        feature=np.array([-1]), threshold=np.array([0.0]), value=np.array([value]),
+        n_samples=np.array([1]), improvement=np.array([0.0]))
 
 
 def hand_forest(trees, oobs, matrix):
-    return Forest(trees=tuple(trees),
+    return Forest(nodes=Nodes.join(trees),
                   oob_indices=tuple(oobs), n_trees=len(trees), m=1, max_depth=None,
                   master_seed=0, n_train_rows=matrix.n_rows, columns=matrix.columns)
 
