@@ -22,12 +22,10 @@ import numpy as np
 from . import __version__
 from .config import RunConfig, load_config, save_config
 from .dataset import (
+    FeatureEncoder,
     FeatureMatrix,
     drop_incomplete,
-    encode_features,
-    FeatureEncoder,
     rating_bucket,
-    rating_code,
     split_in_out,
 )
 from .errors import CompatibilityError, InputFormatError, PipelineError
@@ -106,15 +104,12 @@ def _prepare_out_dir(args) -> Path:
 
 
 def _build_dataset(input_csv, config: RunConfig):
-    """Snapshot CSV -> (complete records, encoder, matrix, per-row spreads)."""
-    snaps = read_snapshots(input_csv)
-    records, spreads = build_records(snaps, config.model_params())
+    """Snapshot CSV -> (complete records, matrix, per-row spreads)."""
+    records, spreads = build_records(read_snapshots(input_csv), config.model_params())
     complete = drop_incomplete(records)
-    if not complete:
+    if not len(complete):
         raise PipelineError("no complete records after dropping missing data")
-    encoder = FeatureEncoder.fit(complete)
-    matrix = encoder.transform(complete)
-    return complete, encoder, matrix, spreads
+    return complete, FeatureEncoder.fit(complete).transform(complete), spreads
 
 
 def _check_columns(forest: Forest, matrix: FeatureMatrix) -> None:
@@ -139,15 +134,15 @@ def cmd_spread(args) -> int:
     _, spreads = build_records(snaps, config.model_params())
     write_spread_csv(snaps, spreads, out_dir / "spreads.csv")
     _write_manifest(out_dir, "spread", config, {"snapshots": args.input})
-    n_ok = sum(1 for s in spreads.values() if s.ok)
-    print(f"spread: {n_ok}/{len(spreads)} rows priced -> {out_dir / 'spreads.csv'}")
+    print(f"spread: {np.count_nonzero(spreads.ok)}/{len(spreads)} rows priced "
+          f"-> {out_dir / 'spreads.csv'}")
     return 0
 
 
 def cmd_train(args) -> int:
     config = _load_effective_config(args)
     out_dir = _prepare_out_dir(args)
-    complete, encoder, matrix, _ = _build_dataset(args.input, config)
+    _, matrix, _ = _build_dataset(args.input, config)
     split = split_in_out(matrix, config.firm_frac, config.date_frac, config.seed)
     if split.in_sample.n_rows == 0:
         raise PipelineError("in-sample set is empty after the firm/date split")
@@ -203,23 +198,17 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _aligned_model_columns(complete, spreads, matrix, forest):
-    e2c = matrix.X[:, 0]
-    cg = np.array(
-        [spreads[(r.firm_id, r.date)].creditgrades_bps for r in complete],
-        dtype=np.float64,
-    )
-    preds = forest.predict(matrix.X)
-    return {"e2c": e2c, "creditgrades": cg, "forest": preds}
-
-
 def cmd_evaluate(args) -> int:
     config = _load_effective_config(args)
     out_dir = _prepare_out_dir(args)
     forest = load_forest(args.forest)
-    complete, encoder, matrix, spreads = _build_dataset(args.input, config)
+    complete, matrix, spreads = _build_dataset(args.input, config)
     _check_columns(forest, matrix)
-    models = _aligned_model_columns(complete, spreads, matrix, forest)
+    models = {
+        "e2c": matrix.X[:, 0],
+        "creditgrades": spreads.creditgrades_bps[complete.index],
+        "forest": forest.predict(matrix.X),
+    }
     actual = matrix.y
     firm_ids, dates = matrix.firm_ids, matrix.dates
 
@@ -245,10 +234,8 @@ def cmd_evaluate(args) -> int:
         overall_rows,
     )
 
-    rating_keys = [
-        rating_bucket(rating_code(rec.merged_rating())) for rec in complete
-    ]
-    sector_keys = [rec.sector for rec in complete]
+    rating_keys = [rating_bucket(code) for code in complete.rating.tolist()]
+    sector_keys = complete.sector
     for keys, filename in ((rating_keys, "by_rating.csv"), (sector_keys, "by_sector.csv")):
         table = bucket_comparison(keys, firm_ids, dates, actual, models, trim_frac=0.10)
         if table:
@@ -283,7 +270,7 @@ def cmd_importance(args) -> int:
     config = _load_effective_config(args)
     out_dir = _prepare_out_dir(args)
     forest = load_forest(args.forest)
-    complete, encoder, matrix, _ = _build_dataset(args.input, config)
+    _, matrix, _ = _build_dataset(args.input, config)
     _check_columns(forest, matrix)
     split = split_in_out(matrix, config.firm_frac, config.date_frac, forest.master_seed)
     train = split.in_sample

@@ -11,7 +11,9 @@ import hashlib
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -99,7 +101,7 @@ def rating_bucket(code: int) -> str:
 
 @dataclass(frozen=True)
 class RawRecord:
-    """One firm on one date, ready for feature engineering.
+    """One firm on one date, ready for feature engineering: a row of Records.
 
     Optional fields are None when the source data is missing; spreads are
     annualized basis points.
@@ -116,35 +118,141 @@ class RawRecord:
     sector: str | None = None
     country: str | None = None
 
-    def __post_init__(self) -> None:
-        for name in ("e2c_bps", "cds5y_bps", "ig_cdx_bps"):
-            value = getattr(self, name)
-            if value is not None and (not math.isfinite(value) or value < 0.0):
-                raise ValueError(f"{name} must be >= 0 when present, got {value!r}")
-
     def merged_rating(self) -> str | None:
         return merge_ratings(self.sp_rating, self.moody_rating)
 
     def is_complete(self) -> bool:
-        if None in (self.e2c_bps, self.cds5y_bps, self.ig_cdx_bps, self.market_cap):
-            return False
-        if self.merged_rating() is None:
-            return False
-        return bool(self.sector) and bool(self.country)
+        return bool(Records.from_rows([self]).complete[0])
 
 
-def check_unique_keys(records: list[RawRecord]) -> None:
-    seen: set[tuple[str, str]] = set()
-    for rec in records:
-        key = (rec.firm_id, rec.date)
-        if key in seen:
-            raise ValueError(f"duplicate (firm_id, date) pair: {key}")
-        seen.add(key)
+_NUMBER_FIELDS = ("e2c_bps", "cds5y_bps", "ig_cdx_bps", "market_cap")
+_TEXT_FIELDS = ("sp_rating", "moody_rating", "sector", "country")
+_UNRATED = BEST_RATING_CODE + 1
 
 
-def drop_incomplete(records: list[RawRecord]) -> list[RawRecord]:
-    """Keep only records with every required field present, preserving order."""
-    return [rec for rec in records if rec.is_complete()]
+def factorize(keys) -> tuple[list, np.ndarray]:
+    """Distinct keys in order of first appearance, and each row's index
+    into them."""
+    distinct = list(dict.fromkeys(keys))
+    index = dict(zip(distinct, range(len(distinct))))
+    return distinct, np.fromiter(map(index.__getitem__, keys), np.intp, len(keys))
+
+
+def sorted_codes(keys) -> tuple[list, np.ndarray]:
+    """Distinct keys in sorted order, and each row's index into them."""
+    distinct, codes = factorize(keys)
+    order = sorted(range(len(distinct)), key=distinct.__getitem__)
+    rank = np.empty(len(distinct), dtype=np.intp)
+    rank[order] = np.arange(len(distinct))
+    return [distinct[i] for i in order], rank[codes]
+
+
+def _pick(values: tuple, rows) -> tuple:
+    return tuple(map(values.__getitem__, np.asarray(rows).tolist()))
+
+
+def _rating_codes(labels: tuple[str, ...]) -> np.ndarray:
+    distinct, codes = factorize(labels)
+    return np.array([rating_code(label) if label else _UNRATED for label in distinct],
+                    dtype=np.int64)[codes]
+
+
+@dataclass(frozen=True)
+class Records:
+    """Feature-engineering rows as columns, one entry per (firm, date): a
+    missing number is NaN and a missing label "". index is each row's
+    position in the snapshot table the records were built from. Indexing
+    and iteration give RawRecord rows."""
+
+    firm_id: tuple[str, ...]
+    date: tuple[str, ...]
+    e2c_bps: np.ndarray
+    cds5y_bps: np.ndarray
+    ig_cdx_bps: np.ndarray
+    market_cap: np.ndarray
+    sp_rating: tuple[str, ...]
+    moody_rating: tuple[str, ...]
+    sector: tuple[str, ...]
+    country: tuple[str, ...]
+    index: np.ndarray
+
+    @classmethod
+    def from_rows(cls, rows) -> "Records":
+        """Columns of RawRecord rows; a repeated (firm_id, date) raises ValueError."""
+        seen: set[tuple[str, str]] = set()
+        for rec in rows:
+            if (rec.firm_id, rec.date) in seen:
+                raise ValueError(f"duplicate (firm_id, date) pair: {(rec.firm_id, rec.date)}")
+            seen.add((rec.firm_id, rec.date))
+        numbers = {
+            name: np.array([math.nan if v is None else v
+                            for v in (getattr(rec, name) for rec in rows)], dtype=np.float64)
+            for name in _NUMBER_FIELDS
+        }
+        texts = {name: tuple(getattr(rec, name) or "" for rec in rows) for name in _TEXT_FIELDS}
+        return cls(firm_id=tuple(rec.firm_id for rec in rows),
+                   date=tuple(rec.date for rec in rows),
+                   index=np.arange(len(rows)), **numbers, **texts)
+
+    def __len__(self) -> int:
+        return len(self.firm_id)
+
+    def __getitem__(self, i: int) -> RawRecord:
+        numbers = {name: getattr(self, name)[i] for name in _NUMBER_FIELDS}
+        return RawRecord(
+            self.firm_id[i], self.date[i],
+            **{name: None if v != v else float(v) for name, v in numbers.items()},
+            **{name: getattr(self, name)[i] or None for name in _TEXT_FIELDS},
+        )
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def take(self, rows) -> "Records":
+        columns = {f.name: getattr(self, f.name) for f in fields(self)}
+        return Records(**{
+            name: col[rows] if isinstance(col, np.ndarray) else _pick(col, rows)
+            for name, col in columns.items()
+        })
+
+    @cached_property
+    def rating(self) -> np.ndarray:
+        """Merged rating code (the worse agency's), -1 when neither rates."""
+        merged = np.minimum(_rating_codes(self.sp_rating), _rating_codes(self.moody_rating))
+        return np.where(merged == _UNRATED, -1, merged)
+
+    @cached_property
+    def complete(self) -> np.ndarray:
+        """Rows with every field the encoder needs."""
+        mask = self.rating >= 0
+        for name in _NUMBER_FIELDS:
+            mask &= ~np.isnan(getattr(self, name))
+        for labels in (self.sector, self.country):
+            mask &= np.fromiter(map(bool, labels), bool, len(labels))
+        return mask
+
+
+def _as_records(records) -> Records:
+    return records if isinstance(records, Records) else Records.from_rows(records)
+
+
+def _require_complete(records: Records) -> None:
+    bad = np.flatnonzero(~records.complete)
+    if bad.size:
+        i = bad[0]
+        raise ValueError(
+            f"incomplete record ({records.firm_id[i]}, {records.date[i]}); "
+            "run drop_incomplete first"
+        )
+
+
+def drop_incomplete(records):
+    """Keep only records with every required field present, preserving
+    order: Records give Records, a list of RawRecord a list."""
+    if isinstance(records, Records):
+        return records.take(np.flatnonzero(records.complete))
+    keep = Records.from_rows(records).complete
+    return [rec for rec, ok in zip(records, keep) if ok]
 
 
 @dataclass(frozen=True)
@@ -217,8 +325,8 @@ class FeatureMatrix:
     def take(self, row_indices: np.ndarray) -> "FeatureMatrix":
         idx = np.asarray(row_indices, dtype=np.int64)
         return FeatureMatrix(
-            firm_ids=tuple(self.firm_ids[i] for i in idx),
-            dates=tuple(self.dates[i] for i in idx),
+            firm_ids=_pick(self.firm_ids, idx),
+            dates=_pick(self.dates, idx),
             y=self.y[idx].copy(),
             X=self.X[idx].copy(),
             columns=self.columns,
@@ -248,19 +356,14 @@ class FeatureEncoder:
     sector_seen: frozenset[str] = field(repr=False)
 
     @classmethod
-    def fit(cls, records: list[RawRecord]) -> "FeatureEncoder":
-        if not records:
+    def fit(cls, records) -> "FeatureEncoder":
+        """Fit on complete Records or a list of complete RawRecord."""
+        records = _as_records(records)
+        if not len(records):
             raise ValueError("cannot fit an encoder on an empty record list")
-        country_counts: dict[str, int] = {}
-        sector_counts: dict[str, int] = {}
-        for rec in records:
-            if not rec.is_complete():
-                raise ValueError(
-                    f"incomplete record ({rec.firm_id}, {rec.date}); "
-                    "run drop_incomplete first"
-                )
-            country_counts[rec.country] = country_counts.get(rec.country, 0) + 1
-            sector_counts[rec.sector] = sector_counts.get(rec.sector, 0) + 1
+        _require_complete(records)
+        country_counts = Counter(records.country)
+        sector_counts = Counter(records.sector)
         country_drop = _dropped_category(country_counts)
         sector_drop = _dropped_category(sector_counts)
         return cls(
@@ -284,53 +387,44 @@ class FeatureEncoder:
         cols += [FeatureColumn(f"sector_{s}", "dummy") for s in self.sector_kept]
         return tuple(cols)
 
-    def transform(self, records: list[RawRecord]) -> FeatureMatrix:
-        check_unique_keys(records)
+    def transform(self, records) -> FeatureMatrix:
+        records = _as_records(records)
+        _require_complete(records)
         columns = self.columns
         n = len(records)
-        p = len(columns)
-        X = np.zeros((n, p), dtype=np.float64)
-        y = np.empty(n, dtype=np.float64)
-        country_pos = {c: 4 + i for i, c in enumerate(self.country_kept)}
-        sector_pos = {
-            s: 4 + len(self.country_kept) + i for i, s in enumerate(self.sector_kept)
-        }
-        for i, rec in enumerate(records):
-            if not rec.is_complete():
-                raise ValueError(
-                    f"incomplete record ({rec.firm_id}, {rec.date}); "
-                    "run drop_incomplete first"
-                )
-            X[i, 0] = rec.e2c_bps
-            X[i, 1] = rec.ig_cdx_bps
-            X[i, 2] = rec.market_cap
-            X[i, 3] = rating_code(rec.merged_rating())
-            if rec.country in country_pos:
-                X[i, country_pos[rec.country]] = 1.0
-            elif rec.country not in self.country_seen:
-                warnings.warn(
-                    f"unseen country {rec.country!r}; dummy group left at zero",
-                    stacklevel=2,
-                )
-            if rec.sector in sector_pos:
-                X[i, sector_pos[rec.sector]] = 1.0
-            elif rec.sector not in self.sector_seen:
-                warnings.warn(
-                    f"unseen sector {rec.sector!r}; dummy group left at zero",
-                    stacklevel=2,
-                )
-            y[i] = rec.cds5y_bps
+        X = np.zeros((n, len(columns)), dtype=np.float64)
+        X[:, 0] = records.e2c_bps
+        X[:, 1] = records.ig_cdx_bps
+        X[:, 2] = records.market_cap
+        X[:, 3] = records.rating
+        first = 4
+        for group, labels, kept, seen in (
+            ("country", records.country, self.country_kept, self.country_seen),
+            ("sector", records.sector, self.sector_kept, self.sector_seen),
+        ):
+            distinct, codes = factorize(labels)
+            for label in distinct:
+                if label not in seen:
+                    warnings.warn(
+                        f"unseen {group} {label!r}; dummy group left at zero", stacklevel=2
+                    )
+            position = {label: first + k for k, label in enumerate(kept)}
+            col = np.array([position.get(label, -1) for label in distinct], dtype=np.intp)[codes]
+            rows = np.flatnonzero(col >= 0)
+            X[rows, col[rows]] = 1.0
+            first += len(kept)
         return FeatureMatrix(
-            firm_ids=tuple(rec.firm_id for rec in records),
-            dates=tuple(rec.date for rec in records),
-            y=y,
+            firm_ids=records.firm_id,
+            dates=records.date,
+            y=records.cds5y_bps.copy(),
             X=X,
             columns=columns,
         )
 
 
-def encode_features(records: list[RawRecord]) -> FeatureMatrix:
+def encode_features(records) -> FeatureMatrix:
     """Fit an encoder on the records and encode them in one step."""
+    records = _as_records(records)
     return FeatureEncoder.fit(records).transform(records)
 
 
@@ -372,23 +466,17 @@ def split_in_out(
     for name, frac in (("firm_frac", firm_frac), ("date_frac", date_frac)):
         if not (isinstance(frac, (int, float)) and 0.0 <= frac < 1.0):
             raise ValueError(f"{name} must be in [0, 1), got {frac!r}")
-    firms = sorted(set(matrix.firm_ids))
-    dates = sorted(set(matrix.dates))
+    firms, firm_code = sorted_codes(matrix.firm_ids)
+    dates, date_code = sorted_codes(matrix.dates)
     n_firms = _round_half_up(firm_frac * len(firms))
     n_dates = _round_half_up(date_frac * len(dates))
     rng = np.random.default_rng(seed)
-    removed_firms = {firms[i] for i in rng.choice(len(firms), size=n_firms, replace=False)}
-    removed_dates = {dates[i] for i in rng.choice(len(dates), size=n_dates, replace=False)}
-    in_rows = []
-    out_rows = []
-    for i in range(matrix.n_rows):
-        if matrix.firm_ids[i] in removed_firms or matrix.dates[i] in removed_dates:
-            out_rows.append(i)
-        else:
-            in_rows.append(i)
+    removed_firms = np.sort(rng.choice(len(firms), size=n_firms, replace=False))
+    removed_dates = np.sort(rng.choice(len(dates), size=n_dates, replace=False))
+    out = np.isin(firm_code, removed_firms) | np.isin(date_code, removed_dates)
     return Split(
-        in_sample=matrix.take(np.array(in_rows, dtype=np.int64)),
-        out_of_sample=matrix.take(np.array(out_rows, dtype=np.int64)),
-        removed_firms=tuple(sorted(removed_firms)),
-        removed_dates=tuple(sorted(removed_dates)),
+        in_sample=matrix.take(np.flatnonzero(~out)),
+        out_of_sample=matrix.take(np.flatnonzero(out)),
+        removed_firms=tuple(firms[i] for i in removed_firms),
+        removed_dates=tuple(dates[i] for i in removed_dates),
     )

@@ -484,15 +484,21 @@ def load_forest(path) -> Forest:
         fields[name] = np.frombuffer(payload, disk, n, at).astype(memory, copy=False)
         at += n * np.dtype(disk).itemsize
     nodes = Nodes(sizes=sizes.astype(np.int64), **fields)
-    _check_nodes(path, nodes, None if columns is None else len(columns))
     seed, n_rows = header["master_seed"], header["n_train_rows"]
+    _check_nodes(path, nodes, None if columns is None else len(columns), n_rows)
     oobs = tuple(_bootstrap(seed, b, n_rows)[2] for b in range(n_trees))
     if columns is not None:
         header["columns"] = tuple(FeatureColumn(name, kind) for name, kind in columns)
     return Forest(nodes=nodes, oob_indices=oobs, **{key: header[key] for key in _HEADER})
 
 
-def _check_nodes(path, nodes: Nodes, p) -> None:
+def _check_nodes(path, nodes: Nodes, p, n_rows: int) -> None:
+    # A bootstrap draws exactly n_train_rows rows, all of them at the root:
+    # checked before the draws are redrawn, so a bad count allocates nothing.
+    if np.any(nodes.n_samples[nodes.roots] != n_rows):
+        raise InputFormatError(
+            f"{path}: a tree's root does not hold the n_train_rows={n_rows} bootstrap draws"
+        )
     # A tree of s splits has 2s + 1 nodes, and its k-th split node is at most
     # its node 2k, before its children 2k+1 and 2k+2: then every node but the
     # root is the child of exactly one earlier node, and every descent from

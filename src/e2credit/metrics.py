@@ -8,6 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import factorize, sorted_codes
+
 
 @dataclass(frozen=True)
 class PairedSeries:
@@ -80,17 +82,19 @@ def mase(series: PairedSeries) -> float:
     return float(np.mean(np.abs(series.actual - series.predicted))) / scale
 
 
+def _groups(codes: np.ndarray, *columns: np.ndarray) -> list[list[np.ndarray]]:
+    """Each column split into per-code runs, codes ascending and rows in
+    their order within a code (codes sorted stably beforehand when needed)."""
+    bounds = np.flatnonzero(np.diff(codes)) + 1
+    return [np.split(col, bounds) for col in columns]
+
+
 def _naive_scale(series: PairedSeries) -> float | None:
-    by_firm: dict[str, list[tuple[str, float]]] = {}
-    for firm, date, actual in zip(series.firm_ids, series.dates, series.actual):
-        by_firm.setdefault(firm, []).append((date, float(actual)))
-    firm_errors = []
-    for rows in by_firm.values():
-        if len(rows) < 2:
-            continue
-        rows.sort(key=lambda item: item[0])
-        values = np.array([v for _, v in rows])
-        firm_errors.append(float(np.mean(np.abs(np.diff(values)))))
+    # Firms in order of first appearance, each one's rows by date.
+    _, firm = factorize(series.firm_ids)
+    order = np.lexsort((sorted_codes(series.dates)[1], firm))
+    (values,) = _groups(firm[order], series.actual[order])
+    firm_errors = [float(np.mean(np.abs(np.diff(v)))) for v in values if v.size >= 2]
     if not firm_errors:
         return None
     return float(np.mean(firm_errors))
@@ -135,19 +139,19 @@ def group_pairs(series: PairedSeries, mode: str) -> dict:
         keys = series.dates
     else:
         raise ValueError(f"mode must be 'by_firm' or 'by_date', got {mode!r}")
-    grouped: dict[str, tuple[list[float], list[float]]] = {}
-    for key, a, p in zip(keys, series.actual, series.predicted):
-        bucket = grouped.setdefault(key, ([], []))
-        bucket[0].append(float(a))
-        bucket[1].append(float(p))
-    return {
-        key: (np.array(a), np.array(p)) for key, (a, p) in sorted(grouped.items())
-    }
+    names, codes = sorted_codes(keys)
+    order = np.argsort(codes, kind="stable")
+    actual, predicted = _groups(codes[order], series.actual[order], series.predicted[order])
+    return dict(zip(names, zip(actual, predicted)))
 
 
 # ---------------------------------------------------------------------------
 # Bucketed comparison tables
 # ---------------------------------------------------------------------------
+
+
+def _take(keys, rows: np.ndarray) -> tuple:
+    return tuple(map(keys.__getitem__, rows.tolist()))
 
 
 def _trim_rows_by_actual(actual: np.ndarray, trim_frac: float) -> np.ndarray:
@@ -172,8 +176,8 @@ def accuracy_metrics(
     """
     keep = _trim_rows_by_actual(np.asarray(series.actual), trim_frac)
     trimmed = PairedSeries(
-        firm_ids=tuple(series.firm_ids[i] for i in keep),
-        dates=tuple(series.dates[i] for i in keep),
+        firm_ids=_take(series.firm_ids, keep),
+        dates=_take(series.dates, keep),
         actual=series.actual[keep],
         predicted=series.predicted[keep],
     )
@@ -219,8 +223,8 @@ def bucket_comparison(
             row[f"median_{name}"] = float(np.median(values[idx]))
             row[f"tmean_{name}"] = truncated_mean(values[idx], trim_frac)
             sub = PairedSeries(
-                firm_ids=tuple(firm_ids[i] for i in idx),
-                dates=tuple(dates[i] for i in idx),
+                firm_ids=_take(firm_ids, idx),
+                dates=_take(dates, idx),
                 actual=actual[idx],
                 predicted=values[idx],
             )

@@ -2,32 +2,42 @@
 
 One row per (firm, date) with market quotes, balance-sheet items, vol
 quotes, ratings, sector/country and the observed spreads. Empty cells are
-missing values. Parsing is strict: a missing required column or an
-unparseable cell raises InputFormatError with line diagnostics, while rows
-that merely lack the inputs needed for a spread get a per-row reason
-instead of failing the file.
+missing values. The file is read once into columns (Snapshots), and rows
+are priced with masks over them. Parsing is strict: a missing required
+column or an unparseable cell raises InputFormatError with line
+diagnostics, while rows that merely lack the inputs needed for a spread get
+a per-row reason instead of failing the file.
 """
 from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from datetime import date as _date
+from functools import cached_property
+from itertools import chain
+from operator import itemgetter
 
-from .dataset import RawRecord, rating_code
+import numpy as np
+
+from .dataset import Records, rating_code
 from .errors import InputFormatError
 from .fundamentals import (
+    AMOUNT_PROBLEM,
+    POSITIVE_PROBLEM,
     QUOTE_COLUMNS,
-    debt_per_share,
-    financial_debt,
-    select_volatility,
+    debt_per_share_columns,
+    financial_debt_columns,
+    select_volatility_columns,
 )
 from .structural import (
+    FINITE_PROBLEM,
     MAX_SPREAD_BPS,
     ModelParams,
     SpreadInputs,
     creditgrades_spread,
-    e2c_spread,
+    e2c_spread_columns,
 )
 
 SNAPSHOT_COLUMNS = (
@@ -53,28 +63,14 @@ SNAPSHOT_COLUMNS = (
     "cds_5y_bps",
 )
 
-_FLOAT_COLUMNS = frozenset(
-    (
-        "stock_price",
-        "market_cap",
-        "fx_rate",
-        "long_term_debt",
-        "short_term_debt",
-        "other_lt_liabilities",
-        "other_st_liabilities",
-        "lease_obligations",
-        "minority_interest",
-        "preferred_equity",
-        "ig_cdx_bps",
-        "cds_5y_bps",
-    )
-    + QUOTE_COLUMNS
-)
+_TEXT_COLUMNS = ("sp_rating", "moody_rating", "sector", "country")
+# Observed spreads, in [0, MAX_SPREAD_BPS] like the model spreads: the tree
+# kernel squares the labels.
+_OBSERVED_SPREAD_COLUMNS = ("ig_cdx_bps", "cds_5y_bps")
+_FLAGS = {"1": 1.0, "true": 1.0, "yes": 1.0, "0": 0.0, "false": 0.0, "no": 0.0, "": math.nan}
 
-# Observed spreads, in [0, MAX_SPREAD_BPS] like the model spreads: RawRecord
-# rejects a negative one, and the tree kernel squares the labels.
-_OBSERVED_SPREAD_COLUMNS = frozenset(("ig_cdx_bps", "cds_5y_bps"))
-_RATING_COLUMNS = frozenset(("sp_rating", "moody_rating"))
+# Rows parsed at a time: a chunk's raw cells are held only while it is parsed.
+_CHUNK_ROWS = 512
 
 _BANKING_REQUIRED = ("stock_price", "market_cap", "fx_rate", "long_term_debt",
                      "minority_interest", "preferred_equity")
@@ -94,178 +90,344 @@ class FirmSnapshot:
         return self.values.get(column)
 
 
-def _parse_bool(text: str, path, lineno: int):
-    lowered = text.strip().lower()
-    if lowered in {"1", "true", "yes"}:
-        return True
-    if lowered in {"0", "false", "no"}:
-        return False
-    raise InputFormatError(f"{path}:{lineno}: bad is_banking value {text!r}")
+@dataclass(frozen=True)
+class Snapshots:
+    """A snapshot table as columns, one entry per row: the keys, each number
+    column as float64 (is_banking as 1.0/0.0) and each text column as
+    strings, all stripped; a blank cell is NaN or "". Indexing and
+    iteration give FirmSnapshot rows."""
 
+    firm_id: tuple[str, ...]
+    date: tuple[str, ...]
+    columns: dict  # SNAPSHOT_COLUMNS[2:] -> np.ndarray or tuple[str, ...]
 
-def _cell_error(path, lineno: int, col: str, problem: str) -> InputFormatError:
-    return InputFormatError(f"{path}:{lineno}: column {col}: {problem}")
-
-
-def _parse_number(text: str, col: str, path, lineno: int) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise _cell_error(path, lineno, col, f"not a number: {text!r}") from None
-    if not math.isfinite(value):
-        raise _cell_error(path, lineno, col, "non-finite value")
-    if col in _OBSERVED_SPREAD_COLUMNS:
-        if value < 0.0:
-            raise _cell_error(path, lineno, col, f"must be >= 0, got {text!r}")
-        if value > MAX_SPREAD_BPS:
-            raise _cell_error(
-                path, lineno, col, f"must be <= {MAX_SPREAD_BPS:g}, got {text!r}"
+    @classmethod
+    def from_rows(cls, rows) -> "Snapshots":
+        columns = {}
+        for col in SNAPSHOT_COLUMNS[2:]:
+            cells = [snap.get(col) for snap in rows]
+            columns[col] = (
+                tuple(v or "" for v in cells) if col in _TEXT_COLUMNS
+                else np.array([math.nan if v is None else float(v) for v in cells])
             )
-    return value
+        return cls(tuple(s.firm_id for s in rows), tuple(s.date for s in rows), columns)
+
+    def __len__(self) -> int:
+        return len(self.firm_id)
+
+    def __getitem__(self, i: int) -> FirmSnapshot:
+        values = {}
+        for col, cells in self.columns.items():
+            v = cells[i]
+            if col in _TEXT_COLUMNS:
+                values[col] = v or None
+            else:
+                values[col] = None if v != v else bool(v) if col == "is_banking" else float(v)
+        return FirmSnapshot(self.firm_id[i], self.date[i], values)
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
 
 
-def _parse_rating(text: str, col: str, path, lineno: int) -> str:
+def _as_snapshots(snapshots) -> Snapshots:
+    return snapshots if isinstance(snapshots, Snapshots) else Snapshots.from_rows(snapshots)
+
+
+def _first_bad(cells, problem_of):
+    """(row, problem) of the first cell whose problem_of is not empty, each
+    distinct cell checked once; None when every cell passes."""
+    problems = {cell: p for cell in set(cells) if (p := problem_of(cell))}
+    if not problems:
+        return None
+    row = next(i for i, cell in enumerate(cells) if cell in problems)
+    return row, problems[cells[row]]
+
+
+def _stripped(cells: tuple) -> tuple[str, ...]:
+    """Cells stripped, with one string object per distinct value."""
+    strip = {cell: cell.strip() for cell in set(cells)}
+    return tuple(map(strip.__getitem__, cells))
+
+
+def _date_problem(text: str) -> str | None:
+    try:
+        _date.fromisoformat(text)
+    except ValueError:
+        return f"bad ISO date {text!r}"
+    return None
+
+
+def _rating_problem(col: str, text: str) -> str | None:
     try:
         rating_code(text)
     except ValueError:
-        raise _cell_error(path, lineno, col, f"unknown rating label {text!r}") from None
-    return text
+        return f"column {col}: unknown rating label {text!r}"
+    return None
 
 
-def read_snapshots(path) -> list[FirmSnapshot]:
-    """Parse a snapshot CSV; extra columns are ignored."""
-    snapshots: list[FirmSnapshot] = []
-    seen: set[tuple[str, str]] = set()
+def _duplicate(keys, seen: set):
+    for row, key in enumerate(keys):
+        if key in seen:
+            return row, f"duplicate (firm_id, date) pair {key}"
+        seen.add(key)
+    return None
+
+
+def _numbers(col: str, cells: tuple):
+    """A number column as float64, NaN for a blank, and its first bad cell."""
+    bad = None
+    try:
+        values = np.array([float(t) if t else math.nan for t in cells], dtype=np.float64)
+        if np.isinf(values).any() or np.count_nonzero(np.isnan(values)) != cells.count(""):
+            raise ValueError
+    except ValueError:
+        # Padding, text or a non-finite number: cell by cell to the first bad one.
+        values = np.full(len(cells), math.nan)
+        for row, text in enumerate(map(str.strip, cells)):
+            if not text:
+                continue
+            try:
+                value = float(text)
+            except ValueError:
+                bad = row, f"column {col}: not a number: {text!r}"
+                break
+            if not math.isfinite(value):
+                bad = row, f"column {col}: non-finite value"
+                break
+            values[row] = value
+    if col in _OBSERVED_SPREAD_COLUMNS:
+        # Only cells before a bad one hold values, so a hit here comes first.
+        out = np.flatnonzero((values < 0.0) | (values > MAX_SPREAD_BPS))
+        if out.size:
+            row = int(out[0])
+            rule = "must be >= 0" if values[row] < 0.0 else f"must be <= {MAX_SPREAD_BPS:g}"
+            bad = row, f"column {col}: {rule}, got {cells[row].strip()!r}"
+    return values, bad
+
+
+def _column(col: str, cells: tuple):
+    """One snapshot column's values and its first bad cell, as (row, problem)."""
+    if col == "is_banking":
+        flag = {cell: _FLAGS.get(cell.strip().lower()) for cell in set(cells)}
+        bad = _first_bad(cells, lambda cell: flag[cell] is None
+                         and f"bad is_banking value {cell.strip()!r}")
+        if bad is not None:
+            return None, bad
+        return np.fromiter(map(flag.__getitem__, cells), np.float64, len(cells)), None
+    if col in _TEXT_COLUMNS:
+        texts = _stripped(cells)
+        if col in ("sp_rating", "moody_rating"):
+            return texts, _first_bad(texts, lambda t: t and _rating_problem(col, t))
+        return texts, None
+    return _numbers(col, cells)
+
+
+def _chunks(reader):
+    """The non-blank rows in chunks of _CHUNK_ROWS, each with its last line."""
+    rows, lines = [], []
+    for row in reader:
+        if not row:
+            continue
+        rows.append(row)
+        lines.append(reader.line_num)
+        if len(rows) == _CHUNK_ROWS:
+            yield rows, lines
+            rows, lines = [], []
+    yield rows, lines
+
+
+def _parse_rows(path, rows: list, lines: list, positions: list, seen: set) -> dict:
+    """A chunk of rows as one entry per SNAPSHOT_COLUMNS, read from the
+    given cell positions; raises at the first bad cell in row order, then
+    column order. A short row's missing cells are blank."""
+    width = max(positions) + 1
+    if rows and min(map(len, rows)) < width:
+        rows = [row + [""] * (width - len(row)) for row in rows]
+    cells = dict(zip(SNAPSHOT_COLUMNS, zip(*map(itemgetter(*positions), rows))))
+    del rows
+    firm_id = _stripped(cells.pop("firm_id", ()))
+    dates = _stripped(cells.pop("date", ()))
+    found = [
+        _first_bad(firm_id, lambda t: not t and "empty firm_id"),
+        _first_bad(dates, _date_problem),
+        _duplicate(zip(firm_id, dates), seen),
+    ]
+    columns = {"firm_id": firm_id, "date": dates}
+    for col in SNAPSHOT_COLUMNS[2:]:
+        columns[col], bad = _column(col, cells.pop(col, ()))
+        found.append(bad)
+    bad = min(((b[0], k, b[1]) for k, b in enumerate(found) if b is not None), default=None)
+    if bad is not None:
+        raise InputFormatError(f"{path}:{lines[bad[0]]}: {bad[2]}")
+    return columns
+
+
+def read_snapshots(path) -> Snapshots:
+    """Parse a snapshot CSV into columns; extra columns are ignored. The
+    first bad cell, in row order and then column order, raises
+    InputFormatError naming its line."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise InputFormatError(f"{path}: empty file, header row required")
-        missing = [c for c in SNAPSHOT_COLUMNS if c not in reader.fieldnames]
+        missing = [c for c in SNAPSHOT_COLUMNS if c not in header]
         if missing:
             raise InputFormatError(
                 f"{path}: missing required column(s): {', '.join(missing)}"
             )
-        for row in reader:
-            lineno = reader.line_num
-            firm_id = (row.get("firm_id") or "").strip()
-            date_text = (row.get("date") or "").strip()
-            if not firm_id:
-                raise InputFormatError(f"{path}:{lineno}: empty firm_id")
-            try:
-                _date.fromisoformat(date_text)
-            except ValueError:
-                raise InputFormatError(
-                    f"{path}:{lineno}: bad ISO date {date_text!r}"
-                ) from None
-            key = (firm_id, date_text)
-            if key in seen:
-                raise InputFormatError(
-                    f"{path}:{lineno}: duplicate (firm_id, date) pair {key}"
-                )
-            seen.add(key)
-            values: dict = {}
-            for col in SNAPSHOT_COLUMNS[2:]:
-                text = (row.get(col) or "").strip()
-                if text == "":
-                    values[col] = None
-                elif col == "is_banking":
-                    values[col] = _parse_bool(text, path, lineno)
-                elif col in _FLOAT_COLUMNS:
-                    values[col] = _parse_number(text, col, path, lineno)
-                elif col in _RATING_COLUMNS:
-                    values[col] = _parse_rating(text, col, path, lineno)
-                else:
-                    values[col] = text
-            snapshots.append(FirmSnapshot(firm_id=firm_id, date=date_text, values=values))
-    return snapshots
+        # As with csv.DictReader, a repeated column name is read from its
+        # last occurrence and extra cells are ignored.
+        where = {name: j for j, name in enumerate(header)}
+        positions, seen = [where[c] for c in SNAPSHOT_COLUMNS], set()
+        parts = [_parse_rows(path, rows, lines, positions, seen)
+                 for rows, lines in _chunks(reader)]
+    columns = {}
+    for col in SNAPSHOT_COLUMNS:
+        pieces = [part[col] for part in parts]
+        columns[col] = (np.concatenate(pieces) if isinstance(pieces[0], np.ndarray)
+                        else tuple(chain.from_iterable(pieces)))
+    return Snapshots(columns.pop("firm_id"), columns.pop("date"), columns)
 
 
-@dataclass(frozen=True)
 class SpreadRow:
-    """Spread outputs for one snapshot, or the reason they are unavailable."""
+    """One row of a Spreads table: its outputs, None when the row is not
+    priced, and the reason it is not ("" when it is)."""
 
-    debt_per_share: float | None = None
-    selected_vol: float | None = None
-    e2c_bps: float | None = None
-    creditgrades_bps: float | None = None
-    reason: str = ""
+    def __init__(self, table: "Spreads", i: int):
+        self._table, self._i = table, i
+
+    @property
+    def reason(self) -> str:
+        return self._table.reason[self._i]
 
     @property
     def ok(self) -> bool:
         return self.reason == ""
 
+    def _value(self, name: str) -> float | None:
+        return float(getattr(self._table, name)[self._i]) if self.ok else None
+
+    debt_per_share = property(lambda self: self._value("debt_per_share"))
+    selected_vol = property(lambda self: self._value("selected_vol"))
+    e2c_bps = property(lambda self: self._value("e2c_bps"))
+    creditgrades_bps = property(lambda self: self._value("creditgrades_bps"))
+
+
+@dataclass(frozen=True, eq=False)
+class Spreads(Mapping):
+    """Spread outputs of a Snapshots table as columns in its row order, NaN
+    where a row is not priced, with each row's reason; also a mapping from
+    (firm_id, date) to SpreadRow. CreditGrades is priced on first use."""
+
+    snaps: Snapshots
+    reason: list[str]
+    ok: np.ndarray
+    debt_per_share: np.ndarray
+    selected_vol: np.ndarray
+    e2c_bps: np.ndarray
+    params: ModelParams
+
+    @cached_property
+    def creditgrades_bps(self) -> np.ndarray:
+        """The scalar CreditGrades spread of every priced row."""
+        out = np.full(len(self.reason), np.nan)
+        inputs = (self.snaps.columns["stock_price"], self.selected_vol, self.debt_per_share)
+        out[self.ok] = [
+            creditgrades_spread(SpreadInputs(*args), self.params)
+            for args in zip(*(x[self.ok].tolist() for x in inputs))
+        ]
+        return out
+
+    @cached_property
+    def _rows(self) -> dict:
+        return dict(zip(self, range(len(self))))
+
+    def __getitem__(self, key: tuple[str, str]) -> SpreadRow:
+        return SpreadRow(self, self._rows[key])
+
+    def __iter__(self):
+        return zip(self.snaps.firm_id, self.snaps.date)
+
+    def __len__(self) -> int:
+        return len(self.reason)
+
+
+def _problem(template: str, name: str, values: np.ndarray):
+    return lambda i: template.format(name, float(values[i]))
+
+
+def _price(snaps: Snapshots, params: ModelParams) -> Spreads:
+    """Debt per share, the vol input and E2C for every row, as in the scalar
+    functions. A row's reason is the first failing check of financial_debt,
+    debt_per_share, select_volatility, SpreadInputs and e2c_spread, after
+    the missing inputs; its outputs are then NaN."""
+    col = snaps.columns
+    bank = col["is_banking"]
+    price, cap, fx = col["stock_price"], col["market_cap"], col["fx_rate"]
+    debts = ("long_term_debt",) + _NONBANK_EXTRA
+    quotes = np.column_stack([col[c] for c in QUOTE_COLUMNS])
+    with np.errstate(all="ignore"):
+        fin_debt = financial_debt_columns(*(col[c] for c in debts), bank)
+        d = debt_per_share_columns(
+            fin_debt, col["minority_interest"], col["preferred_equity"], price, cap, fx
+        )
+        vol = select_volatility_columns(quotes)
+        e2c = e2c_spread_columns(price, vol, d, params)
+        negative = quotes < 0.0
+        first_negative = quotes[np.arange(len(snaps)), negative.argmax(axis=1)]
+        checks = [
+            (np.isnan(bank), lambda i: "missing is_banking"),
+            *((np.isnan(col[c]), lambda i, c=c: f"missing {c}") for c in _BANKING_REQUIRED),
+            *((np.isnan(col[c]) & (bank == 0.0), lambda i, c=c: f"missing {c}")
+              for c in _NONBANK_EXTRA),
+            (np.isnan(quotes).all(axis=1), lambda i: "no volatility quotes"),
+            *((col[c] < 0.0, _problem(AMOUNT_PROBLEM, c, col[c]))
+              for c in debts + ("minority_interest", "preferred_equity")),
+            *((v <= 0.0, _problem(POSITIVE_PROBLEM, name, v))
+              for name, v in (("stock_price", price), ("market_cap", cap),
+                              ("fx_report_to_quote", fx))),
+            (~np.isfinite(fin_debt), _problem(AMOUNT_PROBLEM, "fin_debt", fin_debt)),
+            (negative.any(axis=1), _problem(AMOUNT_PROBLEM, "volatility quote", first_negative)),
+            (~np.isfinite(vol), _problem(FINITE_PROBLEM, "equity_vol", vol)),
+            (~np.isfinite(d), _problem(FINITE_PROBLEM, "debt_per_share", d)),
+            (~np.isfinite(e2c), _problem(FINITE_PROBLEM, "e2c_bps", e2c)),
+        ]
+    reason = [""] * len(snaps)
+    pending = np.ones(len(snaps), dtype=bool)
+    for failed, message in checks:
+        for i in np.flatnonzero(pending & failed).tolist():
+            reason[i] = message(i)
+        pending &= ~failed
+    priced = (np.where(pending, x, np.nan) for x in (d, vol, e2c))
+    return Spreads(snaps, reason, pending, *priced, params)
+
 
 def compute_spread_row(snap: FirmSnapshot, params: ModelParams) -> SpreadRow:
-    """Derive debt-per-share, the vol input and both spreads for one row.
-
-    A bad value gives the reason of the first one in column order: the
-    balance-sheet amounts, then price, cap and fx, then the vol quotes.
-    """
-    is_banking = snap.get("is_banking")
-    if is_banking is None:
-        return SpreadRow(reason="missing is_banking")
-    required = _BANKING_REQUIRED if is_banking else _BANKING_REQUIRED + _NONBANK_EXTRA
-    for col in required:
-        if snap.get(col) is None:
-            return SpreadRow(reason=f"missing {col}")
-    quotes = [snap.get(col) for col in QUOTE_COLUMNS if snap.get(col) is not None]
-    if not quotes:
-        return SpreadRow(reason="no volatility quotes")
-    try:
-        fin_debt = financial_debt(
-            snap.get("long_term_debt"),
-            *(snap.get(col) or 0.0 for col in _NONBANK_EXTRA),
-            is_banking=is_banking,
-        )
-        d = debt_per_share(
-            fin_debt,
-            snap.get("minority_interest"),
-            snap.get("preferred_equity"),
-            snap.get("stock_price"),
-            snap.get("market_cap"),
-            snap.get("fx_rate"),
-        )
-        vol = select_volatility(quotes)
-        inputs = SpreadInputs(
-            stock_price=snap.get("stock_price"), equity_vol=vol, debt_per_share=d
-        )
-        return SpreadRow(
-            debt_per_share=d,
-            selected_vol=vol,
-            e2c_bps=e2c_spread(inputs, params),
-            creditgrades_bps=creditgrades_spread(inputs, params),
-        )
-    except ValueError as exc:
-        return SpreadRow(reason=str(exc))
+    """Debt-per-share, the vol input and both spreads for one row."""
+    return SpreadRow(_price(Snapshots.from_rows([snap]), params), 0)
 
 
-def build_records(
-    snapshots: list[FirmSnapshot], params: ModelParams
-) -> tuple[list[RawRecord], dict[tuple[str, str], SpreadRow]]:
-    """Snapshot rows -> feature-engineering records plus per-row spreads.
+def build_records(snapshots, params: ModelParams) -> tuple[Records, Spreads]:
+    """Snapshot rows (Snapshots or a list of FirmSnapshot) -> the
+    feature-engineering records plus the per-row spreads, both in row order.
 
-    Records whose spread inputs fail keep e2c_bps=None, so drop_incomplete
+    Records whose spread inputs fail keep e2c_bps NaN, so drop_incomplete
     removes them downstream.
     """
-    records = []
-    spreads: dict[tuple[str, str], SpreadRow] = {}
-    for snap in snapshots:
-        spread = compute_spread_row(snap, params)
-        spreads[(snap.firm_id, snap.date)] = spread
-        records.append(
-            RawRecord(
-                firm_id=snap.firm_id,
-                date=snap.date,
-                e2c_bps=spread.e2c_bps if spread.ok else None,
-                cds5y_bps=snap.get("cds_5y_bps"),
-                ig_cdx_bps=snap.get("ig_cdx_bps"),
-                market_cap=snap.get("market_cap"),
-                sp_rating=snap.get("sp_rating"),
-                moody_rating=snap.get("moody_rating"),
-                sector=snap.get("sector"),
-                country=snap.get("country"),
-            )
-        )
+    snaps = _as_snapshots(snapshots)
+    spreads = _price(snaps, params)
+    col = snaps.columns
+    records = Records(
+        firm_id=snaps.firm_id,
+        date=snaps.date,
+        e2c_bps=spreads.e2c_bps,
+        cds5y_bps=col["cds_5y_bps"],
+        ig_cdx_bps=col["ig_cdx_bps"],
+        market_cap=col["market_cap"],
+        index=np.arange(len(snaps)),
+        **{c: col[c] for c in _TEXT_COLUMNS},
+    )
     return records, spreads
 
 
@@ -277,6 +439,18 @@ def _format_cell(value) -> str:
     return str(value)
 
 
+def _format_column(name: str, cells) -> list[str] | tuple[str, ...]:
+    """A column's cells as _format_cell writes them."""
+    if isinstance(cells, tuple):
+        return cells
+    if name == "is_banking":
+        return [{1.0: "1", 0.0: "0"}.get(v, "") for v in cells.tolist()]
+    text = list(map(repr, cells.tolist()))
+    for i in np.flatnonzero(np.isnan(cells)).tolist():
+        text[i] = ""
+    return text
+
+
 def write_snapshot_csv(rows: list[dict], path) -> None:
     """Write snapshot-schema rows (dicts keyed by SNAPSHOT_COLUMNS)."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -286,28 +460,20 @@ def write_snapshot_csv(rows: list[dict], path) -> None:
             writer.writerow([_format_cell(row.get(col)) for col in SNAPSHOT_COLUMNS])
 
 
-def write_spread_csv(
-    snapshots: list[FirmSnapshot],
-    spreads: dict[tuple[str, str], SpreadRow],
-    path,
-) -> None:
-    """Snapshot rows augmented with spread columns (reason set on failures)."""
-    extra = ("e2c_bps", "creditgrades_bps", "debt_per_share", "selected_vol", "reason")
+def write_spread_csv(snapshots, spreads: Spreads, path) -> None:
+    """Snapshot rows augmented with spread columns (reason set on failures);
+    spreads must be those build_records gave for these rows, in their order."""
+    snaps = _as_snapshots(snapshots)
+    if (snaps.firm_id, snaps.date) != (spreads.snaps.firm_id, spreads.snaps.date):
+        raise ValueError("the spreads are not those of these snapshot rows")
+    extra = ("e2c_bps", "creditgrades_bps", "debt_per_share", "selected_vol")
+    columns = [snaps.firm_id, snaps.date, *(snaps.columns[c] for c in SNAPSHOT_COLUMNS[2:]),
+               *(getattr(spreads, c) for c in extra), tuple(spreads.reason)]
+    names = SNAPSHOT_COLUMNS + extra + ("reason",)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SNAPSHOT_COLUMNS + extra)
-        for snap in snapshots:
-            spread = spreads[(snap.firm_id, snap.date)]
-            base = [snap.firm_id, snap.date] + [
-                _format_cell(snap.get(col)) for col in SNAPSHOT_COLUMNS[2:]
-            ]
-            writer.writerow(
-                base
-                + [
-                    _format_cell(spread.e2c_bps),
-                    _format_cell(spread.creditgrades_bps),
-                    _format_cell(spread.debt_per_share),
-                    _format_cell(spread.selected_vol),
-                    spread.reason,
-                ]
-            )
+        writer.writerow(names)
+        for start in range(0, len(snaps), _CHUNK_ROWS):
+            rows = slice(start, start + _CHUNK_ROWS)
+            writer.writerows(zip(*(_format_column(name, col[rows])
+                                   for name, col in zip(names, columns))))

@@ -32,10 +32,13 @@ def norm_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / _SQRT2)
 
 
+FINITE_PROBLEM = "{} must be finite, got {!r}"
+
+
 def _require_finite(name: str, value: float) -> float:
     value = float(value)
     if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
+        raise ValueError(FINITE_PROBLEM.format(name, value))
     return value
 
 
@@ -123,6 +126,15 @@ def e2c_spread(inputs: SpreadInputs, params: ModelParams) -> float:
     ratio = mad_ratio(inputs, params.debt_recovery)
     hazard = GAUSS_FACTOR * ratio * inputs.equity_vol * inputs.equity_vol
     return _require_finite("e2c_bps", (1.0 - params.recovery) * hazard * BPS)
+
+
+def e2c_spread_columns(stock_price, equity_vol, debt_per_share, params: ModelParams):
+    """e2c_spread per row of float64 columns, in the same operation order;
+    unchecked, so an overflow gives inf."""
+    barrier = params.debt_recovery * debt_per_share
+    ratio = barrier / (stock_price + barrier)
+    hazard = GAUSS_FACTOR * ratio * equity_vol * equity_vol
+    return (1.0 - params.recovery) * hazard * BPS
 
 
 def _clamp_probability(value: float) -> float:

@@ -159,3 +159,172 @@ def edit_header(path, edit):
     size = int.from_bytes(raw[8:12], "little")
     blob = json.dumps(edit(json.loads(raw[12 : 12 + size]))).encode()
     path.write_bytes(raw[:8] + len(blob).to_bytes(4, "little") + blob + raw[12 + size :])
+
+
+# ---------------------------------------------------------------------------
+# Row-wise snapshot oracles: the per-row reader, pricing and encoder that the
+# columnar data path replaced, kept to check it value for value.
+# ---------------------------------------------------------------------------
+
+
+def _oracle_cell_error(path, lineno, col, problem):
+    from e2credit.errors import InputFormatError
+
+    return InputFormatError(f"{path}:{lineno}: column {col}: {problem}")
+
+
+def _oracle_cell(text, col, path, lineno):
+    import math
+
+    from e2credit.dataset import rating_code
+    from e2credit.errors import InputFormatError
+    from e2credit.structural import MAX_SPREAD_BPS
+
+    if col == "is_banking":
+        lowered = text.lower()
+        if lowered in {"1", "true", "yes"}:
+            return True
+        if lowered in {"0", "false", "no"}:
+            return False
+        raise InputFormatError(f"{path}:{lineno}: bad is_banking value {text!r}")
+    if col in ("sp_rating", "moody_rating"):
+        try:
+            rating_code(text)
+        except ValueError:
+            raise _oracle_cell_error(path, lineno, col, f"unknown rating label {text!r}") from None
+        return text
+    if col in ("sector", "country"):
+        return text
+    try:
+        value = float(text)
+    except ValueError:
+        raise _oracle_cell_error(path, lineno, col, f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise _oracle_cell_error(path, lineno, col, "non-finite value")
+    if col in ("ig_cdx_bps", "cds_5y_bps"):
+        if value < 0.0:
+            raise _oracle_cell_error(path, lineno, col, f"must be >= 0, got {text!r}")
+        if value > MAX_SPREAD_BPS:
+            raise _oracle_cell_error(
+                path, lineno, col, f"must be <= {MAX_SPREAD_BPS:g}, got {text!r}")
+    return value
+
+
+def oracle_read_snapshots(path):
+    """Per-row reader through csv.DictReader: a list of FirmSnapshot."""
+    import csv
+    from datetime import date
+
+    from e2credit.errors import InputFormatError
+    from e2credit.snapshots import SNAPSHOT_COLUMNS, FirmSnapshot
+
+    snapshots, seen = [], set()
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None:
+            raise InputFormatError(f"{path}: empty file, header row required")
+        missing = [c for c in SNAPSHOT_COLUMNS if c not in reader.fieldnames]
+        if missing:
+            raise InputFormatError(f"{path}: missing required column(s): {', '.join(missing)}")
+        for row in reader:
+            lineno = reader.line_num
+            firm_id = (row.get("firm_id") or "").strip()
+            date_text = (row.get("date") or "").strip()
+            if not firm_id:
+                raise InputFormatError(f"{path}:{lineno}: empty firm_id")
+            try:
+                date.fromisoformat(date_text)
+            except ValueError:
+                raise InputFormatError(f"{path}:{lineno}: bad ISO date {date_text!r}") from None
+            key = (firm_id, date_text)
+            if key in seen:
+                raise InputFormatError(f"{path}:{lineno}: duplicate (firm_id, date) pair {key}")
+            seen.add(key)
+            values = {}
+            for col in SNAPSHOT_COLUMNS[2:]:
+                text = (row.get(col) or "").strip()
+                values[col] = None if text == "" else _oracle_cell(text, col, path, lineno)
+            snapshots.append(FirmSnapshot(firm_id=firm_id, date=date_text, values=values))
+    return snapshots
+
+
+def oracle_compute_spread_row(snap, params):
+    """Per-row pricing: (debt_per_share, selected_vol, e2c_bps,
+    creditgrades_bps, reason), the four numbers None on a failure."""
+    from e2credit.fundamentals import (
+        QUOTE_COLUMNS, debt_per_share, financial_debt, select_volatility)
+    from e2credit.structural import SpreadInputs, creditgrades_spread, e2c_spread
+
+    extra = ("short_term_debt", "other_lt_liabilities", "other_st_liabilities",
+             "lease_obligations")
+    required = ("stock_price", "market_cap", "fx_rate", "long_term_debt",
+                "minority_interest", "preferred_equity")
+    is_banking = snap.get("is_banking")
+    if is_banking is None:
+        return (None, None, None, None, "missing is_banking")
+    for col in required if is_banking else required + extra:
+        if snap.get(col) is None:
+            return (None, None, None, None, f"missing {col}")
+    quotes = [snap.get(c) for c in QUOTE_COLUMNS if snap.get(c) is not None]
+    if not quotes:
+        return (None, None, None, None, "no volatility quotes")
+    try:
+        fin_debt = financial_debt(snap.get("long_term_debt"),
+                                  *(snap.get(c) or 0.0 for c in extra),
+                                  is_banking=is_banking)
+        d = debt_per_share(fin_debt, *(snap.get(c) for c in (
+            "minority_interest", "preferred_equity", "stock_price", "market_cap",
+            "fx_rate")))
+        vol = select_volatility(quotes)
+        inputs = SpreadInputs(stock_price=snap.get("stock_price"), equity_vol=vol,
+                              debt_per_share=d)
+        return (d, vol, e2c_spread(inputs, params), creditgrades_spread(inputs, params), "")
+    except ValueError as exc:
+        return (None, None, None, None, str(exc))
+
+
+def oracle_build_records(snaps, params):
+    """Per-row records as tuples (firm_id, date, e2c_bps, cds5y_bps,
+    ig_cdx_bps, market_cap, sp_rating, moody_rating, sector, country) and the
+    per-row spreads keyed by (firm_id, date)."""
+    records, spreads = [], {}
+    for snap in snaps:
+        spread = oracle_compute_spread_row(snap, params)
+        spreads[(snap.firm_id, snap.date)] = spread
+        records.append((snap.firm_id, snap.date, spread[2],
+                        *(snap.get(c) for c in ("cds_5y_bps", "ig_cdx_bps", "market_cap",
+                                                "sp_rating", "moody_rating", "sector",
+                                                "country"))))
+    return records, spreads
+
+
+def _oracle_merged_code(sp, moody):
+    from e2credit.dataset import rating_code
+
+    codes = [rating_code(r) for r in (sp, moody) if r is not None and r != ""]
+    return min(codes) if codes else None
+
+
+def oracle_encode(records):
+    """Per-record completeness filter and encoder: (X, y, firm_ids, dates,
+    column names) of the complete records, dummies fitted on them."""
+    complete = [r for r in records
+                if None not in r[2:6] and _oracle_merged_code(r[6], r[7]) is not None
+                and r[8] and r[9]]
+    kept = []
+    for field in (9, 8):  # country, then sector
+        counts = {}
+        for r in complete:
+            counts[r[field]] = counts.get(r[field], 0) + 1
+        drop = min(counts, key=lambda name: (counts[name], name), default=None)
+        kept.append([c for c in sorted(counts) if c != drop])
+    names = (["e2c_bps", "ig_cdx_bps", "market_cap", "rating"]
+             + [f"country_{c}" for c in kept[0]] + [f"sector_{s}" for s in kept[1]])
+    X = np.zeros((len(complete), len(names)))
+    for i, r in enumerate(complete):
+        X[i, :4] = (r[2], r[4], r[5], _oracle_merged_code(r[6], r[7]))
+        for prefix, value in (("country_", r[9]), ("sector_", r[8])):
+            if prefix + value in names:
+                X[i, names.index(prefix + value)] = 1.0
+    y = np.array([r[3] for r in complete], dtype=np.float64)
+    return X, y, [r[0] for r in complete], [r[1] for r in complete], names

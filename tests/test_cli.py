@@ -384,17 +384,19 @@ class TestImportanceCommand:
 
 
 def corrupt_forest(trained_dir, tmp_path, case):
-    """A copy of the trained forest file, truncated or with a header key
-    removed."""
+    """A copy of the trained forest file, truncated, with a header key
+    removed or with a row count its trees do not hold."""
     raw = (trained_dir / "forest.e2cf").read_bytes()
     path = tmp_path / "corrupt.e2cf"
     path.write_bytes(raw[: len(raw) // 2] if case == "truncated" else raw)
     if case == "header_without_key":
         edit_header(path, lambda h: {k: v for k, v in h.items() if k != "master_seed"})
+    if case == "huge_row_count":
+        edit_header(path, lambda h: {**h, "n_train_rows": 10**15})
     return path
 
 
-@pytest.mark.parametrize("case", ["truncated", "header_without_key"])
+@pytest.mark.parametrize("case", ["truncated", "header_without_key", "huge_row_count"])
 @pytest.mark.parametrize("command", ["evaluate", "importance"])
 def test_corrupt_forest_exit_2(synth_dir, trained_dir, tmp_path, capsys, command, case):
     path = corrupt_forest(trained_dir, tmp_path, case)

@@ -1,0 +1,242 @@
+"""The columnar reader, pricing and encoder against the row-wise oracles in
+conftest.py, on a panel with every kind of gap and fault the `gappy`
+benchmark panel has, plus CSV layout edge cases and extreme amounts."""
+import csv
+import dataclasses
+import io
+
+import numpy as np
+import pytest
+
+from e2credit.dataset import FeatureEncoder, drop_incomplete
+from e2credit.errors import InputFormatError
+from e2credit.fundamentals import QUOTE_COLUMNS
+from e2credit.snapshots import SNAPSHOT_COLUMNS, build_records, read_snapshots
+from e2credit.structural import ModelParams
+from e2credit.synth import generate_snapshots
+
+from conftest import oracle_build_records, oracle_encode, oracle_read_snapshots
+
+PARAMS = ModelParams()
+REQUIRED = ("stock_price", "market_cap", "fx_rate", "long_term_debt",
+            "minority_interest", "preferred_equity")
+EXTRA = ("short_term_debt", "other_lt_liabilities", "other_st_liabilities",
+         "lease_obligations")
+AMOUNTS = ("long_term_debt",) + EXTRA + ("minority_interest", "preferred_equity")
+
+
+def _alter(row, kind, rng):
+    """One fault or gap of the kinds the gappy panel draws."""
+    if kind == "blank_is_banking":
+        row["is_banking"] = None
+    elif kind == "blank_required":
+        row[rng.choice(REQUIRED + (() if row["is_banking"] else EXTRA))] = None
+    elif kind == "blank_all_quotes":
+        row.update(dict.fromkeys(QUOTE_COLUMNS))
+    elif kind == "negative_amount":
+        col = rng.choice(AMOUNTS)
+        row[col] = -(abs(row[col] or 0.0) + 1.0)
+    elif kind == "negative_price":
+        row["stock_price"] = -row["stock_price"]
+    elif kind in ("negative_quote", "blank_some_quotes"):
+        cols = list(rng.permutation(QUOTE_COLUMNS))
+        if kind == "negative_quote":
+            row[cols[0]] = -(row[cols[0]] or 0.3)
+        else:
+            row.update(dict.fromkeys(cols[: rng.integers(1, len(cols))]))
+    elif kind == "blank_bank_extras":
+        row.update(dict.fromkeys(EXTRA))
+    elif kind == "blank_ratings":
+        row["sp_rating"] = row["moody_rating"] = None
+    elif kind == "blank_sp_rating":
+        row["sp_rating"] = None
+    elif kind == "blank_label":
+        row["cds_5y_bps"] = None
+
+
+KINDS = ("blank_is_banking", "blank_required", "blank_all_quotes", "negative_amount",
+         "negative_price", "negative_quote", "blank_some_quotes", "blank_bank_extras",
+         "blank_ratings", "blank_sp_rating", "blank_label")
+
+NO_QUOTES = dict.fromkeys(QUOTE_COLUMNS)
+HUGE = 1.7976931348623157e308
+# Extreme rows: overflowing sums and medians, subnormal amounts, signed zeros.
+EXTREMES = [
+    {"long_term_debt": HUGE, "short_term_debt": HUGE, "is_banking": False},
+    {"minority_interest": 1e308, "fx_rate": 1.5},
+    {"stock_price": 1e-320},
+    {"market_cap": 1e-320, "preferred_equity": 1e308},
+    {"long_term_debt": 1e-320, "minority_interest": 0.0},
+    {**NO_QUOTES, "hist_vol_30": 1e308, "hist_vol_60": 1.5e308},
+    {**NO_QUOTES, "impl_vol_3m": 1e200},
+    {**NO_QUOTES, "hist_vol_30": 0.0, "hist_vol_60": -0.0, "hist_vol_120": 0.0},
+    {**NO_QUOTES, "hist_vol_30": -0.0, "hist_vol_60": 0.0},
+    {"long_term_debt": -0.0, "is_banking": True},
+    {"fx_rate": 1e-320, "long_term_debt": 1e308},
+]
+# One fault per check, in the order that gives a row its reason.
+FAULTS = [
+    {"is_banking": None},
+    *({c: None} for c in REQUIRED),
+    *({"is_banking": False, c: None} for c in EXTRA),
+    NO_QUOTES,
+    *({c: -1.0} for c in AMOUNTS),
+    {"stock_price": 0.0},
+    {"market_cap": -3.0},
+    {"fx_rate": 0.0},
+    {"is_banking": False, "long_term_debt": HUGE, "short_term_debt": HUGE},
+    # With the next fault's two quotes, four: their median overflows.
+    {"hist_vol_120": -0.2, "hist_vol_200": 1.6e308},
+    {**NO_QUOTES, "hist_vol_30": 1e308, "hist_vol_60": 1.5e308},
+    {"is_banking": True, "long_term_debt": 1e308, "fx_rate": 10.0},
+    {**NO_QUOTES, "impl_vol_3m": 1e200},
+]
+# Each two checks next to each other, failed together: the earlier one names
+# the reason.
+FAULT_PAIRS = [{**later, **earlier} for earlier, later in zip(FAULTS, FAULTS[1:])]
+
+
+def _cell(value):
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    return str(value)
+
+
+def panel_text(seed=4):
+    """The panel's CSV text: one or two faults or gaps on most rows, the
+    extreme rows, mixed-case ratings, a repeated header column (read from its
+    last occurrence), an extra column with quoted newlines, short and long
+    rows, and runs of blank lines."""
+    rng = np.random.default_rng(seed)
+    rows, _ = generate_snapshots(n_firms=14, n_dates=12, seed=seed, missing_rate=0.05)
+    for i, row in enumerate(rows):
+        for kind in rng.choice(KINDS, size=1 + (i % 3 == 0), replace=False):
+            if i % 4:
+                _alter(row, kind, rng)
+        if i % 5 == 1 and row["sp_rating"]:
+            row["sp_rating"] = row["sp_rating"].lower()
+        if i % 7 == 2 and row["moody_rating"]:
+            row["moody_rating"] = row["moody_rating"].swapcase()
+    for row, extreme in zip(rows[4::4], EXTREMES + FAULT_PAIRS):  # unaltered rows
+        row.update(extreme)
+    header = ["market_cap", *SNAPSHOT_COLUMNS, "note"]
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    for i, row in enumerate(rows):
+        cells = ["not a number", *(_cell(row[c]) for c in SNAPSHOT_COLUMNS),
+                 "two\nlines" if i % 9 == 4 else "note"]
+        if i % 11 == 6:
+            cells = cells[: -1 - i % 3]  # no note, then no labels either
+        elif i % 11 == 8:
+            cells += ["x", "y"]
+        writer.writerow(cells)
+        if i % 10 == 3:
+            out.write("\n" * (1 + i % 2))
+    return out.getvalue()
+
+
+@pytest.fixture(scope="module")
+def panel(tmp_path_factory):
+    path = tmp_path_factory.mktemp("panel") / "panel.csv"
+    path.write_text(panel_text(), encoding="utf-8")
+    return path
+
+
+def _repr_spread(row):
+    return repr((row.debt_per_share, row.selected_vol, row.e2c_bps, row.creditgrades_bps,
+                 row.reason))
+
+
+def test_panel_covers_every_outcome(panel):
+    _, spreads = oracle_build_records(oracle_read_snapshots(panel), PARAMS)
+    reasons = {s[4].split(" must")[0].split(" got")[0] for s in spreads.values()}
+    assert {"", "missing is_banking", "no volatility quotes", "fin_debt", "stock_price",
+            "volatility quote", "equity_vol", "debt_per_share", "e2c_bps"} <= reasons
+    assert any(r.startswith("missing ") and r != "missing is_banking" for r in reasons)
+    assert "two\nlines" in panel.read_text(encoding="utf-8")
+
+
+def test_snapshots_equal_oracle(panel):
+    oracle = oracle_read_snapshots(panel)
+    snaps = read_snapshots(panel)
+    assert len(snaps) == len(oracle)
+    assert [(s.firm_id, s.date) for s in snaps] == [(s.firm_id, s.date) for s in oracle]
+    assert [repr(s.values) for s in snaps] == [repr(s.values) for s in oracle]
+
+
+def test_spreads_and_records_equal_oracle(panel):
+    records_o, spreads_o = oracle_build_records(oracle_read_snapshots(panel), PARAMS)
+    records, spreads = build_records(read_snapshots(panel), PARAMS)
+    assert list(spreads) == list(spreads_o)
+    for key, expected in spreads_o.items():
+        assert _repr_spread(spreads[key]) == repr(expected), key
+    assert [repr(dataclasses.astuple(r)) for r in records] == [repr(r) for r in records_o]
+
+
+def test_matrix_equals_oracle(panel):
+    records_o, _ = oracle_build_records(oracle_read_snapshots(panel), PARAMS)
+    X, y, firms, dates, names = oracle_encode(records_o)
+    records, _ = build_records(read_snapshots(panel), PARAMS)
+    complete = drop_incomplete(records)
+    matrix = FeatureEncoder.fit(complete).transform(complete)
+    assert matrix.column_names() == tuple(names)
+    assert matrix.X.tobytes() == X.tobytes()
+    assert matrix.y.tobytes() == y.tobytes()
+    assert list(matrix.firm_ids) == firms and list(matrix.dates) == dates
+
+
+def test_lists_of_rows_give_the_same_spreads(panel):
+    # The list adapters: FirmSnapshot rows priced as the file's columns are.
+    _, spreads_o = oracle_build_records(oracle_read_snapshots(panel), PARAMS)
+    _, spreads = build_records(oracle_read_snapshots(panel), PARAMS)
+    assert [_repr_spread(spreads[k]) for k in spreads_o] == [repr(s) for s in spreads_o.values()]
+
+
+# (data row, column, text): bad cells placed after the blank lines and the
+# quoted newlines, alone and two at a time.
+BAD_CELLS = [
+    [(30, "stock_price", "oops")],
+    [(30, "stock_price", " 1e309 ")],
+    [(30, "hist_vol_60", "nan")],
+    [(31, "date", "2016-13-01")],
+    [(31, "firm_id", "  ")],
+    [(44, "firm_id", "F0000"), (44, "date", "2016-02-05")],
+    [(52, "is_banking", "Maybe")],
+    [(52, "sp_rating", "ZZZ")],
+    [(52, "moody_rating", " aa++ ")],
+    [(60, "cds_5y_bps", "-1")],
+    [(60, "ig_cdx_bps", "1e7")],
+    [(60, "ig_cdx_bps", "\x1c5")],
+    [(70, "lease_obligations", "x"), (70, "market_cap", "y")],
+    [(90, "country", "ZZ"), (80, "hist_vol_30", "inf")],
+    [(100, "cds_5y_bps", "2e6"), (99, "fx_rate", "-")],
+]
+
+
+@pytest.mark.parametrize("cells", BAD_CELLS, ids=lambda c: "+".join(f"{r}.{k}" for r, k, _ in c))
+def test_bad_cells_read_as_the_oracle_reads_them(tmp_path, cells):
+    lines = list(csv.reader(io.StringIO(panel_text())))
+    header = lines[0]
+    data = [i for i, row in enumerate(lines) if row and i > 0]
+    for row, col, text in cells:
+        cells_of = lines[data[row]]
+        position = len(header) - 1 - header[::-1].index(col)
+        cells_of += [""] * (position + 1 - len(cells_of))
+        cells_of[position] = text
+    path = tmp_path / "bad.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        for row in lines:
+            writer.writerow(row)
+    assert _outcome(read_snapshots, path) == _outcome(oracle_read_snapshots, path)
+
+
+def _outcome(read, path) -> str:
+    """The error message of a read, or the repr of what it read."""
+    try:
+        return repr([(s.firm_id, s.date, s.values) for s in read(path)])
+    except InputFormatError as exc:
+        return str(exc)

@@ -442,6 +442,11 @@ def corrupt_file(forest, path, case):
         edit_header(path, lambda h: {**h, "columns": [["x0", 1]]})
     elif case == "not_an_object":
         edit_header(path, lambda h: list(h))
+    elif case == "rows_1e15":
+        # Fails before the bootstrap redraw, which would allocate 8e15 bytes.
+        edit_header(path, lambda h: {**h, "n_train_rows": 10**15})
+    elif case == "rows_plus_one":
+        edit_header(path, lambda h: {**h, "n_train_rows": h["n_train_rows"] + 1})
     elif case == "empty_tree":
         empty = {name: getattr(t0, name)[:0] for name in NODE_FIELDS}
         save_forest(with_tree0(forest, **empty), path)
@@ -466,7 +471,8 @@ def corrupt_file(forest, path, case):
 
 CORRUPT_CASES = [
     "format_1", "format_2", "truncated", "trailing_byte", "missing_key",
-    "float_key", "bool_key", "bad_columns", "not_an_object", "empty_tree",
+    "float_key", "bool_key", "bad_columns", "not_an_object", "rows_1e15",
+    "rows_plus_one", "empty_tree",
     "feature_too_large", "feature_below_leaf", "leaf_made_split",
     "split_made_leaf", "split_after_children",
 ]
@@ -493,6 +499,8 @@ class TestCorruptFile:
             load_forest(path)
 
     @pytest.mark.parametrize("case, message", [
+        ("rows_1e15", "root does not hold the n_train_rows=1000000000000000 bootstrap"),
+        ("rows_plus_one", "root does not hold the n_train_rows="),
         ("leaf_made_split", "node count is not twice its splits plus one"),
         ("split_made_leaf", "node count is not twice its splits plus one"),
         ("split_after_children", "split node comes after its children"),

@@ -1,6 +1,8 @@
 """Property test: one overwritten cell of a snapshot CSV never crashes a
 command. `spread` and `train` must end with a documented exit code (0, 2
-or 3) and no traceback, and an input error must name the file and line."""
+or 3) and no traceback, and an input error must name the file and line.
+Both must end as the row-wise oracle in conftest.py says: with its first
+error message, or with its spread reasons."""
 import contextlib
 import csv
 import io
@@ -11,7 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from e2credit.cli import main
+from e2credit.errors import InputFormatError
 from e2credit.snapshots import SNAPSHOT_COLUMNS
+from e2credit.structural import ModelParams
+
+from conftest import oracle_build_records, oracle_read_snapshots
 
 N_FIRMS, N_DATES = 8, 6
 
@@ -56,6 +62,11 @@ def test_one_overwritten_cell_ends_in_a_documented_exit(panel, row, column, text
     path = out / "cell.csv"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh, lineterminator="\n").writerows(edited)
+    try:
+        _, spreads = oracle_build_records(oracle_read_snapshots(path), ModelParams())
+        expected = 0, None
+    except InputFormatError as exc:
+        expected = 2, f"input error: {exc}"
     for argv in (
         ["spread", str(path), "--out-dir", str(out / "spread")],
         # Few features per split, so the 8-firm panel reaches the fit.
@@ -67,3 +78,11 @@ def test_one_overwritten_cell_ends_in_a_documented_exit(panel, row, column, text
         assert "Traceback" not in err
         if code == 2:
             assert re.search(re.escape(str(path)) + r":\d+: ", err), err
+        # One cell leaves every other row complete, so train reaches the fit.
+        assert code == expected[0], (argv[0], err)
+        if code == 2:
+            assert err.splitlines()[0] == expected[1]
+    if expected[0] == 0:
+        with open(out / "spread" / "spreads.csv", newline="", encoding="utf-8") as fh:
+            reasons = [row["reason"] for row in csv.DictReader(fh)]
+        assert reasons == [spread[4] for spread in spreads.values()]

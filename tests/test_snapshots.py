@@ -260,3 +260,10 @@ class TestBuildRecords:
         bad = dict(zip(header, lines[2].split(",")))
         assert bad["e2c_bps"] == ""
         assert "stock_price" in bad["reason"]
+
+    def test_spread_csv_rejects_spreads_of_other_rows(self, tmp_path):
+        rows = [base_row(), base_row(firm_id="B", stock_price=None)]
+        snaps = read_snapshots(write_rows(tmp_path / "s.csv", rows))
+        _, spreads = build_records(list(reversed(list(snaps))), PARAMS)
+        with pytest.raises(ValueError, match="not those of these snapshot rows"):
+            write_spread_csv(snaps, spreads, tmp_path / "aug.csv")
