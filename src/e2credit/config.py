@@ -3,11 +3,13 @@ fractions and the master seed.
 
 Stored as a flat ``key = value`` text file ('#' starts a comment). Values
 round-trip exactly: floats are written with their shortest repr. CLI flags
-override file values, which override the defaults.
+override file values, which override the defaults. Each field is also the
+command-line flag of the same name with dashes, its help text in the
+field's metadata.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .errors import InputFormatError
 from .structural import ModelParams
@@ -33,19 +35,23 @@ def _check_value(name: str, value) -> None:
         raise InputFormatError(f"{name} must be in [0, 1), got {value}")
 
 
+def _setting(default, help: str):
+    return field(default=default, metadata={"help": help})
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    recovery: float = 0.3
-    debt_recovery: float = 0.5
-    debt_recovery_vol: float = 0.3
-    maturity: float = 5.0
-    trees: int = 50
-    features_per_split: int = 15
-    max_depth: int = 15
-    firm_frac: float = 0.2
-    date_frac: float = 0.2
-    seed: int = 0
-    workers: int = 1
+    recovery: float = _setting(0.3, "asset recovery rate R")
+    debt_recovery: float = _setting(0.5, "average recovery on the debt")
+    debt_recovery_vol: float = _setting(0.3, "std of the global recovery rate")
+    maturity: float = _setting(5.0, "spread maturity in years")
+    trees: int = _setting(50, "number of bagged trees")
+    features_per_split: int = _setting(15, "features drawn at each node")
+    max_depth: int = _setting(15, "tree depth cap")
+    firm_frac: float = _setting(0.2, "fraction of firms held out")
+    date_frac: float = _setting(0.2, "fraction of dates held out")
+    seed: int = _setting(0, "master seed (split, forest, permutation)")
+    workers: int = _setting(1, "worker threads for forest training")
 
     def __post_init__(self) -> None:
         for name, value in self.items():
@@ -74,7 +80,7 @@ def save_config(config: RunConfig, path) -> None:
 
 
 def load_config(path) -> RunConfig:
-    names = {f.name for f in fields(RunConfig)}
+    kinds = {f.name: type(f.default) for f in fields(RunConfig)}
     values: dict[str, float | int] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -86,10 +92,10 @@ def load_config(path) -> RunConfig:
             key, _, text = line.partition("=")
             key = key.strip()
             text = text.strip()
-            if key not in names:
+            if key not in kinds:
                 raise InputFormatError(f"{path}:{lineno}: unknown config key {key!r}")
             try:
-                values[key] = int(text) if key in _INT_MINIMUM else float(text)
+                values[key] = kinds[key](text)
             except ValueError:
                 raise InputFormatError(
                     f"{path}:{lineno}: bad value {text!r} for {key}"

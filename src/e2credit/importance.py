@@ -43,19 +43,6 @@ class ImportanceReport:
             raise ValueError("report has no permutation scores")
         return self._ranking(self.permutation_vi)
 
-    def merged(self, other: "ImportanceReport") -> "ImportanceReport":
-        if other.feature_names != self.feature_names:
-            raise ValueError("cannot merge reports over different features")
-        return ImportanceReport(
-            feature_names=self.feature_names,
-            mdi=self.mdi if self.mdi is not None else other.mdi,
-            permutation_vi=(
-                self.permutation_vi
-                if self.permutation_vi is not None
-                else other.permutation_vi
-            ),
-        )
-
 
 def _feature_names(forest: Forest, train: FeatureMatrix) -> tuple[str, ...]:
     names = train.column_names()
@@ -219,6 +206,6 @@ def importance_report(
     forest: Forest, train: FeatureMatrix, seed: int
 ) -> ImportanceReport:
     """Both importance measures in one report."""
-    return mdi_importance(forest, train).merged(
-        permutation_importance(forest, train, seed)
-    )
+    mdi = mdi_importance(forest, train)
+    vi = permutation_importance(forest, train, seed)
+    return ImportanceReport(mdi.feature_names, mdi=mdi.mdi, permutation_vi=vi.permutation_vi)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import factorize, sorted_codes
+from .dataset import _pick, factorize, sorted_codes
 
 
 @dataclass(frozen=True)
@@ -150,10 +150,6 @@ def group_pairs(series: PairedSeries, mode: str) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _take(keys, rows: np.ndarray) -> tuple:
-    return tuple(map(keys.__getitem__, rows.tolist()))
-
-
 def _trim_rows_by_actual(actual: np.ndarray, trim_frac: float) -> np.ndarray:
     """Row indices that survive dropping the extreme trim_frac tails of the
     actual values (stable order among ties)."""
@@ -176,8 +172,8 @@ def accuracy_metrics(
     """
     keep = _trim_rows_by_actual(np.asarray(series.actual), trim_frac)
     trimmed = PairedSeries(
-        firm_ids=_take(series.firm_ids, keep),
-        dates=_take(series.dates, keep),
+        firm_ids=_pick(series.firm_ids, keep),
+        dates=_pick(series.dates, keep),
         actual=series.actual[keep],
         predicted=series.predicted[keep],
     )
@@ -223,8 +219,8 @@ def bucket_comparison(
             row[f"median_{name}"] = float(np.median(values[idx]))
             row[f"tmean_{name}"] = truncated_mean(values[idx], trim_frac)
             sub = PairedSeries(
-                firm_ids=_take(firm_ids, idx),
-                dates=_take(dates, idx),
+                firm_ids=_pick(firm_ids, idx),
+                dates=_pick(dates, idx),
                 actual=actual[idx],
                 predicted=values[idx],
             )

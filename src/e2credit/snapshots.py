@@ -431,33 +431,38 @@ def build_records(snapshots, params: ModelParams) -> tuple[Records, Spreads]:
     return records, spreads
 
 
-def _format_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    return str(value)
+def _cells(name: str, cells) -> list[str]:
+    """One column's cells as CSV text. In a float64 array NaN is blank,
+    is_banking is 1/0 and any other value is its repr; in a sequence of
+    Python values None is blank, a bool is 1/0 and any other value is its
+    str."""
+    if isinstance(cells, np.ndarray):
+        if name == "is_banking":
+            return [{1.0: "1", 0.0: "0"}.get(v, "") for v in cells.tolist()]
+        text = list(map(repr, cells.tolist()))
+        for i in np.flatnonzero(np.isnan(cells)).tolist():
+            text[i] = ""
+        return text
+    return ["" if v is None else ("1" if v else "0") if isinstance(v, bool) else str(v)
+            for v in cells]
 
 
-def _format_column(name: str, cells) -> list[str] | tuple[str, ...]:
-    """A column's cells as _format_cell writes them."""
-    if isinstance(cells, tuple):
-        return cells
-    if name == "is_banking":
-        return [{1.0: "1", 0.0: "0"}.get(v, "") for v in cells.tolist()]
-    text = list(map(repr, cells.tolist()))
-    for i in np.flatnonzero(np.isnan(cells)).tolist():
-        text[i] = ""
-    return text
+def write_csv(path, columns: dict) -> None:
+    """Write a table given as columns (header name -> cells, all of one
+    length), _CHUNK_ROWS rows at a time, each cell as _cells formats it."""
+    n = len(next(iter(columns.values())))
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        for start in range(0, n, _CHUNK_ROWS):
+            rows = slice(start, start + _CHUNK_ROWS)
+            writer.writerows(zip(*(_cells(name, col[rows]) for name, col in columns.items())))
 
 
 def write_snapshot_csv(rows: list[dict], path) -> None:
-    """Write snapshot-schema rows (dicts keyed by SNAPSHOT_COLUMNS)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SNAPSHOT_COLUMNS)
-        for row in rows:
-            writer.writerow([_format_cell(row.get(col)) for col in SNAPSHOT_COLUMNS])
+    """Write snapshot-schema rows (dicts keyed by SNAPSHOT_COLUMNS; a missing
+    key is a blank cell)."""
+    write_csv(path, {col: [row.get(col) for row in rows] for col in SNAPSHOT_COLUMNS})
 
 
 def write_spread_csv(snapshots, spreads: Spreads, path) -> None:
@@ -467,13 +472,6 @@ def write_spread_csv(snapshots, spreads: Spreads, path) -> None:
     if (snaps.firm_id, snaps.date) != (spreads.snaps.firm_id, spreads.snaps.date):
         raise ValueError("the spreads are not those of these snapshot rows")
     extra = ("e2c_bps", "creditgrades_bps", "debt_per_share", "selected_vol")
-    columns = [snaps.firm_id, snaps.date, *(snaps.columns[c] for c in SNAPSHOT_COLUMNS[2:]),
-               *(getattr(spreads, c) for c in extra), tuple(spreads.reason)]
-    names = SNAPSHOT_COLUMNS + extra + ("reason",)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(names)
-        for start in range(0, len(snaps), _CHUNK_ROWS):
-            rows = slice(start, start + _CHUNK_ROWS)
-            writer.writerows(zip(*(_format_column(name, col[rows])
-                                   for name, col in zip(names, columns))))
+    write_csv(path, {"firm_id": snaps.firm_id, "date": snaps.date,
+                     **{c: snaps.columns[c] for c in SNAPSHOT_COLUMNS[2:]},
+                     **{c: getattr(spreads, c) for c in extra}, "reason": spreads.reason})

@@ -1,10 +1,13 @@
 import csv
 import hashlib
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from e2credit.cli import main
+from e2credit import cli
+from e2credit.cli import build_parser, main
+from e2credit.config import RunConfig, save_config
 from e2credit.forest import load_forest
 from e2credit.snapshots import SNAPSHOT_COLUMNS
 
@@ -59,6 +62,7 @@ class TestSynthCommand:
         assert code == 2
         assert err.startswith(f"input error: {flag} must be {rule}")
         assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
 
 class TestSpreadCommand:
@@ -182,6 +186,7 @@ class TestMalformedInput:
                      "--out-dir", str(tmp_path / "o")])
         assert code == 2
         assert capsys.readouterr().err.startswith(f"input error: {message}")
+        assert not (tmp_path / "o").exists()
 
     def test_out_of_range_config_exit_2(self, synth_dir, tmp_path, capsys):
         config = tmp_path / "run.cfg"
@@ -190,6 +195,7 @@ class TestMalformedInput:
                      "--out-dir", str(tmp_path / "o")])
         assert code == 2
         assert f"{config}:2: max_depth must be >= 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_debt_recovery_vol_30_spread_exit_2(self, synth_dir, tmp_path, capsys):
         code = main(["spread", str(synth_dir / "snapshots.csv"), "--debt-recovery-vol", "30",
@@ -406,3 +412,41 @@ def test_corrupt_forest_exit_2(synth_dir, trained_dir, tmp_path, capsys, command
     assert code == 2
     assert err.startswith("input error: ") and str(path) in err
     assert "Traceback" not in err
+
+
+class TestDerivedFlags:
+    """Each config flag is a RunConfig field with dashes."""
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(RunConfig)])
+    def test_train_flag_overrides_the_config_file(self, tmp_path, monkeypatch, name):
+        default = getattr(RunConfig(), name)
+        # Valid values other than the default: halved floats, incremented ints.
+        file_config = RunConfig(**{f.name: getattr(RunConfig(), f.name) / 2
+                                   if isinstance(f.default, float) else f.default + 1
+                                   for f in fields(RunConfig)})
+        flag_value = default / 4 if isinstance(default, float) else default + 2
+        save_config(file_config, tmp_path / "run.cfg")
+        argv = ["train", "in.csv", "--config", str(tmp_path / "run.cfg"),
+                "--" + name.replace("_", "-"), str(flag_value),
+                "--out-dir", str(tmp_path / "o")]
+        parsed = getattr(build_parser().parse_args(argv), name)
+        assert type(parsed) is type(default) and parsed == flag_value
+        seen = []
+        monkeypatch.setattr(cli, "cmd_train", lambda args, config, out_dir: seen.append(config))
+        assert main(argv) == 0
+        assert seen == [replace(file_config, **{name: flag_value})]
+
+    def test_importance_takes_the_split_fractions(self):
+        args = build_parser().parse_args(["importance", "forest.e2cf", "in.csv",
+                                          "--firm-frac", "0.3", "--date-frac", "0.1"])
+        assert (args.firm_frac, args.date_frac) == (0.3, 0.1)
+
+    @pytest.mark.parametrize("flag", ["--trees", "--firm-frac"])
+    @pytest.mark.parametrize("command", [["spread", "in.csv"],
+                                         ["evaluate", "forest.e2cf", "in.csv"], ["synth"]])
+    def test_forest_flags_rejected_elsewhere(self, tmp_path, capsys, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, flag, "2", "--out-dir", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()

@@ -1,13 +1,16 @@
 import math
 
+import numpy as np
 import pytest
 
 from e2credit.errors import InputFormatError
 from e2credit.snapshots import (
+    _CHUNK_ROWS,
     SNAPSHOT_COLUMNS,
     compute_spread_row,
     build_records,
     read_snapshots,
+    write_csv,
     write_snapshot_csv,
     write_spread_csv,
 )
@@ -267,3 +270,41 @@ class TestBuildRecords:
         _, spreads = build_records(list(reversed(list(snaps))), PARAMS)
         with pytest.raises(ValueError, match="not those of these snapshot rows"):
             write_spread_csv(snaps, spreads, tmp_path / "aug.csv")
+
+
+class TestWriteCsv:
+    """The one cell rule of every CSV the package writes."""
+
+    def test_cells_byte_for_byte(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(path, {
+            "stock_price": np.array([math.nan, -0.0, 1e16, 5e-324, 0.1, 1.0]),
+            "is_banking": np.array([1.0, 0.0, math.nan, 1.0, 0.0, 1.0]),
+            "sector": ("a", "", "b c", "d,e", 'q"', "f"),
+            "market_cap": [None, True, False, np.float64(0.1), 7, "oops"],
+        })
+        assert path.read_bytes() == (
+            b"stock_price,is_banking,sector,market_cap\n"
+            b",1,a,\n"
+            b"-0.0,0,,1\n"
+            b"1e+16,,b c,0\n"
+            b'5e-324,1,"d,e",0.1\n'
+            b'0.1,0,"q""",7\n'
+            b"1.0,1,f,oops\n"
+        )
+
+    def test_snapshot_rows_missing_keys_and_text(self, tmp_path):
+        path = tmp_path / "s.csv"
+        write_snapshot_csv([{"firm_id": "F", "date": "2016-02-05", "stock_price": "oops",
+                             "is_banking": True, "market_cap": np.float64(1e16),
+                             "fx_rate": 2}], path)
+        cells = {"firm_id": "F", "date": "2016-02-05", "stock_price": "oops",
+                 "is_banking": "1", "market_cap": "1e+16", "fx_rate": "2"}
+        assert path.read_text().splitlines() == [
+            ",".join(SNAPSHOT_COLUMNS), ",".join(cells.get(c, "") for c in SNAPSHOT_COLUMNS)]
+
+    def test_rows_past_one_chunk_complete_and_in_order(self, tmp_path):
+        n = 2 * _CHUNK_ROWS + 3
+        path = tmp_path / "long.csv"
+        write_csv(path, {"i": range(n), "v": np.arange(n) / 4.0})
+        assert path.read_text().splitlines() == ["i,v"] + [f"{i},{i / 4.0!r}" for i in range(n)]
