@@ -117,9 +117,8 @@ def _write_table(path: Path, rows: list[dict], header=("bucket", "obs")) -> None
 
 
 def cmd_spread(args, config: RunConfig, out_dir: Path) -> None:
-    snaps = read_snapshots(args.input)
-    _, spreads = build_records(snaps, config.model_params())
-    write_spread_csv(snaps, spreads, out_dir / "spreads.csv")
+    _, spreads = build_records(read_snapshots(args.input), config.model_params())
+    write_spread_csv(spreads, out_dir / "spreads.csv")
     print(f"spread: {np.count_nonzero(spreads.ok)}/{len(spreads)} rows priced "
           f"-> {out_dir / 'spreads.csv'}")
 

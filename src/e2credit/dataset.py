@@ -121,9 +121,6 @@ class RawRecord:
     def merged_rating(self) -> str | None:
         return merge_ratings(self.sp_rating, self.moody_rating)
 
-    def is_complete(self) -> bool:
-        return bool(Records.from_rows([self]).complete[0])
-
 
 _NUMBER_FIELDS = ("e2c_bps", "cds5y_bps", "ig_cdx_bps", "market_cap")
 _TEXT_FIELDS = ("sp_rating", "moody_rating", "sector", "country")
@@ -176,24 +173,6 @@ class Records:
     country: tuple[str, ...]
     index: np.ndarray
 
-    @classmethod
-    def from_rows(cls, rows) -> "Records":
-        """Columns of RawRecord rows; a repeated (firm_id, date) raises ValueError."""
-        seen: set[tuple[str, str]] = set()
-        for rec in rows:
-            if (rec.firm_id, rec.date) in seen:
-                raise ValueError(f"duplicate (firm_id, date) pair: {(rec.firm_id, rec.date)}")
-            seen.add((rec.firm_id, rec.date))
-        numbers = {
-            name: np.array([math.nan if v is None else v
-                            for v in (getattr(rec, name) for rec in rows)], dtype=np.float64)
-            for name in _NUMBER_FIELDS
-        }
-        texts = {name: tuple(getattr(rec, name) or "" for rec in rows) for name in _TEXT_FIELDS}
-        return cls(firm_id=tuple(rec.firm_id for rec in rows),
-                   date=tuple(rec.date for rec in rows),
-                   index=np.arange(len(rows)), **numbers, **texts)
-
     def __len__(self) -> int:
         return len(self.firm_id)
 
@@ -232,10 +211,6 @@ class Records:
         return mask
 
 
-def _as_records(records) -> Records:
-    return records if isinstance(records, Records) else Records.from_rows(records)
-
-
 def _require_complete(records: Records) -> None:
     bad = np.flatnonzero(~records.complete)
     if bad.size:
@@ -246,13 +221,10 @@ def _require_complete(records: Records) -> None:
         )
 
 
-def drop_incomplete(records):
+def drop_incomplete(records: Records) -> Records:
     """Keep only records with every required field present, preserving
-    order: Records give Records, a list of RawRecord a list."""
-    if isinstance(records, Records):
-        return records.take(np.flatnonzero(records.complete))
-    keep = Records.from_rows(records).complete
-    return [rec for rec, ok in zip(records, keep) if ok]
+    order."""
+    return records.take(np.flatnonzero(records.complete))
 
 
 @dataclass(frozen=True)
@@ -356,9 +328,8 @@ class FeatureEncoder:
     sector_seen: frozenset[str] = field(repr=False)
 
     @classmethod
-    def fit(cls, records) -> "FeatureEncoder":
-        """Fit on complete Records or a list of complete RawRecord."""
-        records = _as_records(records)
+    def fit(cls, records: Records) -> "FeatureEncoder":
+        """Fit on complete Records."""
         if not len(records):
             raise ValueError("cannot fit an encoder on an empty record list")
         _require_complete(records)
@@ -387,8 +358,7 @@ class FeatureEncoder:
         cols += [FeatureColumn(f"sector_{s}", "dummy") for s in self.sector_kept]
         return tuple(cols)
 
-    def transform(self, records) -> FeatureMatrix:
-        records = _as_records(records)
+    def transform(self, records: Records) -> FeatureMatrix:
         _require_complete(records)
         columns = self.columns
         n = len(records)
@@ -422,9 +392,8 @@ class FeatureEncoder:
         )
 
 
-def encode_features(records) -> FeatureMatrix:
+def encode_features(records: Records) -> FeatureMatrix:
     """Fit an encoder on the records and encode them in one step."""
-    records = _as_records(records)
     return FeatureEncoder.fit(records).transform(records)
 
 

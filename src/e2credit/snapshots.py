@@ -101,17 +101,6 @@ class Snapshots:
     date: tuple[str, ...]
     columns: dict  # SNAPSHOT_COLUMNS[2:] -> np.ndarray or tuple[str, ...]
 
-    @classmethod
-    def from_rows(cls, rows) -> "Snapshots":
-        columns = {}
-        for col in SNAPSHOT_COLUMNS[2:]:
-            cells = [snap.get(col) for snap in rows]
-            columns[col] = (
-                tuple(v or "" for v in cells) if col in _TEXT_COLUMNS
-                else np.array([math.nan if v is None else float(v) for v in cells])
-            )
-        return cls(tuple(s.firm_id for s in rows), tuple(s.date for s in rows), columns)
-
     def __len__(self) -> int:
         return len(self.firm_id)
 
@@ -127,10 +116,6 @@ class Snapshots:
 
     def __iter__(self):
         return map(self.__getitem__, range(len(self)))
-
-
-def _as_snapshots(snapshots) -> Snapshots:
-    return snapshots if isinstance(snapshots, Snapshots) else Snapshots.from_rows(snapshots)
 
 
 def _first_bad(cells, problem_of):
@@ -150,11 +135,14 @@ def _stripped(cells: tuple) -> tuple[str, ...]:
 
 
 def _date_problem(text: str) -> str | None:
+    """A date must be YYYY-MM-DD: fromisoformat also takes 20160205 and
+    2016-W05-5 on Python 3.11, which would let one day have two keys."""
     try:
-        _date.fromisoformat(text)
+        if _date.fromisoformat(text).isoformat() == text:
+            return None
     except ValueError:
-        return f"bad ISO date {text!r}"
-    return None
+        pass
+    return f"bad ISO date {text!r}"
 
 
 def _rating_problem(col: str, text: str) -> str | None:
@@ -403,19 +391,13 @@ def _price(snaps: Snapshots, params: ModelParams) -> Spreads:
     return Spreads(snaps, reason, pending, *priced, params)
 
 
-def compute_spread_row(snap: FirmSnapshot, params: ModelParams) -> SpreadRow:
-    """Debt-per-share, the vol input and both spreads for one row."""
-    return SpreadRow(_price(Snapshots.from_rows([snap]), params), 0)
-
-
-def build_records(snapshots, params: ModelParams) -> tuple[Records, Spreads]:
-    """Snapshot rows (Snapshots or a list of FirmSnapshot) -> the
-    feature-engineering records plus the per-row spreads, both in row order.
+def build_records(snaps: Snapshots, params: ModelParams) -> tuple[Records, Spreads]:
+    """A snapshot table -> the feature-engineering records plus the per-row
+    spreads, both in row order.
 
     Records whose spread inputs fail keep e2c_bps NaN, so drop_incomplete
     removes them downstream.
     """
-    snaps = _as_snapshots(snapshots)
     spreads = _price(snaps, params)
     col = snaps.columns
     records = Records(
@@ -465,12 +447,10 @@ def write_snapshot_csv(rows: list[dict], path) -> None:
     write_csv(path, {col: [row.get(col) for row in rows] for col in SNAPSHOT_COLUMNS})
 
 
-def write_spread_csv(snapshots, spreads: Spreads, path) -> None:
-    """Snapshot rows augmented with spread columns (reason set on failures);
-    spreads must be those build_records gave for these rows, in their order."""
-    snaps = _as_snapshots(snapshots)
-    if (snaps.firm_id, snaps.date) != (spreads.snaps.firm_id, spreads.snaps.date):
-        raise ValueError("the spreads are not those of these snapshot rows")
+def write_spread_csv(spreads: Spreads, path) -> None:
+    """The priced snapshot rows augmented with spread columns (reason set on
+    failures)."""
+    snaps = spreads.snaps
     extra = ("e2c_bps", "creditgrades_bps", "debt_per_share", "selected_vol")
     write_csv(path, {"firm_id": snaps.firm_id, "date": snaps.date,
                      **{c: snaps.columns[c] for c in SNAPSHOT_COLUMNS[2:]},

@@ -19,7 +19,7 @@ from datetime import timedelta
 
 import numpy as np
 
-from .dataset import merge_ratings, moody_label, rating_code, rating_label
+from .dataset import moody_label, rating_label
 from .fundamentals import (
     QUOTE_COLUMNS,
     debt_per_share,
@@ -130,10 +130,8 @@ def generate_snapshots(
         preferred = pref_frac * cap0 / fx
         fin_debt = financial_debt(**sheet, is_banking=is_banking)
 
-        merged = merge_ratings(
-            rating_label(sp_code), None if moody_missing else moody_label(moody_code)
-        )
-        merged_code = rating_code(merged)
+        # The worse agency's grade, as merge_ratings gives it.
+        merged_code = sp_code if moody_missing else min(sp_code, moody_code)
 
         vol_state = 0.0
         walk = 0.0

@@ -1,9 +1,11 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from e2credit.dataset import FeatureMatrix
+from e2credit.dataset import FeatureMatrix, RawRecord, Records
+from e2credit.snapshots import build_records, read_snapshots, write_snapshot_csv
 
 
 def brute_force_best_split(X, y, rows, feats, tie_tol=1e-10):
@@ -210,6 +212,21 @@ def _oracle_cell(text, col, path, lineno):
     return value
 
 
+def build_from_rows(rows, path, params):
+    """(Records, Spreads) of snapshot dicts written to path and read back."""
+    write_snapshot_csv(rows, path)
+    return build_records(read_snapshots(path), params)
+
+
+def records_table(rows):
+    """Records by column from RawRecord rows: None is NaN or "" there."""
+    numbers = ("e2c_bps", "cds5y_bps", "ig_cdx_bps", "market_cap")
+    cols = {f.name: [getattr(r, f.name) for r in rows] for f in fields(RawRecord)}
+    return Records(index=np.arange(len(rows)), **{
+        name: np.array([np.nan if v is None else v for v in c], dtype=np.float64)
+        if name in numbers else tuple(v or "" for v in c) for name, c in cols.items()})
+
+
 def oracle_read_snapshots(path):
     """Per-row reader through csv.DictReader: a list of FirmSnapshot."""
     import csv
@@ -233,7 +250,8 @@ def oracle_read_snapshots(path):
             if not firm_id:
                 raise InputFormatError(f"{path}:{lineno}: empty firm_id")
             try:
-                date.fromisoformat(date_text)
+                if date.fromisoformat(date_text).isoformat() != date_text:
+                    raise ValueError
             except ValueError:
                 raise InputFormatError(f"{path}:{lineno}: bad ISO date {date_text!r}") from None
             key = (firm_id, date_text)

@@ -15,6 +15,7 @@ import e2credit.forest as forest_mod
 from e2credit.dataset import (
     FeatureEncoder,
     FeatureMatrix,
+    RawRecord,
     drop_incomplete,
     encode_features,
     split_in_out,
@@ -31,7 +32,6 @@ from e2credit.metrics import (
     rmse,
     truncated_mean,
 )
-from e2credit.snapshots import FirmSnapshot, build_records
 from e2credit.structural import (
     ModelParams,
     SpreadInputs,
@@ -40,7 +40,7 @@ from e2credit.structural import (
 )
 from e2credit.synth import generate_snapshots
 
-from conftest import brute_force_best_split
+from conftest import brute_force_best_split, build_from_rows, records_table
 
 PARAMS = ModelParams()
 
@@ -72,16 +72,8 @@ def _warm_up_kernels():
     grow_tree(X, y, np.arange(4), m=2, max_depth=2, rng=np.random.default_rng(0))
 
 
-def _dataset_from_rows(rows):
-    snaps = [
-        FirmSnapshot(
-            firm_id=r["firm_id"],
-            date=r["date"],
-            values={k: v for k, v in r.items() if k not in ("firm_id", "date")},
-        )
-        for r in rows
-    ]
-    records, _ = build_records(snaps, PARAMS)
+def _dataset_from_rows(rows, path):
+    records, _ = build_from_rows(rows, path, PARAMS)
     complete = drop_incomplete(records)
     return FeatureEncoder.fit(complete).transform(complete)
 
@@ -190,7 +182,7 @@ def test_criterion_4_bagging_statistics():
 def test_criterion_5_determinism_across_workers(tmp_path):
     _warm_up_kernels()
     rows, _ = generate_snapshots(n_firms=20, n_dates=15, seed=8)
-    matrix = _dataset_from_rows(rows)
+    matrix = _dataset_from_rows(rows, tmp_path / "snapshots.csv")
     max_workers = 4
     digests = []
     for run in range(5):
@@ -205,12 +197,12 @@ def test_criterion_5_determinism_across_workers(tmp_path):
           f"produce one file hash {digests[0][:12]}...")
 
 
-def test_criterion_6_synthetic_pipeline():
+def test_criterion_6_synthetic_pipeline(tmp_path):
     _warm_up_kernels()
     start = time.perf_counter()
     rows, meta = generate_snapshots(n_firms=300, n_dates=150, seed=0)
     assert meta["bayes_r2_realized"] == pytest.approx(0.90, abs=0.02)
-    matrix = _dataset_from_rows(rows)
+    matrix = _dataset_from_rows(rows, tmp_path / "snapshots.csv")
     assert matrix.n_rows == 300 * 150
     split = split_in_out(matrix, 0.2, 0.2, seed=0)
     forest = fit_forest(split.in_sample, n_trees=50, m=15, max_depth=15,
@@ -264,9 +256,7 @@ def test_criterion_7_split_contract():
                     country="US" if i % 2 else "EU",
                 )
             )
-    from e2credit.dataset import RawRecord
-
-    matrix = encode_features([RawRecord(**r) for r in records])
+    matrix = encode_features(records_table([RawRecord(**r) for r in records]))
     split = split_in_out(matrix, 0.2, 0.2, seed=123)
     assert split.in_sample.n_rows == 64
     assert split.out_of_sample.n_rows == 36
@@ -308,10 +298,10 @@ def test_criterion_8_metrics_suite():
           "truncated_mean([1..10], 0.10) = 5.5")
 
 
-def test_criterion_9_monotone_invariance(monkeypatch):
+def test_criterion_9_monotone_invariance(monkeypatch, tmp_path):
     _warm_up_kernels()
     rows, _ = generate_snapshots(n_firms=25, n_dates=20, seed=6)
-    matrix = _dataset_from_rows(rows)
+    matrix = _dataset_from_rows(rows, tmp_path / "snapshots.csv")
     cubed_X = matrix.X.copy()
     col = matrix.column_names().index("market_cap")
     cubed_X[:, col] = cubed_X[:, col] ** 3

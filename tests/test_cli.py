@@ -166,6 +166,19 @@ class TestMalformedInput:
         assert code == 2
         assert f"{bad}:4: column {column}: unknown rating label 'ZZZ'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["spread", "train"])
+    def test_key_repeated_as_compact_date_exit_2(self, synth_dir, tmp_path, capsys, command):
+        # A second row for the first row's firm and day, its date written
+        # 20160205: read as another key, the day would be priced twice.
+        lines = (synth_dir / "snapshots.csv").read_text().splitlines()
+        row = lines[1].split(",")
+        row[1] = row[1].replace("-", "")
+        bad = tmp_path / "compact.csv"
+        bad.write_text("\n".join(lines + [",".join(row)]) + "\n")
+        code = main([command, str(bad), "--out-dir", str(tmp_path / "o")])
+        assert code == 2
+        assert f"{bad}:{len(lines) + 1}: bad ISO date '{row[1]}'" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "flags, message",
         [

@@ -8,14 +8,15 @@ import io
 import numpy as np
 import pytest
 
-from e2credit.dataset import FeatureEncoder, drop_incomplete
+from e2credit.dataset import FeatureEncoder, drop_incomplete, rating_label
 from e2credit.errors import InputFormatError
 from e2credit.fundamentals import QUOTE_COLUMNS
 from e2credit.snapshots import SNAPSHOT_COLUMNS, build_records, read_snapshots
 from e2credit.structural import ModelParams
 from e2credit.synth import generate_snapshots
 
-from conftest import oracle_build_records, oracle_encode, oracle_read_snapshots
+from conftest import (
+    _oracle_merged_code, oracle_build_records, oracle_encode, oracle_read_snapshots)
 
 PARAMS = ModelParams()
 REQUIRED = ("stock_price", "market_cap", "fx_rate", "long_term_debt",
@@ -174,6 +175,9 @@ def test_spreads_and_records_equal_oracle(panel):
     for key, expected in spreads_o.items():
         assert _repr_spread(spreads[key]) == repr(expected), key
     assert [repr(dataclasses.astuple(r)) for r in records] == [repr(r) for r in records_o]
+    codes = [_oracle_merged_code(r[6], r[7]) for r in records_o]
+    assert [r.merged_rating() for r in records] == [
+        None if code is None else rating_label(code) for code in codes]
 
 
 def test_matrix_equals_oracle(panel):
@@ -188,13 +192,6 @@ def test_matrix_equals_oracle(panel):
     assert list(matrix.firm_ids) == firms and list(matrix.dates) == dates
 
 
-def test_lists_of_rows_give_the_same_spreads(panel):
-    # The list adapters: FirmSnapshot rows priced as the file's columns are.
-    _, spreads_o = oracle_build_records(oracle_read_snapshots(panel), PARAMS)
-    _, spreads = build_records(oracle_read_snapshots(panel), PARAMS)
-    assert [_repr_spread(spreads[k]) for k in spreads_o] == [repr(s) for s in spreads_o.values()]
-
-
 # (data row, column, text): bad cells placed after the blank lines and the
 # quoted newlines, alone and two at a time.
 BAD_CELLS = [
@@ -202,6 +199,8 @@ BAD_CELLS = [
     [(30, "stock_price", " 1e309 ")],
     [(30, "hist_vol_60", "nan")],
     [(31, "date", "2016-13-01")],
+    [(32, "date", "20160205")],
+    [(33, "date", "2016-W05-5")],
     [(31, "firm_id", "  ")],
     [(44, "firm_id", "F0000"), (44, "date", "2016-02-05")],
     [(52, "is_banking", "Maybe")],

@@ -15,6 +15,8 @@ from e2credit.dataset import (
     split_in_out,
 )
 
+from conftest import records_table
+
 
 def record(firm, date, **kwargs):
     base = dict(
@@ -72,24 +74,24 @@ class TestDropIncomplete:
             record("F8", "2016-01-01", sp_rating=None, moody_rating=None),
             record("F9", "2016-01-01", sp_rating=None, moody_rating=None),
         ]
-        kept = drop_incomplete(records)
+        kept = drop_incomplete(records_table(records))
         assert len(kept) == 8
         assert [r.firm_id for r in kept] == [f"F{i}" for i in range(8)]
 
     def test_identity_when_complete(self):
         records = [record("A", "2016-01-01"), record("B", "2016-01-01")]
-        assert drop_incomplete(records) == records
+        assert list(drop_incomplete(records_table(records))) == records
 
     def test_all_incomplete(self):
         records = [record("A", "2016-01-01", e2c_bps=None)]
-        assert drop_incomplete(records) == []
+        assert list(drop_incomplete(records_table(records))) == []
 
     def test_each_required_field(self):
-        for missing in ("e2c_bps", "cds5y_bps", "ig_cdx_bps", "market_cap"):
-            assert not record("A", "d", **{missing: None}).is_complete()
-        assert not record("A", "d", sector=None).is_complete()
-        assert not record("A", "d", country=None).is_complete()
-        assert record("A", "d", moody_rating=None).is_complete()
+        rows = [record("A", "d", **{missing: None})
+                for missing in ("e2c_bps", "cds5y_bps", "ig_cdx_bps", "market_cap")]
+        rows += [record("A", "d", sector=None), record("A", "d", country=None),
+                 record("A", "d", moody_rating=None)]
+        assert records_table(rows).complete.tolist() == [False] * 6 + [True]
 
 
 class TestEncode:
@@ -100,14 +102,14 @@ class TestEncode:
             for _ in range(count):
                 records.append(record(f"F{i}", "2016-01-01", country=country))
                 i += 1
-        matrix = encode_features(records)
+        matrix = encode_features(records_table(records))
         names = matrix.column_names()
         assert "country_US" in names and "country_EU" in names
         assert "country_JP" not in names
 
     def test_single_category_group_vanishes(self):
         records = [record(f"F{i}", "2016-01-01") for i in range(4)]
-        matrix = encode_features(records)
+        matrix = encode_features(records_table(records))
         assert not any(n.startswith("sector_") for n in matrix.column_names())
 
     def test_tie_drops_lexicographically_smallest(self):
@@ -115,7 +117,7 @@ class TestEncode:
             record("F0", "d", country="US"),
             record("F1", "d", country="AU"),
         ]
-        names = encode_features(records).column_names()
+        names = encode_features(records_table(records)).column_names()
         assert "country_US" in names and "country_AU" not in names
 
     def test_dummy_rows_and_group_sums(self):
@@ -124,7 +126,7 @@ class TestEncode:
         for country in ("US", "US", "EU", "JP", "JP", "JP"):
             records.append(record(f"F{i}", "d", country=country))
             i += 1
-        matrix = encode_features(records)
+        matrix = encode_features(records_table(records))
         dummy_cols = [
             j for j, c in enumerate(matrix.columns) if c.kind == "dummy"
         ]
@@ -136,7 +138,7 @@ class TestEncode:
             record("F0", "d", sp_rating="A", moody_rating=None, e2c_bps=12.5),
             record("F1", "d", sp_rating="B", moody_rating=None, e2c_bps=90.0),
         ]
-        matrix = encode_features(records)
+        matrix = encode_features(records_table(records))
         names = matrix.column_names()
         rating_col = names.index("rating")
         assert matrix.X[0, rating_col] > matrix.X[1, rating_col]
@@ -145,31 +147,27 @@ class TestEncode:
 
     def test_deterministic_bytes(self):
         records = [record(f"F{i}", "d", country=c) for i, c in enumerate("ABCABD")]
-        m1 = encode_features(records)
-        m2 = encode_features(records)
+        m1 = encode_features(records_table(records))
+        m2 = encode_features(records_table(records))
         assert m1.X.tobytes() == m2.X.tobytes()
         assert m1.y.tobytes() == m2.y.tobytes()
         assert m1.columns == m2.columns
 
     def test_unseen_category_warns_and_zeroes(self):
         train = [record(f"F{i}", "d", country=c) for i, c in enumerate(("US", "US", "EU"))]
-        encoder = FeatureEncoder.fit(train)
+        encoder = FeatureEncoder.fit(records_table(train))
         test_rec = record("G0", "d", country="JP")
         with pytest.warns(UserWarning, match="unseen country"):
-            matrix = encoder.transform([test_rec])
+            matrix = encoder.transform(records_table([test_rec]))
         dummy_cols = [j for j, c in enumerate(matrix.columns) if c.name.startswith("country_")]
         assert matrix.X[0, dummy_cols].sum() == 0.0
 
     def test_incomplete_rejected(self):
         with pytest.raises(ValueError, match="incomplete"):
-            encode_features([record("F0", "d", e2c_bps=None)])
-
-    def test_duplicate_keys_rejected(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            encode_features([record("F0", "d"), record("F0", "d")])
+            encode_features(records_table([record("F0", "d", e2c_bps=None)]))
 
     def test_matrix_read_only(self):
-        matrix = encode_features([record("F0", "d"), record("F1", "d")])
+        matrix = encode_features(records_table([record("F0", "d"), record("F1", "d")]))
         with pytest.raises(ValueError):
             matrix.X[0, 0] = 1.0
 
@@ -189,7 +187,7 @@ def grid_matrix(n_firms, n_dates, drop=()):
                     cds5y_bps=float(20 + i * t),
                 )
             )
-    return encode_features(records)
+    return encode_features(records_table(records))
 
 
 class TestSplit:

@@ -7,7 +7,6 @@ from e2credit.errors import InputFormatError
 from e2credit.snapshots import (
     _CHUNK_ROWS,
     SNAPSHOT_COLUMNS,
-    compute_spread_row,
     build_records,
     read_snapshots,
     write_csv,
@@ -17,6 +16,7 @@ from e2credit.snapshots import (
 from e2credit.structural import ModelParams
 
 PARAMS = ModelParams()
+KEY = ("ACME", "2016-02-05")
 
 
 def base_row(**overrides):
@@ -113,9 +113,11 @@ class TestReadSnapshots:
         assert read_snapshots(path)[0].get("sp_rating") == "bbb-"
 
     def test_bad_date(self, tmp_path):
-        path = write_rows(tmp_path / "bad.csv", [base_row(date="05/02/2016")])
-        with pytest.raises(InputFormatError, match="ISO date"):
-            read_snapshots(path)
+        # Python 3.11's date.fromisoformat takes the last two; 3.10's does not.
+        for text in ("05/02/2016", "20160205", "2016-W05-5"):
+            path = write_rows(tmp_path / "bad.csv", [base_row(date=text)])
+            with pytest.raises(InputFormatError, match=rf"bad.csv:2: bad ISO date '{text}'"):
+                read_snapshots(path)
 
     def test_duplicate_key(self, tmp_path):
         path = write_rows(tmp_path / "dup.csv", [base_row(), base_row()])
@@ -139,8 +141,7 @@ class TestComputeSpreadRow:
     def test_composed_example(self, tmp_path):
         # Debt-per-share example feeds the spread: D = (1000-100)/50 = 18.
         path = write_rows(tmp_path / "snap.csv", [base_row()])
-        snap = read_snapshots(path)[0]
-        spread = compute_spread_row(snap, PARAMS)
+        spread = build_records(read_snapshots(path), PARAMS)[1][KEY]
         assert spread.ok
         assert spread.debt_per_share == 18.0
         assert spread.selected_vol == 0.3
@@ -151,8 +152,8 @@ class TestComputeSpreadRow:
 
     def test_zero_debt_zero_spread(self, tmp_path):
         row = base_row(long_term_debt=0.0, minority_interest=0.0)
-        snap = read_snapshots(write_rows(tmp_path / "s.csv", [row]))[0]
-        spread = compute_spread_row(snap, PARAMS)
+        snaps = read_snapshots(write_rows(tmp_path / "s.csv", [row]))
+        spread = build_records(snaps, PARAMS)[1][KEY]
         assert spread.ok
         assert spread.debt_per_share == 0.0
         assert spread.e2c_bps == 0.0
@@ -160,15 +161,15 @@ class TestComputeSpreadRow:
 
     def test_missing_field_reason(self, tmp_path):
         row = base_row(stock_price=None)
-        snap = read_snapshots(write_rows(tmp_path / "s.csv", [row]))[0]
-        spread = compute_spread_row(snap, PARAMS)
+        snaps = read_snapshots(write_rows(tmp_path / "s.csv", [row]))
+        spread = build_records(snaps, PARAMS)[1][KEY]
         assert not spread.ok
         assert "stock_price" in spread.reason
 
     def test_no_vol_quotes_reason(self, tmp_path):
         row = base_row(hist_vol_30=None, hist_vol_60=None, hist_vol_120=None)
-        snap = read_snapshots(write_rows(tmp_path / "s.csv", [row]))[0]
-        spread = compute_spread_row(snap, PARAMS)
+        snaps = read_snapshots(write_rows(tmp_path / "s.csv", [row]))
+        spread = build_records(snaps, PARAMS)[1][KEY]
         assert spread.reason == "no volatility quotes"
 
     # One row per failure kind, and rows with two faults: the reason is the
@@ -210,8 +211,8 @@ class TestComputeSpreadRow:
         ],
     )
     def test_reason_text(self, tmp_path, overrides, reason):
-        snap = read_snapshots(write_rows(tmp_path / "s.csv", [base_row(**overrides)]))[0]
-        spread = compute_spread_row(snap, PARAMS)
+        snaps = read_snapshots(write_rows(tmp_path / "s.csv", [base_row(**overrides)]))
+        spread = build_records(snaps, PARAMS)[1][KEY]
         assert spread.reason == reason
         assert spread.e2c_bps is None and spread.creditgrades_bps is None
 
@@ -230,8 +231,8 @@ class TestComputeSpreadRow:
             other_st_liabilities=None,
             lease_obligations=None,
         )
-        snap = read_snapshots(write_rows(tmp_path / "s.csv", [row]))[0]
-        assert compute_spread_row(snap, PARAMS).ok
+        snaps = read_snapshots(write_rows(tmp_path / "s.csv", [row]))
+        assert build_records(snaps, PARAMS)[1][KEY].ok
 
 
 class TestBuildRecords:
@@ -241,9 +242,9 @@ class TestBuildRecords:
         records, spreads = build_records(snaps, PARAMS)
         assert len(records) == 2
         assert records[0].e2c_bps is not None
-        assert records[0].is_complete()
+        assert records.complete[0]
         assert records[1].e2c_bps is None
-        assert not records[1].is_complete()
+        assert not records.complete[1]
         assert spreads[("B", "2016-02-05")].reason != ""
 
     def test_spread_csv_written(self, tmp_path):
@@ -251,7 +252,7 @@ class TestBuildRecords:
         snaps = read_snapshots(write_rows(tmp_path / "s.csv", rows))
         _, spreads = build_records(snaps, PARAMS)
         out = tmp_path / "aug.csv"
-        write_spread_csv(snaps, spreads, out)
+        write_spread_csv(spreads, out)
         lines = out.read_text(encoding="utf-8").splitlines()
         header = lines[0].split(",")
         assert header[-5:] == [
@@ -263,13 +264,6 @@ class TestBuildRecords:
         bad = dict(zip(header, lines[2].split(",")))
         assert bad["e2c_bps"] == ""
         assert "stock_price" in bad["reason"]
-
-    def test_spread_csv_rejects_spreads_of_other_rows(self, tmp_path):
-        rows = [base_row(), base_row(firm_id="B", stock_price=None)]
-        snaps = read_snapshots(write_rows(tmp_path / "s.csv", rows))
-        _, spreads = build_records(list(reversed(list(snaps))), PARAMS)
-        with pytest.raises(ValueError, match="not those of these snapshot rows"):
-            write_spread_csv(snaps, spreads, tmp_path / "aug.csv")
 
 
 class TestWriteCsv:

@@ -2,20 +2,10 @@ import numpy as np
 import pytest
 
 from e2credit.dataset import drop_incomplete
-from e2credit.snapshots import FirmSnapshot, build_records
 from e2credit.structural import ModelParams
 from e2credit.synth import generate_snapshots
 
-
-def to_snapshots(rows):
-    return [
-        FirmSnapshot(
-            firm_id=r["firm_id"],
-            date=r["date"],
-            values={k: v for k, v in r.items() if k not in ("firm_id", "date")},
-        )
-        for r in rows
-    ]
+from conftest import build_from_rows
 
 
 class TestGenerator:
@@ -32,20 +22,20 @@ class TestGenerator:
         _, meta = generate_snapshots(n_firms=60, n_dates=40, seed=0)
         assert meta["bayes_r2_realized"] == pytest.approx(0.90, abs=0.02)
 
-    def test_all_rows_complete_by_default(self):
+    def test_all_rows_complete_by_default(self, tmp_path):
         rows, _ = generate_snapshots(n_firms=10, n_dates=6, seed=1)
-        records, _ = build_records(to_snapshots(rows), ModelParams())
+        records, _ = build_from_rows(rows, tmp_path / "s.csv", ModelParams())
         assert len(drop_incomplete(records)) == len(rows)
 
-    def test_missing_rate_drops_rows(self):
+    def test_missing_rate_drops_rows(self, tmp_path):
         rows, _ = generate_snapshots(n_firms=10, n_dates=8, seed=2, missing_rate=0.2)
-        records, _ = build_records(to_snapshots(rows), ModelParams())
+        records, _ = build_from_rows(rows, tmp_path / "s.csv", ModelParams())
         kept = drop_incomplete(records)
         assert 0 < len(kept) < len(rows)
 
-    def test_label_and_spread_ranges(self):
+    def test_label_and_spread_ranges(self, tmp_path):
         rows, _ = generate_snapshots(n_firms=25, n_dates=12, seed=3)
-        records, _ = build_records(to_snapshots(rows), ModelParams())
+        records, _ = build_from_rows(rows, tmp_path / "s.csv", ModelParams())
         e2c = np.array([r.e2c_bps for r in records])
         cds = np.array([r.cds5y_bps for r in records])
         assert (e2c > 0).all() and (cds >= 1.0).all()
