@@ -10,13 +10,23 @@ Split search is exact greedy CART. Every midpoint between two consecutive
 distinct values of a candidate feature inside a node is scored by the summed
 SSE of the two children; within a feature the first minimum (lowest
 threshold) wins, and a later feature must beat the incumbent by TIE_TOL
-times the node SSE. Each column takes one of two routes, chosen from its
+times the node SSE. Each column takes one of three routes, chosen from its
 own count V of distinct values over the matrix's N rows:
 
-* few values (V * V <= N, which takes in every two-valued dummy):
-  per-(node, value) counts and label sums from np.bincount, prefix-summed
-  along the value axis inside each node. The bins are the distinct values
-  themselves, so the scan stays exact; columns with equal V share the calls.
+* two values (every one-hot dummy): the columns are packed into blocks of
+  columns that are never high on the same row, like the country dummies of
+  one encoded panel. A block holds one code per row, 0 where no member is
+  high and j + 1 where member j is; as members never share a high row,
+  code j + 1 marks exactly the rows where member j is high. np.bincount
+  over (node, code) gives each member's high count n_j and label sum s_j,
+  and its only split sends every other row left: n - n_j rows summing to
+  t - s_j, t being the node total. These are the count and sum of that
+  very partition, so the scan stays exact, and a block of c columns costs
+  two passes over the rows instead of 2c.
+* few values (V >= 3, V * V <= N): per-(node, value) counts and label sums
+  from np.bincount, prefix-summed along the value axis inside each node.
+  The bins are the distinct values themselves, so the scan stays exact;
+  columns with equal V share the calls.
 * many values: the column is argsorted once per matrix. Every level keeps
   each node's rows in value order (a stable partition into the children)
   and takes segmented prefix sums that restart at every node boundary.
@@ -45,11 +55,16 @@ class Presorted:
     """Per-matrix column index shared by every tree grown on one X.
 
     ranks[f, r] is the dense rank of X[r, f] among the column's distinct
-    values, stored ascending in distinct[offset[f]:]. Columns with V
-    distinct values over N rows take the bincount route when V * V <= N,
-    grouped by V; the others are presorted, orders[j] listing the rows in
-    ascending order of column sorted_feats[j]. A constant column (V == 1)
-    has no split candidate and takes neither route.
+    values, stored ascending in distinct[offset[f]:]. Every two-valued
+    column belongs to one block: a column joins the first block none of
+    whose members is high (rank 1) on a row where it is high, and otherwise
+    opens a new one. A block stores one code per row, 0 where no member is
+    high and j + 1 where member j is, so blocks[b] is (members, codes,
+    thresholds), the thresholds being each member's midpoint. Columns with
+    V >= 3 distinct values over N rows take the bincount route when
+    V * V <= N, grouped by V; the others are presorted, orders[j] listing
+    the rows in ascending order of column sorted_feats[j]. A constant column
+    (V == 1) has no split candidate and takes no route.
     """
 
     def __init__(self, X):
@@ -65,14 +80,30 @@ class Presorted:
         self.distinct = ordered[run_start]
         n_distinct = sorted_rank[:, -1] + 1 if N else np.zeros(p, dtype=np.int64)
         self.offset = np.cumsum(n_distinct) - n_distinct
-        few = (n_distinct * n_distinct <= N) & (n_distinct >= 2)
+        blocks = []
+        for f in np.flatnonzero(n_distinct == 2).tolist():
+            high = self.ranks[f] == 1
+            members, codes = next((b for b in blocks if not high[b[1] > 0].any()),
+                                  ([], np.zeros(N, dtype=np.int64)))
+            if not members:
+                blocks.append((members, codes))
+            members.append(f)
+            codes[high] = len(members)
+        self.blocks = []
+        for members, codes in blocks:
+            members = np.array(members)
+            lo = self.distinct[self.offset[members]]
+            hi = self.distinct[self.offset[members] + 1]
+            self.blocks.append((members, codes, (lo + hi) / 2.0))
+        many = n_distinct >= 3
+        few = many & (n_distinct * n_distinct <= N)
         # col_keys numbers the (column, value) bins of one node of a group.
         self.groups = []
         for v in np.unique(n_distinct[few]):
             cols = np.flatnonzero(few & (n_distinct == v))
             col_keys = self.ranks[cols] + v * np.arange(cols.shape[0])[:, None]
             self.groups.append((int(v), cols, col_keys))
-        self.sorted_feats = np.flatnonzero(~few & (n_distinct >= 2))
+        self.sorted_feats = np.flatnonzero(many & ~few)
         self.orders = order[self.sorted_feats]
 
 
@@ -89,6 +120,7 @@ class _Batch:
         self.y = y[rows]
         # np.take keeps gathered blocks C-contiguous; [:, idx] would not.
         self.group_keys = [np.take(keys, rows, axis=1) for _, _, keys in pre.groups]
+        self.block_codes = [codes[rows] for _, codes, _ in pre.blocks]
         self.sorted_ranks = np.take(pre.ranks[pre.sorted_feats], rows, axis=1)
         # Positions in ascending order of each presorted column within each
         # tree, from the matrix-wide row order: every (tree, row) pair
@@ -160,6 +192,21 @@ def _scan_level(batch, O, counts, mean, sel):
     node_sse = np.add.reduceat(yc_g * yc_g, starts)
     cand_sse = np.full((pre.p, K), np.inf)
     cand_thr = np.zeros((pre.p, K))
+
+    # Member j of a block splits "code j + 1 versus the rest": its left
+    # child holds every row of the node but the n_j with code j + 1.
+    node_sum = np.add.reduceat(yc_g, starts)[:, None]
+    for (cols, _, thr), codes in zip(pre.blocks, batch.block_codes):
+        width = cols.shape[0] + 1
+        key = np.take(codes, act) + seg * width
+        n_j = np.bincount(key, minlength=K * width).reshape(K, width)[:, 1:]
+        s_j = np.bincount(key, yc_g, K * width).reshape(K, width)[:, 1:]
+        sse, ok = _split_sse(
+            node_sse[:, None], node_sum - s_j, node_sum, counts[:, None] - n_j,
+            counts[:, None],
+        )
+        cand_sse[cols] = np.where(ok, sse, np.inf).T
+        cand_thr[cols] = thr[:, None]
 
     for (v, cols, _), keys in zip(pre.groups, batch.group_keys):
         c = cols.shape[0]

@@ -179,7 +179,7 @@ def cmd_evaluate(args, config: RunConfig, out_dir: Path) -> None:
     forest, complete, matrix, spreads = _forest_and_dataset(args, config)
     models = {
         "e2c": matrix.X[:, 0],
-        "creditgrades": spreads.creditgrades_bps[complete.index],
+        "creditgrades": spreads.creditgrades_at(complete.index),
         "forest": forest.predict(matrix.X),
     }
     actual = matrix.y

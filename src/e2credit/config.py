@@ -15,7 +15,10 @@ from .errors import InputFormatError
 from .structural import ModelParams
 
 _MODEL_FIELDS = {f.name for f in fields(ModelParams)}
-_INT_MINIMUM = {"trees": 1, "features_per_split": 1, "max_depth": 1, "seed": 0, "workers": 1}
+# Inclusive (low, high) of each integer field, None where unbounded. 10,000
+# trees is 200 times the default: a forest that large is a typo, not a run.
+_INT_RANGE = {"trees": (1, 10_000), "features_per_split": (1, None), "max_depth": (1, None),
+              "seed": (0, None), "workers": (1, None)}
 _FRACTION_FIELDS = {"firm_frac", "date_frac"}
 
 
@@ -29,8 +32,12 @@ def _check_value(name: str, value) -> None:
             ModelParams(**{name: value})
         except ValueError as exc:
             raise InputFormatError(str(exc)) from None
-    elif name in _INT_MINIMUM and value < _INT_MINIMUM[name]:
-        raise InputFormatError(f"{name} must be >= {_INT_MINIMUM[name]}, got {value}")
+    elif name in _INT_RANGE:
+        low, high = _INT_RANGE[name]
+        if value < low:
+            raise InputFormatError(f"{name} must be >= {low}, got {value}")
+        if high is not None and value > high:
+            raise InputFormatError(f"{name} must be <= {high}, got {value}")
     elif name in _FRACTION_FIELDS and not 0.0 <= value < 1.0:
         raise InputFormatError(f"{name} must be in [0, 1), got {value}")
 

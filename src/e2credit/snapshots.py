@@ -306,7 +306,8 @@ class SpreadRow:
 class Spreads(Mapping):
     """Spread outputs of a Snapshots table as columns in its row order, NaN
     where a row is not priced, with each row's reason; also a mapping from
-    (firm_id, date) to SpreadRow. CreditGrades is priced on first use."""
+    (firm_id, date) to SpreadRow. CreditGrades is priced on first use, of
+    all rows or of the rows asked for."""
 
     snaps: Snapshots
     reason: list[str]
@@ -319,11 +320,18 @@ class Spreads(Mapping):
     @cached_property
     def creditgrades_bps(self) -> np.ndarray:
         """The scalar CreditGrades spread of every priced row."""
-        out = np.full(len(self.reason), np.nan)
+        return self.creditgrades_at(np.arange(len(self.reason)))
+
+    def creditgrades_at(self, rows: np.ndarray) -> np.ndarray:
+        """The scalar CreditGrades spread of the given rows, NaN where a row
+        is not priced; only these rows are priced."""
+        rows = np.asarray(rows, dtype=np.int64)
+        out = np.full(rows.shape[0], np.nan)
+        ok = self.ok[rows]
         inputs = (self.snaps.columns["stock_price"], self.selected_vol, self.debt_per_share)
-        out[self.ok] = [
+        out[ok] = [
             creditgrades_spread(SpreadInputs(*args), self.params)
-            for args in zip(*(x[self.ok].tolist() for x in inputs))
+            for args in zip(*(x[rows[ok]].tolist() for x in inputs))
         ]
         return out
 

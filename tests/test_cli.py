@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from e2credit import cli
+from e2credit import snapshots as snapshots_mod
 from e2credit.cli import build_parser, main
 from e2credit.config import RunConfig, save_config
 from e2credit.forest import load_forest
@@ -201,6 +202,24 @@ class TestMalformedInput:
         assert capsys.readouterr().err.startswith(f"input error: {message}")
         assert not (tmp_path / "o").exists()
 
+    def test_too_many_trees_exit_2_before_any_forest(self, synth_dir, tmp_path, capsys,
+                                                     monkeypatch):
+        def no_forest(*args, **kwargs):
+            raise AssertionError("a forest was started")
+
+        monkeypatch.setattr(cli, "fit_forest", no_forest)
+        config = tmp_path / "run.cfg"
+        config.write_text("workers = 1\ntrees = 10001\n")
+        for flags, message in (
+            (["--trees", "10001"], "input error: trees must be <= 10000, got 10001"),
+            (["--config", str(config)], f"input error: {config}:2: trees must be <= 10000"),
+        ):
+            code = main(["train", str(synth_dir / "snapshots.csv"), *flags,
+                         "--out-dir", str(tmp_path / "o")])
+            assert code == 2
+            assert capsys.readouterr().err.startswith(message)
+            assert not (tmp_path / "o").exists()
+
     def test_out_of_range_config_exit_2(self, synth_dir, tmp_path, capsys):
         config = tmp_path / "run.cfg"
         config.write_text("workers = 1\nmax_depth = 0\n")
@@ -327,6 +346,26 @@ class TestEvaluateCommand:
             "firm_id", "date", "cds_5y_bps", "e2c_bps", "creditgrades_bps",
             "forest_bps",
         ]
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_prices_creditgrades_for_evaluated_rows_only(self, tmp_path, monkeypatch):
+        # Blanked ratings drop priced rows from the dataset: CreditGrades is
+        # priced once per evaluated row, not once per priced row.
+        synth = tmp_path / "synth"
+        assert main(["synth", "--firms", "30", "--dates", "20", "--seed", "4",
+                     "--missing-rate", "0.2", "--out-dir", str(synth)]) == 0
+        snapshots_csv = str(synth / "snapshots.csv")
+        assert main(["train", snapshots_csv, "--trees", "2", "--features-per-split", "4",
+                     "--max-depth", "3", "--out-dir", str(tmp_path / "t")]) == 0
+        calls = []
+        pricing = snapshots_mod.creditgrades_spread
+        monkeypatch.setattr(snapshots_mod, "creditgrades_spread",
+                            lambda *args: calls.append(args) or pricing(*args))
+        out = tmp_path / "eval"
+        assert main(["evaluate", str(tmp_path / "t" / "forest.e2cf"), snapshots_csv,
+                     "--out-dir", str(out)]) == 0
+        evaluated = read_table(out / "timeseries.csv")
+        assert len(calls) == len(evaluated) < 600
 
     def test_column_mismatch_exit_4(self, trained_dir, tmp_path):
         other = tmp_path / "other"

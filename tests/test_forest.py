@@ -8,10 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import e2credit.forest as forest_mod
-from e2credit.dataset import FeatureMatrix
+from e2credit import _kernels
+from e2credit.dataset import FeatureEncoder, FeatureMatrix, drop_incomplete
+from e2credit.structural import ModelParams
+from e2credit.synth import generate_snapshots
 from e2credit.errors import InputFormatError
 
-from conftest import edit_header
+from conftest import build_from_rows, edit_header
 from e2credit.forest import (
     Forest,
     Nodes,
@@ -144,7 +147,7 @@ class TestGrowTree:
         # With m = p each internal node must hold the exhaustive best split
         # of its own training rows, and a leaf that could still split must
         # have none. The columns are two-valued, few-valued, many-valued
-        # and continuous, so both scan routes are covered.
+        # and continuous, so every scan route is covered.
         for seed in range(12):
             rng = np.random.default_rng(seed)
             n = int(rng.integers(40, 300))
@@ -158,27 +161,38 @@ class TestGrowTree:
                 np.round(rng.normal(size=n), 1),
             ]).astype(np.float64)
             y = X[:, 0] + 0.5 * X[:, 2] + np.sin(X[:, 5]) + rng.normal(scale=0.5, size=n)
-            boot = rng.integers(0, n, size=n)
-            cap = None if seed % 2 else 5
-            tree = grow_tree(X, y, boot, m=X.shape[1], max_depth=cap,
-                             rng=np.random.default_rng(seed))
-            feats = np.arange(X.shape[1])
-            node_rows = {0: boot}
-            depth = {0: 0}
-            for i in range(tree.n_nodes):
-                rows = node_rows[i]
-                assert rows.size == tree.n_samples[i]
-                expected = brute_best_split(X, y, rows, feats)
-                if tree.feature[i] == -1:
-                    open_node = cap is None or depth[i] < cap
-                    if open_node and np.ptp(y[rows]) > 0.0:
-                        assert expected is None
-                    continue
-                assert (tree.feature[i], tree.threshold[i]) == expected[:2]
-                go_left = X[rows, tree.feature[i]] <= tree.threshold[i]
-                node_rows[tree.left[i]] = rows[go_left]
-                node_rows[tree.right[i]] = rows[~go_left]
-                depth[tree.left[i]] = depth[tree.right[i]] = depth[i] + 1
+            check_splits_against_oracle(X, y, rng, seed, brute_best_split)
+
+    def test_block_splits_match_brute_force(self, brute_best_split):
+        # Columns 0-3 dummy-encode a 5-level categorical (level 4 dropped,
+        # all zero); column 5 takes {-3, 7} and is 7 only on level-4 rows,
+        # so the six join one block. Column 4 is a dummy that overlaps them
+        # and opens a block of its own. Nodes below a split on a member,
+        # where that member is constant but others are not, must split as
+        # the exhaustive search does.
+        member_constant = 0
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(40, 300))
+            level = rng.integers(0, 5, n)
+            X = np.column_stack([
+                *(level == k for k in range(4)),
+                rng.integers(0, 2, n),
+                np.where((level == 4) & (rng.random(n) < 0.5), 7.0, -3.0),
+                rng.integers(0, 5, n),
+                rng.integers(0, 12, n),
+                rng.integers(0, 40, n),
+                rng.normal(size=n),
+                np.round(rng.normal(size=n), 1),
+            ]).astype(np.float64)
+            pre = _kernels.Presorted(X)
+            assert [b[0].tolist() for b in pre.blocks] == [[0, 1, 2, 3, 5], [4]]
+            y = (np.array([0.0, 2.0, -1.0, 3.0, 1.0])[level] + 0.3 * X[:, 4]
+                 + np.sin(X[:, 9]) + rng.normal(scale=0.5, size=n))
+            for rows in check_splits_against_oracle(X, y, rng, seed, brute_best_split):
+                varies = np.ptp(X[rows][:, [0, 1, 2, 3, 5]], axis=0) > 0
+                member_constant += bool(varies.any() and not varies.all())
+        assert member_constant > 0
 
     def test_m_validation(self):
         with pytest.raises(ValueError):
@@ -226,18 +240,18 @@ class TestFitForest:
                          m=small_matrix.n_features, max_depth=6, rng=rng)
         assert np.array_equal(forest.predict(small_matrix.X), cart.predict(small_matrix.X))
 
-    def test_trees_grown_together_equal_trees_grown_alone(self, small_matrix):
+    def test_trees_grown_together_equal_trees_grown_alone(self, small_matrix, block_matrix):
         # fit_forest grows its trees in one batch here; each must match the
         # tree grown on its own from the same bootstrap and generator.
-        forest = fit_forest(small_matrix, n_trees=6, m=3, max_depth=6, master_seed=2)
-        for b, tree in enumerate(forest.trees):
-            rng = forest_mod._tree_rng(2, b)
-            boot = forest_mod._draw_bootstrap(rng, small_matrix.n_rows)
-            alone = grow_tree(small_matrix.X, small_matrix.y, boot, m=3,
-                              max_depth=6, rng=rng)
-            for name in ("feature", "threshold", "left", "right", "value",
-                         "n_samples", "improvement"):
-                assert getattr(tree, name).tobytes() == getattr(alone, name).tobytes()
+        for matrix in (small_matrix, block_matrix):
+            forest = fit_forest(matrix, n_trees=6, m=3, max_depth=6, master_seed=2)
+            for b, tree in enumerate(forest.trees):
+                rng = forest_mod._tree_rng(2, b)
+                boot = forest_mod._draw_bootstrap(rng, matrix.n_rows)
+                alone = grow_tree(matrix.X, matrix.y, boot, m=3, max_depth=6, rng=rng)
+                for name in ("feature", "threshold", "left", "right", "value",
+                             "n_samples", "improvement"):
+                    assert getattr(tree, name).tobytes() == getattr(alone, name).tobytes()
 
     def test_prediction_is_mean_of_trees(self, small_matrix):
         forest = fit_forest(small_matrix, n_trees=7, m=2, max_depth=5, master_seed=3)
@@ -256,20 +270,20 @@ class TestFitForest:
         with pytest.raises(ValueError, match="dimension"):
             forest.predict(np.zeros((3, small_matrix.n_features + 1)))
 
-    def test_determinism_across_workers(self, small_matrix):
-        forests = [
-            fit_forest(small_matrix, n_trees=8, m=3, max_depth=6, master_seed=11,
-                       workers=w)
-            for w in (1, 2, 4)
-        ]
-        reference = forests[0]
-        for other in forests[1:]:
-            for ta, tb in zip(reference.trees, other.trees):
-                assert np.array_equal(ta.feature, tb.feature)
-                assert np.array_equal(ta.threshold, tb.threshold)
-                assert np.array_equal(ta.value, tb.value)
-            for oa, ob in zip(reference.oob_indices, other.oob_indices):
-                assert np.array_equal(oa, ob)
+    def test_determinism_across_workers(self, small_matrix, block_matrix):
+        for matrix in (small_matrix, block_matrix):
+            forests = [
+                fit_forest(matrix, n_trees=8, m=3, max_depth=6, master_seed=11, workers=w)
+                for w in (1, 2, 4)
+            ]
+            reference = forests[0]
+            for other in forests[1:]:
+                for ta, tb in zip(reference.trees, other.trees):
+                    assert np.array_equal(ta.feature, tb.feature)
+                    assert np.array_equal(ta.threshold, tb.threshold)
+                    assert np.array_equal(ta.value, tb.value)
+                for oa, ob in zip(reference.oob_indices, other.oob_indices):
+                    assert np.array_equal(oa, ob)
 
     @pytest.mark.parametrize("cpus, threads", [(1, []), (2, [2]), (None, [])])
     def test_workers_capped_at_cpu_count(self, small_matrix, monkeypatch, cpus, threads):
@@ -333,6 +347,69 @@ class TestFitForest:
         assert np.array_equal(
             g_base.predict(small_matrix.X), g_cubed.predict(transformed.X)
         )
+
+
+@pytest.fixture
+def block_matrix():
+    """120 rows: two continuous columns, a 4-level categorical as three
+    exclusive dummies (one block) and a dummy that overlaps them."""
+    rng = np.random.default_rng(4321)
+    level = rng.integers(0, 4, 120)
+    X = np.column_stack([
+        rng.normal(size=120), *(level == k for k in range(3)),
+        rng.integers(0, 2, 120), rng.normal(size=120),
+    ]).astype(np.float64)
+    assert [b[0].tolist() for b in _kernels.Presorted(X).blocks] == [[1, 2, 3], [4]]
+    y = (X[:, 0] + np.array([0.0, 1.5, -1.0, 0.5])[level] + 0.5 * X[:, 4]
+         + rng.normal(scale=0.3, size=120))
+    return FeatureMatrix.from_arrays(X, y)
+
+
+class TestPresorted:
+    def test_encoded_dummies_form_two_blocks(self, tmp_path):
+        rows, _ = generate_snapshots(n_firms=100, n_dates=60, seed=1, missing_rate=0.1)
+        records, _ = build_from_rows(rows, tmp_path / "snapshots.csv", ModelParams())
+        complete = drop_incomplete(records)
+        matrix = FeatureEncoder.fit(complete).transform(complete)
+        names = matrix.column_names()
+        blocks = [[names[f] for f in members]
+                  for members, _, _ in _kernels.Presorted(matrix.X).blocks]
+        assert blocks == [[c for c in names if c.startswith(prefix)]
+                          for prefix in ("country_", "sector_")]
+        assert all(len(b) > 1 for b in blocks)
+
+    def test_blocks_hold_exclusive_columns_only(self):
+        rng = np.random.default_rng(8)
+        n = 200
+        X = np.column_stack([
+            *(rng.random(n) < q for q in (0.05, 0.1, 0.3, 0.05, 0.5, 0.02, 0.1)),
+            np.full(n, 2.5),
+            np.where(rng.random(n) < 0.1, 7.0, -3.0),
+            rng.normal(size=n),
+            rng.integers(0, 4, n),
+        ]).astype(np.float64)
+        constant = 7
+        high = X == X.max(axis=0)
+        pre = _kernels.Presorted(X)
+        in_blocks = []
+        for b, (members, codes, thresholds) in enumerate(pre.blocks):
+            expected = np.zeros(n, dtype=np.int64)
+            for j, f in enumerate(members.tolist()):
+                # Never high where an earlier member is, and high somewhere
+                # in every earlier block: it joined the first block it fits.
+                assert not (high[:, f] & (expected > 0)).any()
+                for earlier, _, _ in pre.blocks[:b]:
+                    assert (high[:, f, None] & high[:, earlier[earlier < f]]).any()
+                expected[high[:, f]] = j + 1
+                assert thresholds[j] == (X[:, f].min() + X[:, f].max()) / 2.0
+            assert np.array_equal(codes, expected)
+            in_blocks += members.tolist()
+        two_valued = [f for f in range(X.shape[1]) if np.unique(X[:, f]).size == 2]
+        assert sorted(in_blocks) == two_valued
+        assert len(pre.blocks) > 1 and any(len(m) > 1 for m, _, _ in pre.blocks)
+        routed = in_blocks + [f for _, cols, _ in pre.groups for f in cols.tolist()]
+        routed += pre.sorted_feats.tolist()
+        assert sorted(routed) == [f for f in range(X.shape[1]) if f != constant]
 
 
 class TestSerialization:
@@ -622,3 +699,35 @@ def bootstrap_rows(master_seed, tree_index, n):
     """The bootstrap rows fit_forest draws for a tree."""
     rng = forest_mod._tree_rng(master_seed, tree_index)
     return forest_mod._draw_bootstrap(rng, n)
+
+
+def check_splits_against_oracle(X, y, rng, seed, brute_best_split):
+    """Grow a tree with m = p on a bootstrap of X drawn from rng and check
+    every node against the brute-force split search: an internal node holds
+    the best split of its own rows, and a leaf that could still split has
+    none. Returns the rows of every internal node."""
+    n = X.shape[0]
+    boot = rng.integers(0, n, size=n)
+    cap = None if seed % 2 else 5
+    tree = grow_tree(X, y, boot, m=X.shape[1], max_depth=cap,
+                     rng=np.random.default_rng(seed))
+    feats = np.arange(X.shape[1])
+    node_rows = {0: boot}
+    depth = {0: 0}
+    split_rows = []
+    for i in range(tree.n_nodes):
+        rows = node_rows[i]
+        assert rows.size == tree.n_samples[i]
+        expected = brute_best_split(X, y, rows, feats)
+        if tree.feature[i] == -1:
+            open_node = cap is None or depth[i] < cap
+            if open_node and np.ptp(y[rows]) > 0.0:
+                assert expected is None
+            continue
+        assert (tree.feature[i], tree.threshold[i]) == expected[:2]
+        split_rows.append(rows)
+        go_left = X[rows, tree.feature[i]] <= tree.threshold[i]
+        node_rows[tree.left[i]] = rows[go_left]
+        node_rows[tree.right[i]] = rows[~go_left]
+        depth[tree.left[i]] = depth[tree.right[i]] = depth[i] + 1
+    return split_rows
