@@ -49,11 +49,9 @@ from .metrics import (
 )
 from .structural import (
     ModelParams,
-    SpreadInputs,
     creditgrades_spread,
     creditgrades_survival,
     e2c_spread,
-    mad_ratio,
     norm_cdf,
 )
 from .synth import generate_snapshots
@@ -70,7 +68,6 @@ __all__ = [
     "RegressionTree",
     "RunConfig",
     "Split",
-    "SpreadInputs",
     "avg_correlation",
     "best_split",
     "creditgrades_spread",
@@ -87,7 +84,6 @@ __all__ = [
     "importance_report",
     "load_config",
     "load_forest",
-    "mad_ratio",
     "mape",
     "mase",
     "mdi_importance",

@@ -27,17 +27,16 @@ from .fundamentals import (
     AMOUNT_PROBLEM,
     POSITIVE_PROBLEM,
     QUOTE_COLUMNS,
-    debt_per_share_columns,
-    financial_debt_columns,
-    select_volatility_columns,
+    debt_per_share,
+    financial_debt,
+    select_volatility,
 )
 from .structural import (
     FINITE_PROBLEM,
     MAX_SPREAD_BPS,
     ModelParams,
-    SpreadInputs,
     creditgrades_spread,
-    e2c_spread_columns,
+    e2c_spread,
 )
 
 SNAPSHOT_COLUMNS = (
@@ -319,20 +318,19 @@ class Spreads(Mapping):
 
     @cached_property
     def creditgrades_bps(self) -> np.ndarray:
-        """The scalar CreditGrades spread of every priced row."""
+        """The CreditGrades spread of every priced row."""
         return self.creditgrades_at(np.arange(len(self.reason)))
 
     def creditgrades_at(self, rows: np.ndarray) -> np.ndarray:
-        """The scalar CreditGrades spread of the given rows, NaN where a row
-        is not priced; only these rows are priced."""
+        """The CreditGrades spread of the given rows, NaN where a row is not
+        priced; only these rows are priced, in one call."""
         rows = np.asarray(rows, dtype=np.int64)
         out = np.full(rows.shape[0], np.nan)
         ok = self.ok[rows]
-        inputs = (self.snaps.columns["stock_price"], self.selected_vol, self.debt_per_share)
-        out[ok] = [
-            creditgrades_spread(SpreadInputs(*args), self.params)
-            for args in zip(*(x[rows[ok]].tolist() for x in inputs))
-        ]
+        priced = rows[ok]
+        out[ok] = creditgrades_spread(self.snaps.columns["stock_price"][priced],
+                                      self.selected_vol[priced],
+                                      self.debt_per_share[priced], self.params)
         return out
 
     @cached_property
@@ -354,22 +352,22 @@ def _problem(template: str, name: str, values: np.ndarray):
 
 
 def _price(snaps: Snapshots, params: ModelParams) -> Spreads:
-    """Debt per share, the vol input and E2C for every row, as in the scalar
-    functions. A row's reason is the first failing check of financial_debt,
-    debt_per_share, select_volatility, SpreadInputs and e2c_spread, after
-    the missing inputs; its outputs are then NaN."""
+    """Debt per share, the vol input and E2C for every row. A row's reason
+    is its first failing check: a missing input, then the arguments of
+    financial_debt and debt_per_share, a negative quote, and a non-finite
+    vol input, debt per share or E2C spread. Its outputs are then NaN."""
     col = snaps.columns
     bank = col["is_banking"]
     price, cap, fx = col["stock_price"], col["market_cap"], col["fx_rate"]
     debts = ("long_term_debt",) + _NONBANK_EXTRA
     quotes = np.column_stack([col[c] for c in QUOTE_COLUMNS])
     with np.errstate(all="ignore"):
-        fin_debt = financial_debt_columns(*(col[c] for c in debts), bank)
-        d = debt_per_share_columns(
+        fin_debt = financial_debt(*(col[c] for c in debts), bank)
+        d = debt_per_share(
             fin_debt, col["minority_interest"], col["preferred_equity"], price, cap, fx
         )
-        vol = select_volatility_columns(quotes)
-        e2c = e2c_spread_columns(price, vol, d, params)
+        vol = select_volatility(quotes)
+        e2c = e2c_spread(price, vol, d, params)
         negative = quotes < 0.0
         first_negative = quotes[np.arange(len(snaps)), negative.argmax(axis=1)]
         checks = [

@@ -1,10 +1,15 @@
 """Closed-form credit spread approximations.
 
-Two models, both returning annualized spreads in basis points:
+Two models, both returning annualized spreads in basis points per row of
+float64 columns:
 
 * the equity-to-credit (E2C) formula, a one-line approximation driven by
   leverage and equity volatility,
 * the CreditGrades survival-probability model used as its reference.
+
+Neither checks its rows: the caller masks the rows whose inputs fail (see
+snapshots._price). exp, log and erfc are the stdlib's, applied elementwise,
+so every value has the bits of the one-row formula evaluated with math.
 """
 from __future__ import annotations
 
@@ -12,6 +17,8 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
+
+import numpy as np
 
 BPS = 1.0e4
 #: Spread reported when the survival probability underflows to zero;
@@ -27,9 +34,22 @@ _MAX_EXPONENT = math.log(sys.float_info.max)
 _SQRT2 = math.sqrt(2.0)
 
 
-def norm_cdf(x: float) -> float:
-    """P(Z <= x) for a standard normal Z, through the stdlib's math.erfc."""
-    return 0.5 * math.erfc(-x / _SQRT2)
+def _elementwise(fn):
+    """A one-argument math function applied to each entry of a float64
+    array: numpy's exp and log round some values to other bits than the
+    stdlib's (its sqrt does not), and numpy has no erfc."""
+    ufunc = np.frompyfunc(fn, 1, 1)
+    return lambda x: np.asarray(ufunc(x), dtype=np.float64)
+
+
+#: math.exp and math.log per entry of a float64 array.
+exp, log = _elementwise(math.exp), _elementwise(math.log)
+_erfc = _elementwise(math.erfc)
+
+
+def norm_cdf(x):
+    """P(Z <= x) for a standard normal Z, per entry, through math.erfc."""
+    return 0.5 * _erfc(-x / _SQRT2)
 
 
 FINITE_PROBLEM = "{} must be finite, got {!r}"
@@ -83,75 +103,40 @@ class ModelParams:
             raise ValueError(f"maturity must be > 0, got {t}")
 
 
-@dataclass(frozen=True)
-class SpreadInputs:
-    """Per-firm market inputs: spot price, equity vol, debt per share."""
+def e2c_spread(stock_price, equity_vol, debt_per_share, params: ModelParams):
+    """Equity-to-credit spread in basis points, per row:
 
-    stock_price: float
-    equity_vol: float
-    debt_per_share: float
+        spread = (1 - R) * (4/9) * L*D / (S0 + L*D) * equity_vol^2
 
-    def __post_init__(self) -> None:
-        s0 = _require_finite("stock_price", self.stock_price)
-        vol = _require_finite("equity_vol", self.equity_vol)
-        d = _require_finite("debt_per_share", self.debt_per_share)
-        if s0 <= 0.0:
-            raise ValueError(f"stock_price must be > 0, got {s0}")
-        if vol < 0.0:
-            raise ValueError(f"equity_vol must be >= 0, got {vol}")
-        if d < 0.0:
-            raise ValueError(f"debt_per_share must be >= 0, got {d}")
-
-
-def mad_ratio(inputs: SpreadInputs, debt_recovery: float) -> float:
-    """Market-adjusted debt ratio: barrier debt over enterprise market value.
-
-    Returns L*D / (S0 + L*D), in [0, 1): zero exactly when the firm has no
-    debt, increasing in debt and decreasing in the stock price.
+    scaled to bps. L*D / (S0 + L*D), the market-adjusted debt ratio, lies in
+    [0, 1): zero exactly without debt, increasing in debt and decreasing in
+    the stock price. The spread is zero iff the debt or the volatility is
+    zero or recovery is total; an overflow gives inf.
     """
-    lbar = _require_finite("debt_recovery", debt_recovery)
-    if lbar <= 0.0:
-        raise ValueError(f"debt_recovery must be > 0, got {lbar}")
-    barrier = lbar * inputs.debt_per_share
-    return barrier / (inputs.stock_price + barrier)
-
-
-def e2c_spread(inputs: SpreadInputs, params: ModelParams) -> float:
-    """Equity-to-credit spread approximation in basis points.
-
-    spread = (1 - R) * (4/9) * mad_ratio * equity_vol^2, scaled to bps.
-    Zero iff the debt or the volatility is zero or recovery is total.
-    Raises ValueError when the spread overflows to a non-finite value.
-    """
-    ratio = mad_ratio(inputs, params.debt_recovery)
-    hazard = GAUSS_FACTOR * ratio * inputs.equity_vol * inputs.equity_vol
-    return _require_finite("e2c_bps", (1.0 - params.recovery) * hazard * BPS)
-
-
-def e2c_spread_columns(stock_price, equity_vol, debt_per_share, params: ModelParams):
-    """e2c_spread per row of float64 columns, in the same operation order;
-    unchecked, so an overflow gives inf."""
     barrier = params.debt_recovery * debt_per_share
     ratio = barrier / (stock_price + barrier)
     hazard = GAUSS_FACTOR * ratio * equity_vol * equity_vol
     return (1.0 - params.recovery) * hazard * BPS
 
 
-def _clamp_probability(value: float) -> float:
-    """Clamp a computed probability into [0, 1], warning on large excursions."""
-    if value < -_CLAMP_TOL or value > 1.0 + _CLAMP_TOL:
+def _clamp_probability(value: np.ndarray) -> np.ndarray:
+    """Clamp computed probabilities into [0, 1] as min(max(v, 0), 1) does,
+    with one warning when any lies beyond the float-noise margin."""
+    far = (value < -_CLAMP_TOL) | (value > 1.0 + _CLAMP_TOL)
+    if far.any():
         warnings.warn(
-            f"survival probability {value!r} clamped into [0, 1]",
+            f"{np.count_nonzero(far)} survival probabilities clamped into [0, 1], "
+            f"the first {float(value[far][0])!r}",
             RuntimeWarning,
             stacklevel=3,
         )
-    return min(max(value, 0.0), 1.0)
+    value = np.where(0.0 > value, 0.0, value)
+    return np.where(1.0 < value, 1.0, value)
 
 
-def creditgrades_survival(
-    inputs: SpreadInputs, params: ModelParams, horizon: float
-) -> float:
-    """CreditGrades survival probability at the given horizon in years.
+def creditgrades_survival(stock_price, equity_vol, debt_per_share, params: ModelParams,
+                          horizon: float) -> np.ndarray:
+    """CreditGrades survival probability per row at the given horizon in years.
 
     With L = debt_recovery, lam = debt_recovery_vol:
 
@@ -168,36 +153,38 @@ def creditgrades_survival(
     if horizon <= 0.0:
         raise ValueError(f"horizon must be > 0, got {horizon}")
     lam = params.debt_recovery_vol
-    barrier = params.debt_recovery * inputs.debt_per_share
-    if barrier == 0.0:
-        return 1.0
-    enterprise = inputs.stock_price + barrier
-    d = enterprise / barrier * math.exp(lam * lam)
-    scaled_vol = inputs.equity_vol * inputs.stock_price / enterprise
-    a_sq = scaled_vol * scaled_vol * horizon + lam * lam
-    if a_sq == 0.0 or d == math.inf:
-        # d > 1 always holds here (enterprise > barrier), so the barrier
-        # cannot be reached without variance; survival also tends to 1 as
-        # d grows past the float range.
-        return 1.0
-    a = math.sqrt(a_sq)
-    log_d = math.log(d)
-    surv = norm_cdf(-a / 2.0 + log_d / a) - d * norm_cdf(-a / 2.0 - log_d / a)
-    return _clamp_probability(surv)
+    barrier = params.debt_recovery * debt_per_share
+    with np.errstate(all="ignore"):
+        enterprise = stock_price + barrier
+        d = enterprise / barrier * math.exp(lam * lam)
+        scaled_vol = equity_vol * stock_price / enterprise
+        a_sq = scaled_vol * scaled_vol * horizon + lam * lam
+    # d > 1 wherever the barrier is not zero (enterprise > barrier), so the
+    # barrier cannot be reached without variance; survival also tends to 1
+    # as d grows past the float range.
+    live = (barrier != 0.0) & (a_sq != 0.0) & (d != math.inf)
+    surv = np.ones(d.shape)
+    a = np.sqrt(a_sq[live])
+    d = d[live]
+    log_d = log(d)
+    surv[live] = _clamp_probability(
+        norm_cdf(-a / 2.0 + log_d / a) - d * norm_cdf(-a / 2.0 - log_d / a))
+    return surv
 
 
-def creditgrades_spread(inputs: SpreadInputs, params: ModelParams) -> float:
-    """CreditGrades spread in basis points at the calibrated maturity.
+def creditgrades_spread(stock_price, equity_vol, debt_per_share,
+                        params: ModelParams) -> np.ndarray:
+    """CreditGrades spread in basis points per row, at the calibrated maturity.
 
     The survival probability is converted to a flat hazard rate h through
-    surv = exp(-h * T) and priced as (1 - R) * h. Saturated at
-    MAX_SPREAD_BPS when survival reaches zero.
+    surv = exp(-h * T) and priced as (1 - R) * h. Zero at survival 1 and
+    saturated at MAX_SPREAD_BPS when survival reaches zero.
     """
-    surv = creditgrades_survival(inputs, params, params.maturity)
-    if surv >= 1.0:
-        return 0.0
-    if surv <= 0.0:
-        return MAX_SPREAD_BPS
-    hazard = -math.log(surv) / params.maturity
-    spread = (1.0 - params.recovery) * hazard * BPS
-    return min(spread, MAX_SPREAD_BPS)
+    surv = creditgrades_survival(stock_price, equity_vol, debt_per_share, params,
+                                 params.maturity)
+    spread = np.where(surv <= 0.0, MAX_SPREAD_BPS, 0.0)
+    inside = ~((surv >= 1.0) | (surv <= 0.0))
+    hazard = -log(surv[inside]) / params.maturity
+    priced = (1.0 - params.recovery) * hazard * BPS
+    spread[inside] = np.where(MAX_SPREAD_BPS < priced, MAX_SPREAD_BPS, priced)
+    return spread

@@ -20,13 +20,8 @@ from datetime import timedelta
 import numpy as np
 
 from .dataset import moody_label, rating_label
-from .fundamentals import (
-    QUOTE_COLUMNS,
-    debt_per_share,
-    financial_debt,
-    select_volatility,
-)
-from .structural import ModelParams, SpreadInputs, e2c_spread
+from .fundamentals import QUOTE_COLUMNS, debt_per_share, financial_debt, select_volatility
+from .structural import ModelParams, e2c_spread, exp, log
 
 SECTORS = (
     "basic_materials",
@@ -89,107 +84,103 @@ def generate_snapshots(
         level = 70.0 + 0.96 * (level - 70.0) + 2.2 * eps
         cdx[t] = max(level, 25.0)
 
-    rows: list[dict] = []
-    signals: list[float] = []
-    for i in range(n_firms):
-        firm_id = f"F{i:04d}"
-        country = COUNTRIES[rng.integers(0, len(COUNTRIES))]
-        sector = SECTORS[rng.integers(0, len(SECTORS))]
-        is_banking = sector == "financial"
-        log_cap = rng.normal(9.0, 1.1)
-        cap0 = math.exp(log_cap)
-        price0 = rng.uniform(10.0, 150.0)
-        leverage = rng.uniform(0.05, 1.4)
-        base_vol = rng.uniform(0.15, 0.55)
-        fx_candidate = rng.uniform(0.6, 1.6)
-        fx = 1.0 if rng.random() < 0.7 else fx_candidate
-        min_int_frac = rng.uniform(0.0, 0.8)
-        pref_frac = rng.uniform(0.0, 0.15)
-        raw_code = 16.0 - 6.0 * leverage - 10.0 * (base_vol - 0.15) + rng.normal(0.0, 1.0)
-        sp_code = int(min(max(round(raw_code), 0), 16))
-        agency_u = rng.random()
-        shift = int(rng.integers(-1, 2))
-        moody_code = sp_code
-        if agency_u < 0.25:
-            moody_code = int(min(max(sp_code + shift, 0), 16))
-        moody_missing = agency_u > 0.93
-        vol_eps = rng.normal(0.0, 1.0, n_dates)
-        price_eps = rng.normal(0.0, 1.0, n_dates)
+    # Per-firm draws, firm by firm, each then an array over firms.
+    draws = [
+        (rng.integers(0, len(COUNTRIES)), rng.integers(0, len(SECTORS)),
+         rng.normal(9.0, 1.1), rng.uniform(10.0, 150.0), rng.uniform(0.05, 1.4),
+         rng.uniform(0.15, 0.55), rng.uniform(0.6, 1.6), rng.random(),
+         rng.uniform(0.0, 0.8), rng.uniform(0.0, 0.15), rng.normal(0.0, 1.0),
+         rng.random(), rng.integers(-1, 2),
+         rng.normal(0.0, 1.0, n_dates), rng.normal(0.0, 1.0, n_dates))
+        for _ in range(n_firms)
+    ]
+    (country, sector, log_cap, price0, leverage, base_vol, fx_candidate, fx_u,
+     min_int_frac, pref_frac, code_eps, agency_u, shift, vol_eps, price_eps) = (
+        np.array(column) for column in zip(*draws))
+    is_banking = sector == SECTORS.index("financial")
+    cap0 = exp(log_cap)
+    fx = np.where(fx_u < 0.7, 1.0, fx_candidate)
+    raw_code = 16.0 - 6.0 * leverage - 10.0 * (base_vol - 0.15) + code_eps
+    sp_code = np.clip(np.round(raw_code), 0, 16).astype(np.int64)
+    moody_code = np.where(agency_u < 0.25, np.clip(sp_code + shift, 0, 16), sp_code)
+    moody_missing = agency_u > 0.93
+    # The worse agency's grade, as merge_ratings gives it.
+    merged_code = np.where(moody_missing, sp_code, np.minimum(sp_code, moody_code))
 
-        # Balance sheet, constant per firm, in report currency. The non-bank
-        # pieces are weighted so financial_debt() recovers leverage * cap0.
-        fin_d_report = leverage * cap0 / fx
-        sheet = {
-            "long_term_debt": (1.0 if is_banking else 0.55) * fin_d_report,
-            "short_term_debt": 0.20 * fin_d_report,
-            "other_lt_liabilities": 0.30 * fin_d_report,
-            "other_st_liabilities": 0.10 * fin_d_report,
-            "lease_obligations": 0.125 * fin_d_report,
-        }
-        minority = min_int_frac * fin_d_report
-        preferred = pref_frac * cap0 / fx
-        fin_debt = financial_debt(**sheet, is_banking=is_banking)
+    # Balance sheet, constant per firm, in report currency. The non-bank
+    # pieces are weighted so financial_debt() recovers leverage * cap0.
+    fin_d_report = leverage * cap0 / fx
+    sheet = {
+        "long_term_debt": np.where(is_banking, 1.0, 0.55) * fin_d_report,
+        "short_term_debt": 0.20 * fin_d_report,
+        "other_lt_liabilities": 0.30 * fin_d_report,
+        "other_st_liabilities": 0.10 * fin_d_report,
+        "lease_obligations": 0.125 * fin_d_report,
+    }
+    minority = min_int_frac * fin_d_report
+    preferred = pref_frac * cap0 / fx
+    fin_debt = financial_debt(*sheet.values(), is_banking)
 
-        # The worse agency's grade, as merge_ratings gives it.
-        merged_code = sp_code if moody_missing else min(sp_code, moody_code)
+    # Market paths, (firms, dates): an AR(1) log-vol state and a random walk
+    # in log price, both started at 0.
+    vol_state = np.empty((n_firms, n_dates))
+    state = np.zeros(n_firms)
+    for t in range(n_dates):
+        state = 0.9 * state + 0.08 * vol_eps[:, t]
+        vol_state[:, t] = state
+    growth = exp(np.cumsum(0.02 * price_eps, axis=1))
 
-        vol_state = 0.0
-        walk = 0.0
-        for t in range(n_dates):
-            vol_state = 0.9 * vol_state + 0.08 * vol_eps[t]
-            walk += 0.02 * price_eps[t]
-            vol_t = base_vol * math.exp(vol_state)
-            price_t = price0 * math.exp(walk)
-            cap_t = cap0 * math.exp(walk)
-            quotes = [vol_t * mult for mult in _HIST_MULT + _IMPL_MULT]
-            d = debt_per_share(fin_debt, minority, preferred, price_t, cap_t, fx)
-            sel_vol = select_volatility(quotes)
-            e2c = e2c_spread(
-                SpreadInputs(stock_price=price_t, equity_vol=sel_vol, debt_per_share=d),
-                params,
-            )
-            signal = (
-                _LABEL_INTERCEPT
-                + _E2C_SLOPE * e2c
-                + _E2C_SQRT * math.sqrt(e2c)
-                + _RATING_COEF * (10.0 - merged_code)
-                + _SIZE_COEF * (9.0 - math.log(cap_t))
-                + _INDEX_COEF * (cdx[t] - 70.0)
-            )
-            signals.append(signal)
-            row = {
-                "firm_id": firm_id,
-                "date": dates[t],
-                "stock_price": price_t,
-                "market_cap": cap_t,
-                "fx_rate": fx,
-                "is_banking": is_banking,
-                **sheet,
-                "minority_interest": minority,
-                "preferred_equity": preferred,
-                "sp_rating": rating_label(sp_code),
-                "moody_rating": None if moody_missing else moody_label(moody_code),
-                "sector": sector,
-                "country": country,
-                "ig_cdx_bps": cdx[t],
-            }
-            row.update(zip(QUOTE_COLUMNS, quotes))
-            rows.append(row)
+    # One row per (firm, date), firm-major; per-firm values repeat over dates.
+    def per_row(firm_values):
+        return np.repeat(firm_values, n_dates)
 
-    signal_arr = np.array(signals)
-    signal_var = float(signal_arr.var())
+    vol = (base_vol[:, None] * exp(vol_state)).ravel()
+    price = (price0[:, None] * growth).ravel()
+    cap = (cap0[:, None] * growth).ravel()
+    quotes = vol[:, None] * np.array(_HIST_MULT + _IMPL_MULT)
+    d = debt_per_share(per_row(fin_debt), per_row(minority), per_row(preferred), price, cap,
+                       per_row(fx))
+    e2c = e2c_spread(price, select_volatility(quotes), d, params)
+    index = np.tile(cdx, n_firms)
+    signal = (
+        _LABEL_INTERCEPT
+        + _E2C_SLOPE * e2c
+        + _E2C_SQRT * np.sqrt(e2c)
+        + _RATING_COEF * (10.0 - per_row(merged_code))
+        + _SIZE_COEF * (9.0 - log(cap))
+        + _INDEX_COEF * (index - 70.0)
+    )
+    signal_var = float(signal.var())
     noise_sigma = math.sqrt(signal_var * (1.0 - bayes_r2) / bayes_r2)
-    noise = rng.normal(0.0, noise_sigma, len(rows)) if noise_sigma > 0 else 0.0
-    labels = np.maximum(signal_arr + noise, 1.0)
-    for row, label in zip(rows, labels):
-        row["cds_5y_bps"] = float(label)
+    noise = rng.normal(0.0, noise_sigma, signal.size) if noise_sigma > 0 else 0.0
+    labels = np.maximum(signal + noise, 1.0)
 
+    sp_rating = [rating_label(code) for code in per_row(sp_code).tolist()]
+    moody_rating = [None if missing else moody_label(code)
+                    for code, missing in zip(per_row(moody_code).tolist(),
+                                             per_row(moody_missing).tolist())]
     if missing_rate > 0.0:
-        gaps = rng.random(len(rows)) < missing_rate
-        for row, gap in zip(rows, gaps):
-            if gap:
-                row["sp_rating"] = None
-                row["moody_rating"] = None
+        for i in np.flatnonzero(rng.random(signal.size) < missing_rate).tolist():
+            sp_rating[i] = moody_rating[i] = None
+    columns = {
+        "firm_id": [f"F{i:04d}" for i in range(n_firms) for _ in range(n_dates)],
+        "date": dates * n_firms,
+        "stock_price": price.tolist(),
+        "market_cap": cap.tolist(),
+        "fx_rate": per_row(fx).tolist(),
+        "is_banking": per_row(is_banking).tolist(),
+        **{name: per_row(amount).tolist() for name, amount in sheet.items()},
+        "minority_interest": per_row(minority).tolist(),
+        "preferred_equity": per_row(preferred).tolist(),
+        "sp_rating": sp_rating,
+        "moody_rating": moody_rating,
+        "sector": [SECTORS[k] for k in per_row(sector).tolist()],
+        "country": [COUNTRIES[k] for k in per_row(country).tolist()],
+        "ig_cdx_bps": index.tolist(),
+        **dict(zip(QUOTE_COLUMNS, quotes.T.tolist())),
+        "cds_5y_bps": labels.tolist(),
+    }
+    rows = [dict(zip(columns, cells)) for cells in zip(*columns.values())]
 
     meta = {
         "n_firms": n_firms,

@@ -212,10 +212,53 @@ def _oracle_cell(text, col, path, lineno):
     return value
 
 
+def col(*values):
+    """A float64 column of the given values."""
+    return np.array(values, dtype=np.float64)
+
+
 def build_from_rows(rows, path, params):
     """(Records, Spreads) of snapshot dicts written to path and read back."""
     write_snapshot_csv(rows, path)
     return build_records(read_snapshots(path), params)
+
+
+def base_row(**overrides):
+    """A valid snapshot row of firm ACME on 2016-02-05, D = 18, vol 0.3."""
+    row = {
+        "firm_id": "ACME",
+        "date": "2016-02-05",
+        "stock_price": 10.0,
+        "market_cap": 500.0,
+        "fx_rate": 1.0,
+        "is_banking": False,
+        "long_term_debt": 1000.0,
+        "short_term_debt": 0.0,
+        "other_lt_liabilities": 0.0,
+        "other_st_liabilities": 0.0,
+        "lease_obligations": 0.0,
+        "minority_interest": 100.0,
+        "preferred_equity": 0.0,
+        "hist_vol_30": 0.3,
+        "hist_vol_60": 0.3,
+        "hist_vol_120": 0.3,
+        "sp_rating": "BBB",
+        "moody_rating": "Baa2",
+        "sector": "industrial",
+        "country": "US",
+        "ig_cdx_bps": 70.0,
+        "cds_5y_bps": 90.0,
+    }
+    row.update(overrides)
+    return row
+
+
+def spread_reason(path, **overrides):
+    """The reason build_from_rows gives base_row(**overrides), "" if priced."""
+    from e2credit.structural import ModelParams
+
+    _, spreads = build_from_rows([base_row(**overrides)], path, ModelParams())
+    return spreads[("ACME", "2016-02-05")].reason
 
 
 def records_table(rows):
@@ -266,39 +309,100 @@ def oracle_read_snapshots(path):
     return snapshots
 
 
-def oracle_compute_spread_row(snap, params):
-    """Per-row pricing: (debt_per_share, selected_vol, e2c_bps,
-    creditgrades_bps, reason), the four numbers None on a failure."""
-    from e2credit.fundamentals import (
-        QUOTE_COLUMNS, debt_per_share, financial_debt, select_volatility)
-    from e2credit.structural import SpreadInputs, creditgrades_spread, e2c_spread
+def oracle_survival(s0, vol, d, lbar, lam, t):
+    """CreditGrades survival probability of one row, through math.erfc, with
+    the documented conventions: a zero barrier, a vanishing A^2 and an
+    infinite d all give 1; the result is clamped into [0, 1]."""
+    import math
 
+    def phi(x):
+        return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+    ld = lbar * d
+    if ld == 0.0:
+        return 1.0
+    dd = (s0 + ld) / ld * math.exp(lam * lam)
+    scaled = vol * s0 / (s0 + ld)
+    a_sq = scaled * scaled * t + lam * lam
+    if a_sq == 0.0 or dd == math.inf:
+        return 1.0
+    a = math.sqrt(a_sq)
+    raw = phi(-a / 2.0 + math.log(dd) / a) - dd * phi(-a / 2.0 - math.log(dd) / a)
+    return min(max(raw, 0.0), 1.0)
+
+
+def oracle_creditgrades_spread(s0, vol, d, params):
+    """CreditGrades spread of one row in bps: 0 at survival 1, 1e6 at
+    survival 0, otherwise (1 - R) * -ln(surv) / T, capped at 1e6."""
+    import math
+
+    surv = oracle_survival(s0, vol, d, params.debt_recovery, params.debt_recovery_vol,
+                           params.maturity)
+    if surv >= 1.0:
+        return 0.0
+    if surv <= 0.0:
+        return 1.0e6
+    return min((1.0 - params.recovery) * (-math.log(surv) / params.maturity) * 1.0e4, 1.0e6)
+
+
+def oracle_compute_spread_row(snap, params):
+    """Per-row pricing in plain Python: (debt_per_share, selected_vol,
+    e2c_bps, creditgrades_bps, reason), the four numbers None on a failure.
+    The checks run in the documented order, each reason naming the first
+    bad argument."""
+    import math
+
+    from e2credit.fundamentals import QUOTE_COLUMNS
+
+    failed = (None, None, None, None)
     extra = ("short_term_debt", "other_lt_liabilities", "other_st_liabilities",
              "lease_obligations")
     required = ("stock_price", "market_cap", "fx_rate", "long_term_debt",
                 "minority_interest", "preferred_equity")
     is_banking = snap.get("is_banking")
     if is_banking is None:
-        return (None, None, None, None, "missing is_banking")
+        return (*failed, "missing is_banking")
     for col in required if is_banking else required + extra:
         if snap.get(col) is None:
-            return (None, None, None, None, f"missing {col}")
+            return (*failed, f"missing {col}")
     quotes = [snap.get(c) for c in QUOTE_COLUMNS if snap.get(c) is not None]
     if not quotes:
-        return (None, None, None, None, "no volatility quotes")
-    try:
-        fin_debt = financial_debt(snap.get("long_term_debt"),
-                                  *(snap.get(c) or 0.0 for c in extra),
-                                  is_banking=is_banking)
-        d = debt_per_share(fin_debt, *(snap.get(c) for c in (
-            "minority_interest", "preferred_equity", "stock_price", "market_cap",
-            "fx_rate")))
-        vol = select_volatility(quotes)
-        inputs = SpreadInputs(stock_price=snap.get("stock_price"), equity_vol=vol,
-                              debt_per_share=d)
-        return (d, vol, e2c_spread(inputs, params), creditgrades_spread(inputs, params), "")
-    except ValueError as exc:
-        return (None, None, None, None, str(exc))
+        return (*failed, "no volatility quotes")
+    ltd = snap.get("long_term_debt")
+    std, olt, ost, lease = (snap.get(c) or 0.0 for c in extra)  # a bank's may be blank
+    min_int, pref, price, cap, fx = (snap.get(c) for c in (
+        "minority_interest", "preferred_equity", "stock_price", "market_cap", "fx_rate"))
+    amounts = dict(zip(("long_term_debt",) + extra + ("minority_interest", "preferred_equity"),
+                       (ltd, std, olt, ost, lease, min_int, pref)))
+    for name, value in amounts.items():
+        if value < 0.0:
+            return (*failed, f"{name} must be a finite amount >= 0, got {value!r}")
+    for name, value in (("stock_price", price), ("market_cap", cap),
+                        ("fx_report_to_quote", fx)):
+        if value <= 0.0:
+            return (*failed, f"{name} must be finite and > 0, got {value!r}")
+    fin_debt = ltd if is_banking else ltd + std + 0.5 * (olt + ost) + 0.4 * lease
+    if not math.isfinite(fin_debt):
+        return (*failed, f"fin_debt must be a finite amount >= 0, got {fin_debt!r}")
+    for q in quotes:
+        if q < 0.0:
+            return (*failed, f"volatility quote must be a finite amount >= 0, got {q!r}")
+    ordered = sorted(quotes)
+    half = len(ordered) // 2
+    vol = ordered[half] if len(ordered) % 2 else (ordered[half - 1] + ordered[half]) / 2
+    fin_d = fin_debt * fx
+    if fin_d == 0.0:
+        d = 0.0
+    else:
+        shares = (cap + min(pref * fx, 0.5 * cap)) / price
+        d = max((fin_d - min(min_int * fx, 0.5 * fin_d)) / shares, 0.1 * price)
+    barrier = params.debt_recovery * d
+    e2c = ((1.0 - params.recovery) * (4.0 / 9.0 * (barrier / (price + barrier)) * vol * vol)
+           * 1.0e4)
+    for name, value in (("equity_vol", vol), ("debt_per_share", d), ("e2c_bps", e2c)):
+        if not math.isfinite(value):
+            return (*failed, f"{name} must be finite, got {value!r}")
+    return (d, vol, e2c, oracle_creditgrades_spread(price, vol, d, params), "")
 
 
 def oracle_build_records(snaps, params):

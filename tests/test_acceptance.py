@@ -32,36 +32,13 @@ from e2credit.metrics import (
     rmse,
     truncated_mean,
 )
-from e2credit.structural import (
-    ModelParams,
-    SpreadInputs,
-    creditgrades_survival,
-    e2c_spread,
-)
+from e2credit.structural import ModelParams, creditgrades_survival, e2c_spread
 from e2credit.synth import generate_snapshots
 
-from conftest import brute_force_best_split, build_from_rows, records_table
+from conftest import (
+    brute_force_best_split, build_from_rows, col, oracle_survival, records_table)
 
 PARAMS = ModelParams()
-
-
-def _phi_oracle(x: float) -> float:
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))
-
-
-def _survival_oracle(s0, vol, d, lbar, lam, t):
-    if d == 0.0:
-        return 1.0
-    ld = lbar * d
-    dd = (s0 + ld) / ld * math.exp(lam * lam)
-    a_sq = (vol * s0 / (s0 + ld)) ** 2 * t + lam * lam
-    if a_sq == 0.0:
-        return 1.0
-    a = math.sqrt(a_sq)
-    raw = _phi_oracle(-a / 2 + math.log(dd) / a) - dd * _phi_oracle(
-        -a / 2 - math.log(dd) / a
-    )
-    return min(max(raw, 0.0), 1.0)
 
 
 def _warm_up_kernels():
@@ -87,17 +64,13 @@ def test_criterion_1_e2c_formula_oracle():
         d = rng.uniform(0.0, 1000.0)
         r = rng.uniform(0.0, 1.0)
         lbar = rng.uniform(0.05, 1.0)
-        got = e2c_spread(
-            SpreadInputs(s0, vol, d), ModelParams(recovery=r, debt_recovery=lbar)
+        [got] = e2c_spread(
+            col(s0), col(vol), col(d), ModelParams(recovery=r, debt_recovery=lbar)
         )
         expected = (1.0 - r) * (4.0 / 9.0) * (lbar * d / (s0 + lbar * d)) * vol**2 * 1e4
         assert got == pytest.approx(expected, rel=1e-10, abs=1e-12)
-    assert e2c_spread(SpreadInputs(100, 0.30, 50), PARAMS) == pytest.approx(
-        56.0, rel=1e-12
-    )
-    assert e2c_spread(SpreadInputs(50, 0.60, 100), PARAMS) == pytest.approx(
-        560.0, rel=1e-12
-    )
+    hand = e2c_spread(col(100, 50), col(0.30, 0.60), col(50, 100), PARAMS)
+    assert hand == pytest.approx([56.0, 560.0], rel=1e-12)
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
     print(f"\nACCEPTANCE 1: PASS - e2c oracle, 1000 random inputs at 1e-10 rel, "
@@ -115,21 +88,20 @@ def test_criterion_2_creditgrades_oracle():
     ]
     assert len(grid) == 200
     worst = 0.0
-    for s0, vol, d, t in grid:
-        got = creditgrades_survival(SpreadInputs(s0, vol, d), PARAMS, t)
-        want = _survival_oracle(s0, vol, d, 0.5, 0.3, t)
-        worst = max(worst, abs(got - want))
-        assert abs(got - want) <= 1e-9
-    for s0, vol, d, _ in grid[::10]:
-        values = [
-            creditgrades_survival(SpreadInputs(s0, vol, d), PARAMS, float(t))
-            for t in range(1, 11)
-        ]
-        assert all(b <= a + 1e-15 for a, b in zip(values, values[1:]))
-    reference = creditgrades_survival(SpreadInputs(100, 0.30, 50), PARAMS, 5.0)
+    for t in (2.0, 5.0):
+        at_t = [row[:3] for row in grid if row[3] == t]
+        s0, vol, d = (col(*x) for x in zip(*at_t))
+        for row, value in zip(at_t, creditgrades_survival(s0, vol, d, PARAMS, t)):
+            want = oracle_survival(*row, 0.5, 0.3, t)
+            worst = max(worst, abs(value - want))
+            assert abs(value - want) <= 1e-9
+    s0, vol, d, _ = (col(*x) for x in zip(*grid[::10]))
+    values = [creditgrades_survival(s0, vol, d, PARAMS, float(t)) for t in range(1, 11)]
+    assert all((b <= a + 1e-15).all() for a, b in zip(values, values[1:]))
+    [reference] = creditgrades_survival(col(100), col(0.30), col(50), PARAMS, 5.0)
     assert reference == pytest.approx(0.98717, abs=2e-5)
     assert reference == pytest.approx(
-        _survival_oracle(100, 0.30, 50, 0.5, 0.3, 5.0), abs=1e-12
+        oracle_survival(100, 0.30, 50, 0.5, 0.3, 5.0), abs=1e-12
     )
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0

@@ -350,7 +350,7 @@ class TestEvaluateCommand:
     @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_prices_creditgrades_for_evaluated_rows_only(self, tmp_path, monkeypatch):
         # Blanked ratings drop priced rows from the dataset: CreditGrades is
-        # priced once per evaluated row, not once per priced row.
+        # priced in one call, for the evaluated rows only.
         synth = tmp_path / "synth"
         assert main(["synth", "--firms", "30", "--dates", "20", "--seed", "4",
                      "--missing-rate", "0.2", "--out-dir", str(synth)]) == 0
@@ -365,7 +365,8 @@ class TestEvaluateCommand:
         assert main(["evaluate", str(tmp_path / "t" / "forest.e2cf"), snapshots_csv,
                      "--out-dir", str(out)]) == 0
         evaluated = read_table(out / "timeseries.csv")
-        assert len(calls) == len(evaluated) < 600
+        assert len(calls) == 1
+        assert len(calls[0][0]) == len(evaluated) < 600
 
     def test_column_mismatch_exit_4(self, trained_dir, tmp_path):
         other = tmp_path / "other"

@@ -3,11 +3,13 @@ conftest.py, on a panel with every kind of gap and fault the `gappy`
 benchmark panel has, plus CSV layout edge cases and extreme amounts."""
 import csv
 import dataclasses
+import hashlib
 import io
 
 import numpy as np
 import pytest
 
+from e2credit.cli import main
 from e2credit.dataset import FeatureEncoder, drop_incomplete, rating_label
 from e2credit.errors import InputFormatError
 from e2credit.fundamentals import QUOTE_COLUMNS
@@ -190,6 +192,13 @@ def test_matrix_equals_oracle(panel):
     assert matrix.X.tobytes() == X.tobytes()
     assert matrix.y.tobytes() == y.tobytes()
     assert list(matrix.firm_ids) == firms and list(matrix.dates) == dates
+
+
+def test_spread_csv_bytes_pinned(panel, tmp_path):
+    # Any change to a priced value, a reason or a cell's text shows here.
+    assert main(["spread", str(panel), "--out-dir", str(tmp_path)]) == 0
+    digest = hashlib.sha256((tmp_path / "spreads.csv").read_bytes()).hexdigest()
+    assert digest == "b3c5969e5b4b162f736c59ff11cd6408c468cf0e5ed545d85d335bd9f45269c4"
 
 
 # (data row, column, text): bad cells placed after the blank lines and the

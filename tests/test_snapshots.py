@@ -15,37 +15,10 @@ from e2credit.snapshots import (
 )
 from e2credit.structural import ModelParams
 
+from conftest import base_row
+
 PARAMS = ModelParams()
 KEY = ("ACME", "2016-02-05")
-
-
-def base_row(**overrides):
-    row = {
-        "firm_id": "ACME",
-        "date": "2016-02-05",
-        "stock_price": 10.0,
-        "market_cap": 500.0,
-        "fx_rate": 1.0,
-        "is_banking": False,
-        "long_term_debt": 1000.0,
-        "short_term_debt": 0.0,
-        "other_lt_liabilities": 0.0,
-        "other_st_liabilities": 0.0,
-        "lease_obligations": 0.0,
-        "minority_interest": 100.0,
-        "preferred_equity": 0.0,
-        "hist_vol_30": 0.3,
-        "hist_vol_60": 0.3,
-        "hist_vol_120": 0.3,
-        "sp_rating": "BBB",
-        "moody_rating": "Baa2",
-        "sector": "industrial",
-        "country": "US",
-        "ig_cdx_bps": 70.0,
-        "cds_5y_bps": 90.0,
-    }
-    row.update(overrides)
-    return row
 
 
 def write_rows(path, rows):
