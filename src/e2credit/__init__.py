@@ -26,7 +26,6 @@ from .forest import (
     fit_forest,
     grow_tree,
     load_forest,
-    predict,
     save_forest,
 )
 from .fundamentals import debt_per_share, financial_debt, select_volatility
@@ -90,7 +89,6 @@ __all__ = [
     "merge_ratings",
     "norm_cdf",
     "permutation_importance",
-    "predict",
     "r_squared",
     "r_squared_arrays",
     "rating_bucket",

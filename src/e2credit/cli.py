@@ -97,7 +97,7 @@ def _forest_and_dataset(args, config: RunConfig):
     forest's feature columns."""
     forest = load_forest(args.forest)
     complete, matrix, spreads = _build_dataset(args.input, config)
-    if forest.columns is not None and forest.column_names() != matrix.column_names():
+    if forest.column_names() != matrix.column_names():
         raise CompatibilityError(
             "forest and dataset feature columns differ: "
             f"{forest.column_names()} vs {matrix.column_names()}"

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
 
-from .errors import InputFormatError
+from .errors import InputFormatError, not_utf8
 from .structural import ModelParams
 
 _MODEL_FIELDS = {f.name for f in fields(ModelParams)}
@@ -89,26 +89,30 @@ def save_config(config: RunConfig, path) -> None:
 def load_config(path) -> RunConfig:
     kinds = {f.name: type(f.default) for f in fields(RunConfig)}
     values: dict[str, float | int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise InputFormatError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, text = line.partition("=")
-            key = key.strip()
-            text = text.strip()
-            if key not in kinds:
-                raise InputFormatError(f"{path}:{lineno}: unknown config key {key!r}")
-            try:
-                values[key] = kinds[key](text)
-            except ValueError:
-                raise InputFormatError(
-                    f"{path}:{lineno}: bad value {text!r} for {key}"
-                ) from None
-            try:
-                _check_value(key, values[key])
-            except InputFormatError as exc:
-                raise InputFormatError(f"{path}:{lineno}: {exc}") from None
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise not_utf8(path, exc) from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise InputFormatError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, text = line.partition("=")
+        key = key.strip()
+        text = text.strip()
+        if key not in kinds:
+            raise InputFormatError(f"{path}:{lineno}: unknown config key {key!r}")
+        try:
+            values[key] = kinds[key](text)
+        except ValueError:
+            raise InputFormatError(
+                f"{path}:{lineno}: bad value {text!r} for {key}"
+            ) from None
+        try:
+            _check_value(key, values[key])
+        except InputFormatError as exc:
+            raise InputFormatError(f"{path}:{lineno}: {exc}") from None
     return RunConfig(**values)

@@ -41,8 +41,6 @@ for _i, (_sp, _moody) in enumerate(_SCALE):
 for _label in ("CCC+", "CCC-", "CC", "C", "D", "CAA1", "CAA2", "CAA3", "CA"):
     _CODE_BY_LABEL[_label] = 0
 
-RATING_BUCKETS = ("A", "BBB", "BB", "B", "below-B")
-
 
 def rating_code(label: str) -> int:
     """Ordinal code of an S&P or Moody's grade (higher = better)."""

@@ -11,3 +11,9 @@ class PipelineError(Exception):
 
 class CompatibilityError(Exception):
     """Forest and dataset do not match (columns, row counts). Exit code 4."""
+
+
+def not_utf8(path, exc: UnicodeDecodeError) -> InputFormatError:
+    # The codec's own position counts from its read buffer, not the file.
+    return InputFormatError(
+        f"{path}: not UTF-8 text (byte {exc.object[exc.start]:#04x}: {exc.reason})")

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -272,12 +272,8 @@ class Forest:
     max_depth: int | None
     master_seed: int
     n_train_rows: int
-    columns: tuple[FeatureColumn, ...] | None = field(default=None)
-    train_sha256: str | None = None  # FeatureMatrix.sha256() of the training set
-
-    @property
-    def n_features(self) -> int | None:
-        return len(self.columns) if self.columns is not None else None
+    columns: tuple[FeatureColumn, ...]
+    train_sha256: str  # FeatureMatrix.sha256() of the training set
 
     @cached_property
     def trees(self) -> tuple[RegressionTree, ...]:
@@ -285,7 +281,7 @@ class Forest:
 
     def predict(self, X: np.ndarray) -> np.ndarray | float:
         X, single = _as_rows(X)
-        if self.columns is not None and X.shape[1] != len(self.columns):
+        if X.shape[1] != len(self.columns):
             raise ValueError(
                 f"feature dimension mismatch: forest expects {len(self.columns)}, "
                 f"got {X.shape[1]}"
@@ -299,15 +295,8 @@ class Forest:
         acc /= self.n_trees
         return float(acc[0]) if single else acc
 
-    def column_names(self) -> tuple[str, ...] | None:
-        if self.columns is None:
-            return None
+    def column_names(self) -> tuple[str, ...]:
         return tuple(col.name for col in self.columns)
-
-
-def predict(forest: Forest, x: np.ndarray) -> np.ndarray | float:
-    """Forest prediction for a single feature vector or a matrix of rows."""
-    return forest.predict(x)
 
 
 def _tree_rng(master_seed: int, tree_index: int) -> np.random.Generator:
@@ -421,10 +410,10 @@ _HEADER = {
     "max_depth": lambda v: v is None or _at_least(1)(v),
     "master_seed": _at_least(0),
     "n_train_rows": _at_least(1),
-    "columns": lambda v: v is None or type(v) is list and all(
+    "columns": lambda v: type(v) is list and all(
         type(c) is list and len(c) == 2 and all(type(s) is str for s in c) for c in v
     ),
-    "train_sha256": lambda v: v is None or type(v) is str and len(v) == 64,
+    "train_sha256": lambda v: type(v) is str and len(v) == 64,
 }
 
 
@@ -444,8 +433,7 @@ def save_forest(forest: Forest, path) -> None:
         if not np.array_equal(oob, _bootstrap(forest.master_seed, b, forest.n_train_rows)[2]):
             raise ValueError(f"tree {b}'s out-of-bag rows are not its seed's; cannot save")
     header = {key: getattr(forest, key) for key in _HEADER}
-    if forest.columns is not None:
-        header["columns"] = [[c.name, c.kind] for c in forest.columns]
+    header["columns"] = [[c.name, c.kind] for c in forest.columns]
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     sizes = forest.nodes.sizes.astype("<i8")
     with open(path, "wb") as fh:
@@ -485,14 +473,13 @@ def load_forest(path) -> Forest:
         at += n * np.dtype(disk).itemsize
     nodes = Nodes(sizes=sizes.astype(np.int64), **fields)
     seed, n_rows = header["master_seed"], header["n_train_rows"]
-    _check_nodes(path, nodes, None if columns is None else len(columns), n_rows)
+    _check_nodes(path, nodes, len(columns), n_rows)
     oobs = tuple(_bootstrap(seed, b, n_rows)[2] for b in range(n_trees))
-    if columns is not None:
-        header["columns"] = tuple(FeatureColumn(name, kind) for name, kind in columns)
+    header["columns"] = tuple(FeatureColumn(name, kind) for name, kind in columns)
     return Forest(nodes=nodes, oob_indices=oobs, **{key: header[key] for key in _HEADER})
 
 
-def _check_nodes(path, nodes: Nodes, p, n_rows: int) -> None:
+def _check_nodes(path, nodes: Nodes, p: int, n_rows: int) -> None:
     # A bootstrap draws exactly n_train_rows rows, all of them at the root:
     # checked before the draws are redrawn, so a bad count allocates nothing.
     if np.any(nodes.n_samples[nodes.roots] != n_rows):
@@ -503,7 +490,7 @@ def _check_nodes(path, nodes: Nodes, p, n_rows: int) -> None:
     # its node 2k, before its children 2k+1 and 2k+2: then every node but the
     # root is the child of exactly one earlier node, and every descent from
     # the root ends at a leaf.
-    if nodes.feature.min() < LEAF or (p is not None and nodes.feature.max() >= p):
+    if nodes.feature.min() < LEAF or nodes.feature.max() >= p:
         raise InputFormatError(f"{path}: a node tests a feature outside [-1, {p})")
     split = nodes.feature != LEAF
     if np.any(nodes.sizes != 2 * np.add.reduceat(split, nodes.roots, dtype=np.int64) + 1):

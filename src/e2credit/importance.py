@@ -23,42 +23,32 @@ from .metrics import r_squared_arrays
 
 @dataclass(frozen=True)
 class ImportanceReport:
-    """Per-feature scores plus deterministic rankings (best first)."""
+    """Both per-feature scores plus deterministic rankings (best first)."""
 
     feature_names: tuple[str, ...]
-    mdi: np.ndarray | None = None
-    permutation_vi: np.ndarray | None = None
-
-    def _ranking(self, scores: np.ndarray) -> tuple[int, ...]:
-        # Stable sort on negated scores: ties keep column order.
-        return tuple(int(i) for i in np.argsort(-scores, kind="stable"))
+    mdi: np.ndarray
+    permutation_vi: np.ndarray
 
     def mdi_ranking(self) -> tuple[int, ...]:
-        if self.mdi is None:
-            raise ValueError("report has no MDI scores")
-        return self._ranking(self.mdi)
+        return _ranking(self.mdi)
 
     def vi_ranking(self) -> tuple[int, ...]:
-        if self.permutation_vi is None:
-            raise ValueError("report has no permutation scores")
-        return self._ranking(self.permutation_vi)
+        return _ranking(self.permutation_vi)
 
 
-def _feature_names(forest: Forest, train: FeatureMatrix) -> tuple[str, ...]:
-    names = train.column_names()
-    if forest.columns is not None and forest.column_names() != names:
-        raise ValueError("forest and matrix disagree on feature columns")
-    return names
+def _ranking(scores: np.ndarray) -> tuple[int, ...]:
+    # Stable sort on negated scores: ties keep column order.
+    return tuple(int(i) for i in np.argsort(-scores, kind="stable"))
 
 
-def mdi_importance(forest: Forest, train: FeatureMatrix) -> ImportanceReport:
-    """Improvement-weighted split counts, normalized to sum one.
+def mdi_importance(forest: Forest, train: FeatureMatrix) -> np.ndarray:
+    """Improvement-weighted split counts per feature, normalized to sum one.
 
     A feature never chosen by any split scores exactly zero.
     """
-    names = _feature_names(forest, train)
-    p = len(names)
+    p = train.n_features
     nodes = forest.nodes
+    nodes.check_columns(p)
     split = nodes.feature != LEAF
     totals = np.zeros(p, dtype=np.float64)
     np.add.at(totals, nodes.feature[split], (nodes.n_samples * nodes.improvement)[split])
@@ -66,7 +56,7 @@ def mdi_importance(forest: Forest, train: FeatureMatrix) -> ImportanceReport:
     total = totals.sum()
     if total > 0.0:
         totals = totals / total
-    return ImportanceReport(feature_names=names, mdi=totals)
+    return totals
 
 
 def _permutation(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -82,9 +72,7 @@ def _permutation(rng: np.random.Generator, n: int) -> np.ndarray:
 _CHUNK_ROWS = 2**12
 
 
-def permutation_importance(
-    forest: Forest, train: FeatureMatrix, seed: int
-) -> ImportanceReport:
+def permutation_importance(forest: Forest, train: FeatureMatrix, seed: int) -> np.ndarray:
     """Out-of-bag permutation importance VI per feature.
 
     Permutations are drawn per (tree, feature) from streams derived from
@@ -99,8 +87,7 @@ def permutation_importance(
     unchanged. The scores equal those of predicting every permuted copy of
     the OOB block in full, bit for bit.
     """
-    names = _feature_names(forest, train)
-    p = len(names)
+    p = train.n_features
     X = np.ascontiguousarray(train.X, dtype=np.float64)
     forest.nodes.check_columns(p)
     acc = np.zeros(p, dtype=np.float64)
@@ -117,7 +104,7 @@ def permutation_importance(
         warnings.warn(message, stacklevel=2)
     if used == 0:
         raise ValueError("no tree had a usable out-of-bag sample")
-    return ImportanceReport(feature_names=names, permutation_vi=acc / used)
+    return acc / used
 
 
 def _chunks(forest: Forest, train: FeatureMatrix, seed: int, skipped: list):
@@ -205,7 +192,10 @@ def _score_chunk(nodes, X, chunk):
 def importance_report(
     forest: Forest, train: FeatureMatrix, seed: int
 ) -> ImportanceReport:
-    """Both importance measures in one report."""
-    mdi = mdi_importance(forest, train)
-    vi = permutation_importance(forest, train, seed)
-    return ImportanceReport(mdi.feature_names, mdi=mdi.mdi, permutation_vi=vi.permutation_vi)
+    """Both importance measures of the forest on its training matrix, whose
+    columns must be the forest's."""
+    names = train.column_names()
+    if forest.column_names() != names:
+        raise ValueError("forest and matrix disagree on feature columns")
+    return ImportanceReport(names, mdi_importance(forest, train),
+                            permutation_importance(forest, train, seed))

@@ -22,7 +22,7 @@ from operator import itemgetter
 import numpy as np
 
 from .dataset import Records, rating_code
-from .errors import InputFormatError
+from .errors import InputFormatError, not_utf8
 from .fundamentals import (
     AMOUNT_PROBLEM,
     POSITIVE_PROBLEM,
@@ -210,16 +210,22 @@ def _column(col: str, cells: tuple):
 
 
 def _chunks(reader):
-    """The non-blank rows in chunks of _CHUNK_ROWS, each with its last line."""
+    """The non-blank rows in chunks of _CHUNK_ROWS, each with its last line.
+    The rows read before a line the reader fails on come first, so a bad
+    cell among them is reported before that line."""
     rows, lines = [], []
-    for row in reader:
-        if not row:
-            continue
-        rows.append(row)
-        lines.append(reader.line_num)
-        if len(rows) == _CHUNK_ROWS:
-            yield rows, lines
-            rows, lines = [], []
+    try:
+        for row in reader:
+            if not row:
+                continue
+            rows.append(row)
+            lines.append(reader.line_num)
+            if len(rows) == _CHUNK_ROWS:
+                yield rows, lines
+                rows, lines = [], []
+    except (csv.Error, UnicodeDecodeError):
+        yield rows, lines
+        raise
     yield rows, lines
 
 
@@ -252,23 +258,29 @@ def _parse_rows(path, rows: list, lines: list, positions: list, seen: set) -> di
 def read_snapshots(path) -> Snapshots:
     """Parse a snapshot CSV into columns; extra columns are ignored. The
     first bad cell, in row order and then column order, raises
-    InputFormatError naming its line."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise InputFormatError(f"{path}: empty file, header row required")
-        missing = [c for c in SNAPSHOT_COLUMNS if c not in header]
-        if missing:
-            raise InputFormatError(
-                f"{path}: missing required column(s): {', '.join(missing)}"
-            )
-        # As with csv.DictReader, a repeated column name is read from its
-        # last occurrence and extra cells are ignored.
-        where = {name: j for j, name in enumerate(header)}
-        positions, seen = [where[c] for c in SNAPSHOT_COLUMNS], set()
-        parts = [_parse_rows(path, rows, lines, positions, seen)
-                 for rows, lines in _chunks(reader)]
+    InputFormatError naming its line, as do bytes that are not UTF-8 and a
+    cell past the csv module's field size limit."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise InputFormatError(f"{path}: empty file, header row required")
+            missing = [c for c in SNAPSHOT_COLUMNS if c not in header]
+            if missing:
+                raise InputFormatError(
+                    f"{path}: missing required column(s): {', '.join(missing)}"
+                )
+            # As with csv.DictReader, a repeated column name is read from its
+            # last occurrence and extra cells are ignored.
+            where = {name: j for j, name in enumerate(header)}
+            positions, seen = [where[c] for c in SNAPSHOT_COLUMNS], set()
+            parts = [_parse_rows(path, rows, lines, positions, seen)
+                     for rows, lines in _chunks(reader)]
+    except UnicodeDecodeError as exc:
+        raise not_utf8(path, exc) from None
+    except csv.Error as exc:
+        raise InputFormatError(f"{path}:{reader.line_num}: {exc}") from None
     columns = {}
     for col in SNAPSHOT_COLUMNS:
         pieces = [part[col] for part in parts]

@@ -154,6 +154,7 @@ def generate_snapshots(
     noise_sigma = math.sqrt(signal_var * (1.0 - bayes_r2) / bayes_r2)
     noise = rng.normal(0.0, noise_sigma, signal.size) if noise_sigma > 0 else 0.0
     labels = np.maximum(signal + noise, 1.0)
+    label_var = float(labels.var())
 
     sp_rating = [rating_label(code) for code in per_row(sp_code).tolist()]
     moody_rating = [None if missing else moody_label(code)
@@ -190,6 +191,7 @@ def generate_snapshots(
         "bayes_r2_target": bayes_r2,
         "noise_sigma": noise_sigma,
         "signal_var": signal_var,
-        "bayes_r2_realized": 1.0 - noise_sigma**2 / float(labels.var()),
+        # None (a blank cell) where the labels do not vary, as in a one-row panel.
+        "bayes_r2_realized": 1.0 - noise_sigma**2 / label_var if label_var > 0.0 else None,
     }
     return rows, meta

@@ -65,6 +65,17 @@ class TestSynthCommand:
         assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
+    def test_one_row_panel_leaves_realized_r2_blank(self, tmp_path, capsys):
+        # One row: the labels have no variance, so the realized Bayes R^2 is
+        # undefined.
+        out = tmp_path / "o"
+        code = main(["synth", "--firms", "1", "--dates", "1", "--out-dir", str(out)])
+        assert code == 0
+        assert "Traceback" not in capsys.readouterr().err
+        meta = {row["key"]: row["value"] for row in read_table(out / "synth_meta.csv")}
+        assert meta["bayes_r2_realized"] == ""
+        assert len(read_table(out / "snapshots.csv")) == 1
+
 
 class TestSpreadCommand:
     def test_augments_rows(self, synth_dir, tmp_path):
@@ -139,6 +150,47 @@ class TestMalformedInput:
         assert code == 2
         assert f"{config}:2: workers must be >= 1" in capsys.readouterr().err
 
+    def test_config_not_utf8_exit_2(self, synth_dir, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_bytes(b"trees = 2\n\xff\n")
+        code = main(["train", str(synth_dir / "snapshots.csv"), "--config", str(config),
+                     "--out-dir", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"input error: {config}: not UTF-8 text")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["spread", "train"])
+    def test_snapshots_not_utf8_exit_2(self, synth_dir, tmp_path, capsys, command):
+        raw = (synth_dir / "snapshots.csv").read_bytes()
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes(raw.replace(b"F0003", b"F\xff003", 1))
+        code = main([command, str(bad), "--out-dir", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"input error: {bad}: not UTF-8 text")
+
+    @pytest.mark.parametrize("bad_price_line, message", [
+        (None, ":4: field larger than field limit"),
+        # A bad cell on an earlier line is still the one reported.
+        (2, ":2: column stock_price: not a number: 'abc'"),
+    ])
+    def test_cell_past_csv_field_limit_exit_2(self, synth_dir, tmp_path, capsys,
+                                              bad_price_line, message):
+        lines = (synth_dir / "snapshots.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        for at, column, cell in ((4, "sector", "x" * (csv.field_size_limit() + 1)),
+                                 (bad_price_line, "stock_price", "abc")):
+            if at is not None:
+                row = lines[at - 1].split(",")
+                row[header.index(column)] = cell
+                lines[at - 1] = ",".join(row)
+        bad = tmp_path / "long_cell.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        code = main(["spread", str(bad), "--out-dir", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"input error: {bad}{message}")
 
     @pytest.mark.parametrize("command", ["spread", "train", "evaluate", "importance"])
     def test_directory_path_exit_2(self, synth_dir, trained_dir, tmp_path, capsys, command):

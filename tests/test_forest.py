@@ -22,7 +22,6 @@ from e2credit.forest import (
     fit_forest,
     grow_tree,
     load_forest,
-    predict,
     save_forest,
 )
 
@@ -260,10 +259,12 @@ class TestFitForest:
                            rtol=1e-12, atol=1e-12)
 
     def test_two_tree_mean(self):
+        matrix = FeatureMatrix.from_arrays(np.zeros((1, 4)), np.zeros(1))
         pair = Forest(nodes=Nodes.join((leaf_tree(100.0), leaf_tree(200.0))),
                       oob_indices=(np.array([], dtype=np.int64),) * 2, n_trees=2,
-                      m=1, max_depth=1, master_seed=0, n_train_rows=1)
-        assert predict(pair, np.zeros(4)) == 150.0
+                      m=1, max_depth=1, master_seed=0, n_train_rows=1,
+                      columns=matrix.columns, train_sha256=matrix.sha256())
+        assert pair.predict(np.zeros(4)) == 150.0
 
     def test_dimension_mismatch(self, small_matrix):
         forest = fit_forest(small_matrix, n_trees=2, m=2, max_depth=3, master_seed=0)
@@ -517,6 +518,8 @@ def corrupt_file(forest, path, case):
         edit_header(path, lambda h: {**h, "n_trees": True})
     elif case == "bad_columns":
         edit_header(path, lambda h: {**h, "columns": [["x0", 1]]})
+    elif case in ("columns_null", "train_sha256_null"):
+        edit_header(path, lambda h: {**h, case.removesuffix("_null"): None})
     elif case == "not_an_object":
         edit_header(path, lambda h: list(h))
     elif case == "rows_1e15":
@@ -548,7 +551,8 @@ def corrupt_file(forest, path, case):
 
 CORRUPT_CASES = [
     "format_1", "format_2", "truncated", "trailing_byte", "missing_key",
-    "float_key", "bool_key", "bad_columns", "not_an_object", "rows_1e15",
+    "float_key", "bool_key", "bad_columns", "columns_null", "train_sha256_null",
+    "not_an_object", "rows_1e15",
     "rows_plus_one", "empty_tree",
     "feature_too_large", "feature_below_leaf", "leaf_made_split",
     "split_made_leaf", "split_after_children",
@@ -650,7 +654,8 @@ def oracle_cases():
         ("mixed", Forest(
             nodes=Nodes.join(stumps.trees[:3] + leaves.trees[:1] + (leaf_tree(-0.0),)),
             oob_indices=(np.arange(1),) * 5,
-            n_trees=5, m=2, max_depth=None, master_seed=0, n_train_rows=100), X),
+            n_trees=5, m=2, max_depth=None, master_seed=0, n_train_rows=100,
+            columns=train.columns, train_sha256=train.sha256()), X),
     ]
 
 

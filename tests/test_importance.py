@@ -32,37 +32,36 @@ class TestMDI:
     def test_single_factor_dominates(self):
         matrix = single_factor_matrix()
         forest = fit_forest(matrix, n_trees=20, m=3, max_depth=8, master_seed=0)
-        report = mdi_importance(forest, matrix)
-        assert report.mdi_ranking()[0] == 0
-        assert report.mdi[0] > 0.9
+        mdi = mdi_importance(forest, matrix)
+        assert np.argmax(mdi) == 0
+        assert mdi[0] > 0.9
 
     def test_never_selected_feature_is_zero(self):
         matrix = constant_column_matrix()
         forest = fit_forest(matrix, n_trees=15, m=4, max_depth=6, master_seed=2)
-        report = mdi_importance(forest, matrix)
-        assert report.mdi[2] == 0.0
+        assert mdi_importance(forest, matrix)[2] == 0.0
 
     def test_normalization(self):
         matrix = single_factor_matrix(seed=5)
         forest = fit_forest(matrix, n_trees=10, m=2, max_depth=5, master_seed=1)
-        report = mdi_importance(forest, matrix)
-        assert report.mdi.sum() == pytest.approx(1.0, abs=1e-9)
-        assert (report.mdi >= 0.0).all()
+        mdi = mdi_importance(forest, matrix)
+        assert mdi.dtype == np.float64
+        assert mdi.sum() == pytest.approx(1.0, abs=1e-9)
+        assert (mdi >= 0.0).all()
 
 
 class TestPermutationVI:
     def test_never_split_feature_exactly_zero(self):
         matrix = constant_column_matrix()
         forest = fit_forest(matrix, n_trees=15, m=4, max_depth=6, master_seed=2)
-        report = permutation_importance(forest, matrix, seed=0)
-        assert report.permutation_vi[2] == 0.0
+        assert permutation_importance(forest, matrix, seed=0)[2] == 0.0
 
     def test_noise_feature_near_zero(self):
         matrix = single_factor_matrix(n=500, seed=3)
         forest = fit_forest(matrix, n_trees=50, m=3, max_depth=8, master_seed=4)
-        report = permutation_importance(forest, matrix, seed=1)
+        vi = permutation_importance(forest, matrix, seed=1)
         for j in range(1, matrix.n_features):
-            assert abs(report.permutation_vi[j]) < 0.02
+            assert abs(vi[j]) < 0.02
 
     def test_dominant_feature_ranks_first_across_seeds(self):
         wins = 0
@@ -70,8 +69,8 @@ class TestPermutationVI:
             matrix = single_factor_matrix(n=250, seed=100 + seed)
             forest = fit_forest(matrix, n_trees=20, m=3, max_depth=7,
                                 master_seed=seed)
-            report = permutation_importance(forest, matrix, seed=seed)
-            wins += report.vi_ranking()[0] == 0
+            vi = permutation_importance(forest, matrix, seed=seed)
+            wins += np.argmax(vi) == 0
         assert wins >= 9
 
     def test_identity_permutation_hook(self, monkeypatch):
@@ -81,8 +80,7 @@ class TestPermutationVI:
             importance_mod, "_permutation",
             lambda rng, n: np.arange(n, dtype=np.int64),
         )
-        report = permutation_importance(forest, matrix, seed=9)
-        assert np.all(report.permutation_vi == 0.0)
+        assert np.all(permutation_importance(forest, matrix, seed=9) == 0.0)
 
     def test_no_side_effects_and_seed_repeatability(self):
         matrix = single_factor_matrix(seed=7)
@@ -91,7 +89,8 @@ class TestPermutationVI:
         first = permutation_importance(forest, matrix, seed=42)
         second = permutation_importance(forest, matrix, seed=42)
         assert matrix.X.tobytes() == before
-        assert first.permutation_vi.tobytes() == second.permutation_vi.tobytes()
+        assert first.dtype == np.float64
+        assert first.tobytes() == second.tobytes()
 
     def test_all_trees_skipped_errors(self, monkeypatch):
         import e2credit.forest as forest_mod
@@ -111,7 +110,9 @@ class TestReport:
         matrix = single_factor_matrix(seed=9)
         forest = fit_forest(matrix, n_trees=12, m=3, max_depth=6, master_seed=6)
         report = importance_report(forest, matrix, seed=2)
-        assert report.mdi is not None and report.permutation_vi is not None
+        assert report.mdi.tobytes() == mdi_importance(forest, matrix).tobytes()
+        assert report.permutation_vi.tobytes() == permutation_importance(
+            forest, matrix, seed=2).tobytes()
         assert report.mdi_ranking()[0] == 0
         assert report.vi_ranking()[0] == 0
 
@@ -126,7 +127,7 @@ class TestReport:
             ),
         )
         with pytest.raises(ValueError, match="columns"):
-            mdi_importance(forest, other)
+            importance_report(forest, other, seed=0)
 
 
 def recorded(fn, *args):
@@ -146,7 +147,8 @@ def leaf_tree(value):
 def hand_forest(trees, oobs, matrix):
     return Forest(nodes=Nodes.join(trees),
                   oob_indices=tuple(oobs), n_trees=len(trees), m=1, max_depth=None,
-                  master_seed=0, n_train_rows=matrix.n_rows, columns=matrix.columns)
+                  master_seed=0, n_train_rows=matrix.n_rows, columns=matrix.columns,
+                  train_sha256=matrix.sha256())
 
 
 def vi_cases():
@@ -190,7 +192,7 @@ class TestPermutationMatchesOracle:
         for seed in (0, 7):
             got, got_warnings = recorded(permutation_importance, forest, matrix, seed)
             want, want_warnings = recorded(vi_oracle, forest, matrix, seed)
-            assert got.permutation_vi.tobytes() == want.tobytes()
+            assert got.tobytes() == want.tobytes()
             assert got_warnings == want_warnings
 
     def test_skip_reasons_in_tree_order(self):
