@@ -23,13 +23,14 @@ own count V of distinct values over the matrix's N rows:
   t - s_j, t being the node total. These are the count and sum of that
   very partition, so the scan stays exact, and a block of c columns costs
   two passes over the rows instead of 2c.
-* few values (V >= 3, V * V <= N): per-(node, value) counts and label sums
-  from np.bincount, prefix-summed along the value axis inside each node.
-  The bins are the distinct values themselves, so the scan stays exact;
-  columns with equal V share the calls.
-* many values: the column is argsorted once per matrix. Every level keeps
-  each node's rows in value order (a stable partition into the children)
-  and takes segmented prefix sums that restart at every node boundary.
+* few values (V >= 3, V * V <= N): np.bincount over (node, value), one
+  column at a time, gives the counts and label sums, prefix-summed along
+  the value axis inside each node. The bins are the distinct values
+  themselves, so the scan stays exact.
+* many values: each batch sorts its positions once per column, by tree,
+  value and row. Every level keeps each node's rows in value order (a
+  stable partition into the children) and takes segmented prefix sums that
+  restart at every node boundary.
 
 Labels are centred on their node mean before summing, and no sum runs across
 nodes, so the SSEs of a deep node carry rounding error on the scale of that
@@ -61,10 +62,10 @@ class Presorted:
     opens a new one. A block stores one code per row, 0 where no member is
     high and j + 1 where member j is, so blocks[b] is (members, codes,
     thresholds), the thresholds being each member's midpoint. Columns with
-    V >= 3 distinct values over N rows take the bincount route when
-    V * V <= N, grouped by V; the others are presorted, orders[j] listing
-    the rows in ascending order of column sorted_feats[j]. A constant column
-    (V == 1) has no split candidate and takes no route.
+    V >= 3 distinct values over N rows are listed in few_feats when
+    V * V <= N (the bincount route) and in sorted_feats otherwise (the
+    presorted route). A constant column (V == 1) has no split candidate and
+    takes no route.
     """
 
     def __init__(self, X):
@@ -78,7 +79,7 @@ class Presorted:
         self.ranks = np.empty((p, N), dtype=np.int64)
         np.put_along_axis(self.ranks, order, sorted_rank, axis=1)
         self.distinct = ordered[run_start]
-        n_distinct = sorted_rank[:, -1] + 1 if N else np.zeros(p, dtype=np.int64)
+        self.n_distinct = n_distinct = run_start.sum(axis=1)
         self.offset = np.cumsum(n_distinct) - n_distinct
         blocks = []
         for f in np.flatnonzero(n_distinct == 2).tolist():
@@ -97,14 +98,8 @@ class Presorted:
             self.blocks.append((members, codes, (lo + hi) / 2.0))
         many = n_distinct >= 3
         few = many & (n_distinct * n_distinct <= N)
-        # col_keys numbers the (column, value) bins of one node of a group.
-        self.groups = []
-        for v in np.unique(n_distinct[few]):
-            cols = np.flatnonzero(few & (n_distinct == v))
-            col_keys = self.ranks[cols] + v * np.arange(cols.shape[0])[:, None]
-            self.groups.append((int(v), cols, col_keys))
+        self.few_feats = np.flatnonzero(few)
         self.sorted_feats = np.flatnonzero(many & ~few)
-        self.orders = order[self.sorted_feats]
 
 
 class _Batch:
@@ -116,26 +111,17 @@ class _Batch:
         self.pre = pre
         self.sizes = sizes = np.array([rows.shape[0] for rows in samples], dtype=np.int64)
         self.rows = rows = np.concatenate(samples)
-        self.n = n = rows.shape[0]
+        self.n = rows.shape[0]
         self.y = y[rows]
         # np.take keeps gathered blocks C-contiguous; [:, idx] would not.
-        self.group_keys = [np.take(keys, rows, axis=1) for _, _, keys in pre.groups]
         self.block_codes = [codes[rows] for _, codes, _ in pre.blocks]
+        self.few_ranks = np.take(pre.ranks[pre.few_feats], rows, axis=1)
         self.sorted_ranks = np.take(pre.ranks[pre.sorted_feats], rows, axis=1)
-        # Positions in ascending order of each presorted column within each
-        # tree, from the matrix-wide row order: every (tree, row) pair
-        # expands into its positions.
-        n_trees = sizes.shape[0]
-        tree_row = np.repeat(np.arange(n_trees) * pre.N, sizes) + rows
-        by_tree_row = np.argsort(tree_row, kind="stable")
-        per_tree_row = np.bincount(tree_row, minlength=n_trees * pre.N)
-        first = np.cumsum(per_tree_row) - per_tree_row
-        order = np.arange(n_trees)[:, None] * pre.N + pre.orders[:, None, :]
-        order = order.reshape(pre.orders.shape[0], n_trees * pre.N)
-        reps = per_tree_row[order]
-        skip = np.cumsum(reps, axis=1) - reps
-        idx = np.repeat((first[order] - skip).ravel(), reps.ravel())
-        self.orders = by_tree_row[idx.reshape(-1, n) + np.arange(n)]
+        # Positions by tree, then value, then row; a row drawn twice keeps
+        # its draw order, as the sort is stable.
+        tree = np.repeat(np.arange(sizes.shape[0]), sizes)
+        key = (tree * pre.N + self.sorted_ranks) * pre.N + rows
+        self.orders = np.argsort(key, axis=1, kind="stable")
 
     def root_layout(self):
         """Row layout of the root level (one node per tree): one row per
@@ -208,22 +194,19 @@ def _scan_level(batch, O, counts, mean, sel):
         cand_sse[cols] = np.where(ok, sse, np.inf).T
         cand_thr[cols] = thr[:, None]
 
-    for (v, cols, _), keys in zip(pre.groups, batch.group_keys):
-        c = cols.shape[0]
-        size = K * c * v
-        key = (np.take(keys, act, axis=1) + seg * (c * v)).ravel()
-        cnt = np.bincount(key, minlength=size).reshape(K, c, v)
-        p1 = np.bincount(key, np.tile(yc_g, c), size).reshape(K, c, v).cumsum(axis=2)
-        sse, ok = _split_sse(
-            node_sse[:, None, None], p1, p1[..., -1:], cnt.cumsum(axis=2),
-            counts[:, None, None],
-        )
+    for f, ranks in zip(pre.few_feats.tolist(), batch.few_ranks):
+        v = int(pre.n_distinct[f])
+        key = np.take(ranks, act) + seg * v
+        cnt = np.bincount(key, minlength=K * v).reshape(K, v)
+        p1 = np.bincount(key, yc_g, K * v).reshape(K, v).cumsum(axis=1)
+        sse, ok = _split_sse(node_sse[:, None], p1, p1[:, -1:], cnt.cumsum(axis=1),
+                             counts[:, None])
         sse = np.where(ok & (cnt > 0), sse, np.inf)
-        k = np.argmin(sse, axis=2)
-        k_next = np.argmax((cnt > 0) & (np.arange(v) > k[..., None]), axis=2)
-        base = pre.offset[cols]
-        cand_sse[cols] = np.take_along_axis(sse, k[..., None], axis=2)[..., 0].T
-        cand_thr[cols] = ((pre.distinct[base + k] + pre.distinct[base + k_next]) / 2.0).T
+        k = np.argmin(sse, axis=1)
+        k_next = np.argmax((cnt > 0) & (np.arange(v) > k[:, None]), axis=1)
+        cand_sse[f] = sse[np.arange(K), k]
+        values = pre.distinct[pre.offset[f]:]
+        cand_thr[f] = (values[k] + values[k_next]) / 2.0
 
     if pre.sorted_feats.shape[0]:
         yc = np.empty(batch.n)
@@ -325,13 +308,14 @@ def build_trees(pre, y, samples, m, max_depth, rngs):
     node order. max_depth=None grows until no node can split.
     """
     samples = [np.asarray(rows, dtype=np.int64) for rows in samples]
+    if not 1 <= m <= pre.p:
+        raise ValueError(f"m must be in [1, {pre.p}], got {m}")
     if any(rows.shape[0] == 0 for rows in samples):
         raise ValueError("cannot grow a tree on an empty sample")
     if max_depth is not None and max_depth < 1:
         raise ValueError(f"max_depth must be >= 1, got {max_depth}")
     n_trees = len(samples)
     batch = _Batch(pre, y, samples)
-    m = min(int(m), pre.p)
     O, counts = batch.root_layout()
     tree = np.arange(n_trees)
     levels = []

@@ -118,6 +118,7 @@ def _write_table(path: Path, rows: list[dict], header=("bucket", "obs")) -> None
 
 def cmd_spread(args, config: RunConfig, out_dir: Path) -> None:
     _, spreads = build_records(read_snapshots(args.input), config.model_params())
+    spreads.creditgrades_bps  # priced here, so the writer only formats
     write_spread_csv(spreads, out_dir / "spreads.csv")
     print(f"spread: {np.count_nonzero(spreads.ok)}/{len(spreads)} rows priced "
           f"-> {out_dir / 'spreads.csv'}")
@@ -133,6 +134,9 @@ def cmd_train(args, config: RunConfig, out_dir: Path) -> None:
             "out-of-sample set is empty (fractions too small); "
             "evaluation would be meaningless"
         )
+    for name, part in (("in-sample", split.in_sample), ("out-of-sample", split.out_of_sample)):
+        if np.ptp(part.y) == 0:
+            raise PipelineError(f"{name} labels do not vary (rows: {part.n_rows}); R^2 undefined")
     p = matrix.n_features
     if config.features_per_split > p:
         raise PipelineError(

@@ -251,14 +251,8 @@ def grow_tree(
     """
     X = np.ascontiguousarray(X, dtype=np.float64)
     y = np.ascontiguousarray(y, dtype=np.float64)
-    return _grow(_kernels.Presorted(X), y, [bootstrap_rows], m, max_depth, [rng]).tree(0)
-
-
-def _grow(presorted, y, samples, m, max_depth, rngs) -> Nodes:
-    p = presorted.p
-    if not 1 <= m <= p:
-        raise ValueError(f"m must be in [1, {p}], got {m}")
-    return Nodes(**_kernels.build_trees(presorted, y, samples, m, max_depth, rngs))
+    pre = _kernels.Presorted(X)
+    return Nodes(**_kernels.build_trees(pre, y, [bootstrap_rows], m, max_depth, [rng])).tree(0)
 
 
 @dataclass(frozen=True)
@@ -321,7 +315,7 @@ def _bootstrap(master_seed: int, tree_index: int, n: int):
 
 def _fit_batch(presorted, y, n, trees, m, max_depth, master_seed):
     rngs, boots, oobs = zip(*(_bootstrap(master_seed, b, n) for b in trees))
-    return _grow(presorted, y, boots, m, max_depth, rngs), oobs
+    return Nodes(**_kernels.build_trees(presorted, y, boots, m, max_depth, rngs)), oobs
 
 
 # Trees grow in batches of about this many rows in total: one batch's level

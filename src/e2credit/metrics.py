@@ -33,6 +33,11 @@ class PairedSeries:
     def n_rows(self) -> int:
         return self.actual.shape[0]
 
+    def take(self, rows) -> PairedSeries:
+        """The series at the given row indices, in their order."""
+        return PairedSeries(_pick(self.firm_ids, rows), _pick(self.dates, rows),
+                            self.actual[rows], self.predicted[rows])
+
 
 def r_squared_arrays(actual: np.ndarray, predicted: np.ndarray) -> float | np.ndarray:
     """R^2 = 1 - SS_res / SS_tot; errors when the actuals have no variance.
@@ -84,16 +89,16 @@ def mase(series: PairedSeries) -> float:
 
 def _groups(codes: np.ndarray, *columns: np.ndarray) -> list[list[np.ndarray]]:
     """Each column split into per-code runs, codes ascending and rows in
-    their order within a code (codes sorted stably beforehand when needed)."""
-    bounds = np.flatnonzero(np.diff(codes)) + 1
-    return [np.split(col, bounds) for col in columns]
+    their given order within a code."""
+    order = np.argsort(codes, kind="stable")
+    bounds = np.flatnonzero(np.diff(codes[order])) + 1
+    return [np.split(col[order], bounds) for col in columns]
 
 
 def _naive_scale(series: PairedSeries) -> float | None:
     # Firms in order of first appearance, each one's rows by date.
-    _, firm = factorize(series.firm_ids)
-    order = np.lexsort((sorted_codes(series.dates)[1], firm))
-    (values,) = _groups(firm[order], series.actual[order])
+    by_date = np.argsort(sorted_codes(series.dates)[1], kind="stable")
+    (values,) = _groups(factorize(series.firm_ids)[1][by_date], series.actual[by_date])
     firm_errors = [float(np.mean(np.abs(np.diff(v)))) for v in values if v.size >= 2]
     if not firm_errors:
         return None
@@ -140,8 +145,7 @@ def group_pairs(series: PairedSeries, mode: str) -> dict:
     else:
         raise ValueError(f"mode must be 'by_firm' or 'by_date', got {mode!r}")
     names, codes = sorted_codes(keys)
-    order = np.argsort(codes, kind="stable")
-    actual, predicted = _groups(codes[order], series.actual[order], series.predicted[order])
+    actual, predicted = _groups(codes, series.actual, series.predicted)
     return dict(zip(names, zip(actual, predicted)))
 
 
@@ -170,13 +174,7 @@ def accuracy_metrics(
     MASE falls back to None (with a warning) when the trimmed rows leave no
     firm with two dates.
     """
-    keep = _trim_rows_by_actual(np.asarray(series.actual), trim_frac)
-    trimmed = PairedSeries(
-        firm_ids=_pick(series.firm_ids, keep),
-        dates=_pick(series.dates, keep),
-        actual=series.actual[keep],
-        predicted=series.predicted[keep],
-    )
+    trimmed = series.take(_trim_rows_by_actual(series.actual, trim_frac))
     out: dict[str, float | None] = {"rmse": rmse(trimmed), "mape": mape(trimmed)}
     try:
         out["mase"] = mase(trimmed)
@@ -201,11 +199,10 @@ def bucket_comparison(
     with a warning.
     """
     rows = []
-    buckets = sorted(set(bucket_keys))
-    keys = np.asarray(bucket_keys)
+    names, codes = sorted_codes(bucket_keys)
+    (buckets,) = _groups(codes, np.arange(codes.shape[0]))
     min_rows = math.ceil(1.0 / trim_frac) if trim_frac > 0 else 1
-    for bucket in buckets:
-        idx = np.nonzero(keys == bucket)[0]
+    for bucket, idx in zip(names, buckets):
         if idx.size < min_rows:
             warnings.warn(
                 f"bucket {bucket!r} has {idx.size} rows (< {min_rows}), skipped",
@@ -218,15 +215,8 @@ def bucket_comparison(
         for name, values in models.items():
             row[f"median_{name}"] = float(np.median(values[idx]))
             row[f"tmean_{name}"] = truncated_mean(values[idx], trim_frac)
-            sub = PairedSeries(
-                firm_ids=_pick(firm_ids, idx),
-                dates=_pick(dates, idx),
-                actual=actual[idx],
-                predicted=values[idx],
-            )
-            metrics = accuracy_metrics(sub, trim_frac)
-            row[f"rmse_{name}"] = metrics["rmse"]
-            row[f"mape_{name}"] = metrics["mape"]
-            row[f"mase_{name}"] = metrics["mase"]
+            sub = PairedSeries(firm_ids, dates, actual, values).take(idx)
+            for metric, value in accuracy_metrics(sub, trim_frac).items():
+                row[f"{metric}_{name}"] = value
         rows.append(row)
     return rows

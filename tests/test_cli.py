@@ -88,6 +88,19 @@ class TestSpreadCommand:
         assert all(r["reason"] == "" for r in rows)
         assert all(float(r["e2c_bps"]) > 0 for r in rows)
 
+    def test_prices_creditgrades_before_writing(self, synth_dir, tmp_path, monkeypatch):
+        # One pricing call, made before the writer starts, so the writer
+        # only formats.
+        events = []
+        pricing, writer = snapshots_mod.creditgrades_spread, cli.write_spread_csv
+        monkeypatch.setattr(snapshots_mod, "creditgrades_spread",
+                            lambda *args: events.append("price") or pricing(*args))
+        monkeypatch.setattr(cli, "write_spread_csv",
+                            lambda *args: events.append("write") or writer(*args))
+        assert main(["spread", str(synth_dir / "snapshots.csv"),
+                     "--out-dir", str(tmp_path / "o")]) == 0
+        assert events == ["price", "write"]
+
     def test_missing_column_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         cols = [c for c in SNAPSHOT_COLUMNS if c != "cds_5y_bps"]
@@ -357,6 +370,37 @@ class TestTrainCommand:
         ])
         assert code == 3
         assert "out-of-sample" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("swap", [False, True], ids=["in-sample", "out-of-sample"])
+    def test_one_label_value_exit_3_before_any_forest(self, synth_dir, tmp_path, capsys,
+                                                      monkeypatch, swap):
+        # 95% of the firms and of the dates held out leave one in-sample
+        # row; swapping the two sets leaves that row out of sample instead.
+        dataset_split = cli.split_in_out
+
+        def split_in_out(*args):
+            split = dataset_split(*args)
+            if swap:
+                split = replace(split, in_sample=split.out_of_sample,
+                                out_of_sample=split.in_sample)
+            return split
+
+        def no_forest(*args, **kwargs):
+            raise AssertionError("a forest was started")
+
+        monkeypatch.setattr(cli, "split_in_out", split_in_out)
+        monkeypatch.setattr(cli, "fit_forest", no_forest)
+        code = main([
+            "train", str(synth_dir / "snapshots.csv"),
+            "--firm-frac", "0.95", "--date-frac", "0.95",
+            "--out-dir", str(tmp_path / "o"),
+        ])
+        assert code == 3
+        name = "out-of-sample" if swap else "in-sample"
+        assert capsys.readouterr().err == (
+            f"pipeline error: {name} labels do not vary (rows: 1); R^2 undefined\n"
+        )
+        assert not (tmp_path / "o" / "forest.e2cf").exists()
 
     def test_too_many_features_exit_3(self, synth_dir, tmp_path):
         code = main([

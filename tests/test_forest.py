@@ -408,9 +408,32 @@ class TestPresorted:
         two_valued = [f for f in range(X.shape[1]) if np.unique(X[:, f]).size == 2]
         assert sorted(in_blocks) == two_valued
         assert len(pre.blocks) > 1 and any(len(m) > 1 for m, _, _ in pre.blocks)
-        routed = in_blocks + [f for _, cols, _ in pre.groups for f in cols.tolist()]
-        routed += pre.sorted_feats.tolist()
+        routed = in_blocks + pre.few_feats.tolist() + pre.sorted_feats.tolist()
         assert sorted(routed) == [f for f in range(X.shape[1]) if f != constant]
+
+    def test_batch_orders_sort_each_tree_by_value_row_and_draw(self):
+        # Three trees in one batch over presorted columns with tied values,
+        # each bootstrap drawing some rows more than once.
+        rng = np.random.default_rng(5)
+        n = 60
+        X = np.column_stack([
+            np.round(rng.normal(size=n), 1), rng.integers(0, 20, n),
+            rng.normal(size=n), rng.integers(0, 3, n),
+        ]).astype(np.float64)
+        pre = _kernels.Presorted(X)
+        assert pre.sorted_feats.tolist() == [0, 1, 2]
+        assert pre.few_feats.tolist() == [3]
+        assert np.unique(X[:, 0]).size < n and np.unique(X[:, 1]).size < n
+        samples = [rng.integers(0, n, size) for size in (n, 25, 90)]
+        assert all(np.unique(rows).size < rows.size for rows in samples)
+        batch = _kernels._Batch(pre, rng.normal(size=n), samples)
+        rows = np.concatenate(samples).tolist()
+        tree = np.repeat(np.arange(3), [s.size for s in samples]).tolist()
+        assert batch.orders.shape == (3, len(rows))
+        for j, f in enumerate(pre.sorted_feats.tolist()):
+            expected = sorted(range(len(rows)),
+                              key=lambda i: (tree[i], X[rows[i], f], rows[i], i))
+            assert batch.orders[j].tolist() == expected
 
 
 class TestSerialization:

@@ -211,3 +211,42 @@ class TestBucketTable:
         out = accuracy_metrics(s, trim_frac=0.10)
         assert out["rmse"] == 0.0
         assert out["mape"] == 0.0
+
+    def test_empty_table(self):
+        assert bucket_comparison([], [], [], np.zeros(0), {"m": np.zeros(0)}) == []
+
+    def test_interleaved_buckets_equal_each_bucket_alone(self):
+        # Buckets given out of order and interleaved: each row holds the
+        # metrics of its bucket's rows alone, in their given order.
+        rng = np.random.default_rng(3)
+        n = 60
+        keys = rng.choice(["b", "a", "c"], n).tolist()
+        firms = [f"F{i}" for i in rng.integers(0, 5, n)]
+        dates = [f"2016-01-{i:02d}" for i in rng.integers(1, 29, n)]
+        actual = rng.uniform(10, 100, n)
+        model = actual + rng.normal(size=n)
+        rows = bucket_comparison(keys, firms, dates, actual, {"m": model})
+        assert [r["bucket"] for r in rows] == ["a", "b", "c"]
+        for row in rows:
+            idx = [i for i in range(n) if keys[i] == row["bucket"]]
+            alone = series(actual[idx], model[idx], firms=[firms[i] for i in idx],
+                           dates=[dates[i] for i in idx])
+            assert row["obs"] == len(idx)
+            assert row["median_m"] == float(np.median(model[idx]))
+            for metric, value in accuracy_metrics(alone).items():
+                assert row[f"{metric}_m"] == value
+
+
+class TestPairedSeriesTake:
+    def test_rows_in_given_order(self):
+        s = series([1, 2, 3, 4], [5, 6, 7, 8], firms=["A", "B", "C", "D"],
+                   dates=["d1", "d2", "d3", "d4"])
+        sub = s.take(np.array([3, 1, 1]))
+        assert sub.firm_ids == ("D", "B", "B")
+        assert sub.dates == ("d4", "d2", "d2")
+        assert sub.actual.tolist() == [4.0, 2.0, 2.0]
+        assert sub.predicted.tolist() == [8.0, 6.0, 6.0]
+
+    def test_no_rows_rejected(self):
+        with pytest.raises(ValueError, match="at least one row"):
+            series([1, 2], [1, 2]).take(np.array([], dtype=np.int64))
