@@ -247,30 +247,21 @@ def _scan_level(batch, O, counts, mean, sel):
 
 
 def _partition(batch, O, counts, split, feature, threshold):
-    """Row layout of the next level: the rows of each split node, left child
-    (value <= threshold) first, every row of O keeping its relative order so
-    the presorted columns stay sorted inside each child. Returns (O, counts)."""
+    """Row layout of the next level: split node k's rows go to its children
+    2k (value <= threshold) and 2k + 1. A stable sort by child keeps every
+    row of O in its relative order, so the presorted columns stay sorted
+    inside each child. Returns (O, counts)."""
     O = np.compress(np.repeat(split, counts), O, axis=1)
     counts = counts[split]
     seg = np.repeat(np.arange(counts.shape[0]), counts)
-    starts = np.cumsum(counts) - counts
     act = O[0]
     goes_left = np.empty(batch.n, dtype=bool)
     goes_left[act] = (
         batch.pre.X_T[feature[split][seg], batch.rows[act]] <= threshold[split][seg]
     )
-    n_left = np.add.reduceat(goes_left[act], starts, dtype=np.int64)
-    lefts_before = (np.cumsum(n_left) - n_left)[seg]
-    left = goes_left[O]
-    seen_left = np.cumsum(left, axis=1)
-    dest = np.where(
-        left,
-        starts[seg] + seen_left - 1 - lefts_before,
-        n_left[seg] + lefts_before + np.arange(act.shape[0]) - seen_left,
-    )
-    out = np.empty_like(O)
-    np.put_along_axis(out, dest, O, axis=1)
-    return out, np.column_stack((n_left, counts - n_left)).ravel()
+    child = 2 * seg + ~goes_left[O]
+    O = np.take_along_axis(O, np.argsort(child, axis=1, kind="stable"), axis=1)
+    return O, np.bincount(child[0], minlength=2 * counts.shape[0])
 
 
 def _draw_subsets(rngs, node_tree, p, m):

@@ -297,17 +297,15 @@ class FeatureMatrix:
         return FeatureMatrix(
             firm_ids=_pick(self.firm_ids, idx),
             dates=_pick(self.dates, idx),
-            y=self.y[idx].copy(),
-            X=self.X[idx].copy(),
+            y=self.y[idx],
+            X=self.X[idx],
             columns=self.columns,
         )
 
 
-def _dropped_category(counts: dict[str, int]) -> str | None:
+def _dropped_category(counts: dict[str, int]) -> str:
     """Category to drop from a one-hot group: fewest observations, ties
     resolved toward the lexicographically smallest name."""
-    if not counts:
-        return None
     return min(counts, key=lambda name: (counts[name], name))
 
 

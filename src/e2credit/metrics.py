@@ -116,11 +116,12 @@ def truncated_mean(values, trim_frac: float) -> float:
     return float(arr[k : arr.size - k].mean())
 
 
-def avg_correlation(series_by_group: dict) -> float:
+def avg_correlation(series_by_group: dict) -> float | None:
     """Mean Pearson correlation across groups of paired vectors.
 
     Groups with fewer than two points or zero variance on either side are
-    skipped with a warning; all groups degenerate is an error.
+    skipped with a warning; when every group is, the mean is undefined:
+    None, with one more warning.
     """
     correlations = []
     for key, (a, b) in series_by_group.items():
@@ -132,7 +133,9 @@ def avg_correlation(series_by_group: dict) -> float:
             continue
         correlations.append(float(np.corrcoef(a, b)[0, 1]))
     if not correlations:
-        raise ValueError("no group had a defined correlation")
+        warnings.warn("correlation unavailable: no group had a defined correlation",
+                      stacklevel=2)
+        return None
     return float(np.mean(correlations))
 
 
@@ -159,8 +162,6 @@ def _trim_rows_by_actual(actual: np.ndarray, trim_frac: float) -> np.ndarray:
     actual values (stable order among ties)."""
     n = actual.shape[0]
     k = int(math.floor(trim_frac * n))
-    if k == 0:
-        return np.arange(n, dtype=np.int64)
     order = np.argsort(actual, kind="stable")
     keep = np.sort(order[k : n - k])
     return keep

@@ -109,6 +109,15 @@ class TestSpreadCommand:
         assert code == 2
         assert "cds_5y_bps" in capsys.readouterr().err
 
+    def test_empty_file_exit_2(self, tmp_path, capsys):
+        empty = tmp_path / "empty.csv"
+        empty.write_bytes(b"")
+        code = main(["spread", str(empty), "--out-dir", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"input error: {empty}: empty file, header row required\n"
+        )
+
     def test_missing_file_exit_2(self, tmp_path):
         code = main(["spread", str(tmp_path / "nope.csv"),
                      "--out-dir", str(tmp_path / "o")])
@@ -361,6 +370,48 @@ class TestTrainCommand:
             digests.append(hashlib.sha256(blob).hexdigest())
         assert digests[0] == digests[1]
 
+    def test_forest_bytes_pinned(self, tmp_path):
+        # On the panel test_synth_csv_bytes_pinned pins: any change to a
+        # split, a threshold, a leaf value or the file layout shows here,
+        # even one that alters every forest alike.
+        synth = tmp_path / "synth"
+        assert main(["synth", "--firms", "20", "--dates", "15", "--seed", "8",
+                     "--out-dir", str(synth)]) == 0
+        out = tmp_path / "train"
+        assert main(["train", str(synth / "snapshots.csv"), "--seed", "1", "--trees", "5",
+                     "--out-dir", str(out)]) == 0
+        digest = hashlib.sha256((out / "forest.e2cf").read_bytes()).hexdigest()
+        assert digest == "e188c7975cee1414bc3ee34ceaf008de82fe69959ac9714f6770cf38e8162d33"
+
+    def test_no_complete_records_exit_3(self, synth_dir, tmp_path, capsys):
+        # Every label blank: each row is read and priced, none is complete.
+        with open(synth_dir / "snapshots.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        at = rows[0].index("cds_5y_bps")
+        for row in rows[1:]:
+            row[at] = ""
+        blank = tmp_path / "no_labels.csv"
+        with open(blank, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(rows)
+        code = main(["train", str(blank), "--out-dir", str(tmp_path / "o")])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "pipeline error: no complete records after dropping missing data\n"
+        )
+
+    def test_empty_in_sample_exit_3(self, tmp_path, capsys):
+        # One firm: holding out half the firms holds out that one.
+        synth = tmp_path / "one_firm"
+        assert main(["synth", "--firms", "1", "--dates", "30", "--out-dir", str(synth)]) == 0
+        capsys.readouterr()
+        code = main(["train", str(synth / "snapshots.csv"), "--firm-frac", "0.5",
+                     "--out-dir", str(tmp_path / "o")])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "pipeline error: in-sample set is empty after the firm/date split\n"
+        )
+        assert not (tmp_path / "o" / "forest.e2cf").exists()
+
     def test_zero_fractions_exit_3(self, synth_dir, tmp_path, capsys):
         code = main([
             "train", str(synth_dir / "snapshots.csv"),
@@ -442,6 +493,23 @@ class TestEvaluateCommand:
             "firm_id", "date", "cds_5y_bps", "e2c_bps", "creditgrades_bps",
             "forest_bps",
         ]
+
+    def test_no_defined_correlation_leaves_blank_cells(self, synth_dir, trained_dir,
+                                                        tmp_path):
+        # At the largest debt-recovery vol every CreditGrades spread is 0.0,
+        # constant within every firm and every date: its correlations are
+        # undefined, blank cells as an undefined MASE is.
+        out = tmp_path / "eval"
+        with pytest.warns(UserWarning, match="no group had a defined correlation"):
+            code = main(["evaluate", str(trained_dir / "forest.e2cf"),
+                         str(synth_dir / "snapshots.csv"), "--debt-recovery-vol", "26.64",
+                         "--out-dir", str(out)])
+        assert code == 0
+        assert {r["creditgrades_bps"] for r in read_table(out / "timeseries.csv")} == {"0.0"}
+        overall = {r["model"]: r for r in read_table(out / "overall_metrics.csv")}
+        for model in ("e2c", "creditgrades", "forest"):
+            for key in ("corr_by_firm", "corr_by_date"):
+                assert (overall[model][key] == "") == (model == "creditgrades")
 
     @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_prices_creditgrades_for_evaluated_rows_only(self, tmp_path, monkeypatch):

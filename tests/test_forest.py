@@ -193,6 +193,19 @@ class TestGrowTree:
                 member_constant += bool(varies.any() and not varies.all())
         assert member_constant > 0
 
+    def test_rows_alike_in_every_feature_stay_one_leaf(self):
+        # The sampled rows differ in label but not in any column, so the
+        # root may split yet no feature separates its rows: every column of
+        # the matrix varies, but not within the sample.
+        X = np.array([[1.0, 5.0, 0.3], [1.0, 5.0, 0.3], [1.0, 5.0, 0.3], [2.0, 7.0, 0.9]])
+        y = np.array([1.0, 2.0, 3.0, 10.0])
+        tree = grow_tree(X, y, np.array([0, 1, 2, 1]), m=3, max_depth=None,
+                         rng=np.random.default_rng(0))
+        assert tree.n_nodes == 1
+        assert tree.feature[0] == -1
+        assert tree.value[0] == 2.0
+        assert tree.n_samples[0] == 4
+
     def test_m_validation(self):
         with pytest.raises(ValueError):
             grow_tree(FOUR_X, FOUR_Y, np.arange(4), m=0, max_depth=3,

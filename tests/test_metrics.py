@@ -155,8 +155,11 @@ class TestAvgCorrelation:
             assert avg_correlation(groups) == pytest.approx(1.0)
 
     def test_all_degenerate_errors(self):
-        with pytest.warns(UserWarning), pytest.raises(ValueError):
-            avg_correlation({"bad": ([1.0], [2.0])})
+        # No group defines a correlation: the mean is undefined, None with a
+        # warning, as MASE is in accuracy_metrics.
+        with pytest.warns(UserWarning, match="no group had a defined correlation"):
+            assert avg_correlation({"bad": ([1.0], [2.0]),
+                                    "flat": ([1.0, 2.0], [3.0, 3.0])}) is None
 
     def test_group_pairs_modes(self):
         s = series([1, 2, 3, 4], [1, 2, 3, 4],
