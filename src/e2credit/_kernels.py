@@ -280,13 +280,16 @@ def _draw_subsets(rngs, node_tree, p, m):
     return sel
 
 
-_NODE_FIELDS = ("feature", "threshold", "value", "n_samples", "improvement")
+# Per node: the tested feature (LEAF at a leaf) and the key, a split node's
+# threshold or a leaf's mean label. Per split node: its row count and SSE
+# improvement.
+_NODE_FIELDS = ("feature", "key", "n_samples", "improvement")
 
 
 def build_trees(pre, y, samples, m, max_depth, rngs):
     """Grow one regression tree per (row sample, Generator) pair on the
-    presorted matrix; returns each node field concatenated over the trees in
-    tree order, and "sizes", the node count of each tree.
+    presorted matrix; returns each of _NODE_FIELDS concatenated over the
+    trees in tree order, and "sizes", the node count of each tree.
 
     The trees grow together, level by level, but never interact: each
     node's sums run over its own rows only and each tree draws from its own
@@ -319,8 +322,7 @@ def build_trees(pre, y, samples, m, max_depth, rngs):
         level = {
             "tree": tree,
             "feature": np.full(K, LEAF, dtype=np.int64),
-            "threshold": np.zeros(K),
-            "value": mean,
+            "key": mean,
             "n_samples": counts,
             "improvement": np.zeros(K),
         }
@@ -343,7 +345,7 @@ def build_trees(pre, y, samples, m, max_depth, rngs):
             break
         at = at[split]
         level["feature"][at] = feature[split]
-        level["threshold"][at] = threshold[split]
+        level["key"][at] = threshold[split]
         level["improvement"][at] = np.maximum(node_sse - sse_after, 0.0)[split]
         O, counts = _partition(batch, O, counts, split, feature, threshold)
         # The next level holds the children of the split nodes, in order.
@@ -351,10 +353,10 @@ def build_trees(pre, y, samples, m, max_depth, rngs):
         depth += 1
     node_tree = np.concatenate([level["tree"] for level in levels])
     by_tree = np.argsort(node_tree, kind="stable")
-    nodes = {
-        name: np.concatenate([level[name] for level in levels])[by_tree]
-        for name in _NODE_FIELDS
-    }
+    nodes = {name: np.concatenate([level[name] for level in levels])[by_tree]
+             for name in _NODE_FIELDS}
+    split = nodes["feature"] != LEAF
+    nodes.update(n_samples=nodes["n_samples"][split], improvement=nodes["improvement"][split])
     nodes["sizes"] = np.bincount(node_tree, minlength=n_trees)
     return nodes
 

@@ -5,10 +5,10 @@ Training is deterministic for a fixed master seed no matter how many worker
 threads run: each tree owns an independent generator derived from
 (master_seed, tree_index) through numpy's SeedSequence spawn keys, so
 scheduling order cannot leak into the result. A forest's nodes live in one
-store, each field concatenated over the trees (feature, threshold, value,
-sample count, SSE improvement); the importance module consumes the split
-records. Prediction moves every (tree, row) pair down a level at a time,
-all pairs in the same few array operations.
+store, each field concatenated over the trees: per node the feature and the
+key (a split's threshold, a leaf's value), per split node the sample count
+and SSE improvement that MDI importance reads. Prediction moves every (tree,
+row) pair down a level at a time, all pairs in the same few array operations.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ import numpy as np
 
 from . import _kernels
 from .dataset import FeatureColumn, FeatureMatrix
-from .errors import InputFormatError
+from .errors import InputFormatError, PipelineError
 
 LEAF = _kernels.LEAF
 
@@ -89,19 +89,25 @@ class Nodes:
     """The nodes of a sequence of trees, each field concatenated over the
     trees in tree order; sizes[t] is tree t's node count.
 
-    feature[i] is LEAF for a leaf; value[i] is the mean label of the node's
-    training rows, improvement[i] the SSE decrease achieved by its split.
-    Each tree is numbered breadth-first from its root, so it has 2s + 1
-    nodes for s splits and the children of its k-th split node are its
-    nodes 2k+1 (left) and 2k+2 (right). Children are derived, never stored.
+    Per node: feature[i], LEAF for a leaf, and key[i], the threshold of a
+    split node or the mean label of a leaf's training rows. Per split node,
+    in node order: n_samples, its training row count, and improvement, the
+    SSE decrease of its split. Each tree is numbered breadth-first from its
+    root, so it has 2s + 1 nodes for s splits, the children of its k-th
+    split node are its nodes 2k+1 (left) and 2k+2 (right), and tree t's
+    split records start at (roots[t] - t) // 2. Children are derived.
     """
 
     feature: np.ndarray
-    threshold: np.ndarray
-    value: np.ndarray
+    key: np.ndarray
     n_samples: np.ndarray
     improvement: np.ndarray
     sizes: np.ndarray
+
+    # The key at split nodes and at leaves, 0 at the others (a split node's
+    # mean label is not kept).
+    threshold = property(lambda self: np.where(self.feature == LEAF, 0.0, self.key))
+    value = property(lambda self: np.where(self.feature == LEAF, self.key, 0.0))
 
     @staticmethod
     def join(stores) -> "Nodes":
@@ -119,16 +125,13 @@ class Nodes:
     def tree(self, t: int) -> "RegressionTree":
         """Tree t, as arrays that share this store's memory."""
         at = slice(self.roots[t], self.roots[t] + self.sizes[t])
-        return RegressionTree(*(getattr(self, name)[at] for name in _kernels._NODE_FIELDS))
+        splits = slice((at.start - t) // 2, (at.stop - t) // 2)
+        return RegressionTree(self.feature[at], self.key[at],
+                              self.n_samples[splits], self.improvement[splits])
 
     @cached_property
     def tree_of(self) -> np.ndarray:
         return np.repeat(np.arange(self.sizes.shape[0]), self.sizes)
-
-    @cached_property
-    def key(self) -> np.ndarray:
-        """A split node's threshold, or a leaf's value."""
-        return np.where(self.feature == LEAF, self.value, self.threshold)
 
     @cached_property
     def children(self) -> np.ndarray:
@@ -212,9 +215,8 @@ class Nodes:
 class RegressionTree(Nodes):
     """Fitted CART: a store of one tree, root at index 0."""
 
-    def __init__(self, feature, threshold, value, n_samples, improvement):
-        super().__init__(feature, threshold, value, n_samples, improvement,
-                         np.array([feature.shape[0]]))
+    def __init__(self, feature, key, n_samples, improvement):
+        super().__init__(feature, key, n_samples, improvement, np.array([feature.shape[0]]))
 
     def depth(self) -> int:
         return int(self.depths[0])
@@ -377,19 +379,15 @@ def fit_forest(
 # Serialization
 # ---------------------------------------------------------------------------
 
-_MAGIC = b"E2CFOR03"
+_MAGIC = b"E2CFOR04"
 
-# Node fields in file order, with their types on disk and in memory. Integer
-# fields are widened on load: descents index with feature, and MDI weighs
-# by n_samples as it does for a fitted forest.
-_FILE_FIELDS = (
-    ("feature", "<i4", np.intp),
-    ("threshold", "<f8", np.float64),
-    ("value", "<f8", np.float64),
-    ("n_samples", "<i4", np.int64),
-    ("improvement", "<f8", np.float64),
-)
-_NODE_BYTES = sum(np.dtype(disk).itemsize for _, disk, _ in _FILE_FIELDS)
+# Node fields in file order with their types on disk, which are also their
+# types once loaded: key for every node, improvement and n_samples for split
+# nodes only, then feature for every node. Widest first, so that each field
+# starts aligned to its type when the payload does: numpy gathers from a
+# misaligned view several times slower, and a descent gathers key and
+# feature at every level.
+_FILE_FIELDS = (("key", "<f8"), ("improvement", "<f8"), ("n_samples", "<i4"), ("feature", "<i2"))
 
 
 def _at_least(low: int):
@@ -414,34 +412,40 @@ _HEADER = {
 def save_forest(forest: Forest, path) -> None:
     """Write the forest to a binary file; identical forests give identical bytes.
 
-    Layout: the magic "E2CFOR03" (the only version marker), a little-endian
+    Layout: the magic "E2CFOR04" (the only version marker), a little-endian
     uint32 header length, a JSON header (sorted keys, no spaces) with the
-    _HEADER keys, then the trees' node counts as <i8 and each of the
-    _FILE_FIELDS concatenated over the trees in tree order. Children are
-    not stored: they follow from the breadth-first numbering. Out-of-bag
-    rows are redrawn from (master_seed, tree, n_train_rows) on load, not
-    stored, so a forest whose out-of-bag sets are not its seed's raises
-    ValueError.
+    _HEADER keys, padded with trailing spaces so that the payload starts on
+    a multiple of 8 bytes, then the trees' node counts as <i8 and each of the
+    _FILE_FIELDS concatenated over the trees in tree order: 10 bytes a node
+    and 12 more a split node. Children are not stored: they follow from the
+    breadth-first numbering. Out-of-bag rows are redrawn from (master_seed,
+    tree, n_train_rows) on load, not stored, so a forest whose out-of-bag
+    sets are not its seed's raises ValueError; one of more columns than an
+    <i2 feature can number, PipelineError.
     """
+    if len(forest.columns) > 2**15 - 1:
+        raise PipelineError(f"a forest file holds at most 32767 columns, got {len(forest.columns)}")
     for b, oob in enumerate(forest.oob_indices):
         if not np.array_equal(oob, _bootstrap(forest.master_seed, b, forest.n_train_rows)[2]):
             raise ValueError(f"tree {b}'s out-of-bag rows are not its seed's; cannot save")
     header = {key: getattr(forest, key) for key in _HEADER}
     header["columns"] = [[c.name, c.kind] for c in forest.columns]
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    blob += b" " * (-(12 + len(blob)) % 8)
     sizes = forest.nodes.sizes.astype("<i8")
     with open(path, "wb") as fh:
         fh.write(_MAGIC + len(blob).to_bytes(4, "little") + blob + sizes.tobytes())
-        for name, disk, _ in _FILE_FIELDS:
+        for name, disk in _FILE_FIELDS:
             fh.write(getattr(forest.nodes, name).astype(disk).tobytes())
 
 
 def load_forest(path) -> Forest:
-    """Read a forest written by save_forest; round-trips bit-exactly. Any
-    other file, one of an earlier format included, raises InputFormatError."""
+    """Read a forest written by save_forest; round-trips bit-exactly, its
+    node fields being read-only views of the file's bytes. Any other file,
+    one of an earlier format included, raises InputFormatError."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    if raw[:8] in (b"E2CFOR01", b"E2CFOR02"):
+    if raw[:8] in (b"E2CFOR01", b"E2CFOR02", b"E2CFOR03"):
         raise InputFormatError(f"{path}: {raw[:8].decode()} is an earlier forest format; retrain")
     if raw[:8] != _MAGIC:
         raise InputFormatError(f"{path}: not a forest file (bad magic {raw[:8]!r})")
@@ -459,13 +463,17 @@ def load_forest(path) -> Forest:
     if np.any(sizes < 1):
         raise InputFormatError(f"{path}: a tree has no nodes")
     n = sum(sizes.tolist())
-    if len(payload) != 8 * n_trees + _NODE_BYTES * n:
+    # A tree of s splits has 2s + 1 nodes (_check_nodes holds every tree to
+    # it), so the forest has (n - n_trees) / 2 split records.
+    counts = (n, (n - n_trees) // 2, (n - n_trees) // 2, n)
+    widths = [count * np.dtype(disk).itemsize for (_, disk), count in zip(_FILE_FIELDS, counts)]
+    if len(payload) != 8 * n_trees + sum(widths):
         raise InputFormatError(f"{path}: payload is not {n_trees} trees of {n} nodes")
     fields, at = {}, 8 * n_trees
-    for name, disk, memory in _FILE_FIELDS:
-        fields[name] = np.frombuffer(payload, disk, n, at).astype(memory, copy=False)
-        at += n * np.dtype(disk).itemsize
-    nodes = Nodes(sizes=sizes.astype(np.int64), **fields)
+    for (name, disk), count, width in zip(_FILE_FIELDS, counts, widths):
+        fields[name] = np.frombuffer(payload, disk, count, at)
+        at += width
+    nodes = Nodes(sizes=sizes, **fields)
     seed, n_rows = header["master_seed"], header["n_train_rows"]
     _check_nodes(path, nodes, len(columns), n_rows)
     oobs = tuple(_bootstrap(seed, b, n_rows)[2] for b in range(n_trees))
@@ -474,12 +482,6 @@ def load_forest(path) -> Forest:
 
 
 def _check_nodes(path, nodes: Nodes, p: int, n_rows: int) -> None:
-    # A bootstrap draws exactly n_train_rows rows, all of them at the root:
-    # checked before the draws are redrawn, so a bad count allocates nothing.
-    if np.any(nodes.n_samples[nodes.roots] != n_rows):
-        raise InputFormatError(
-            f"{path}: a tree's root does not hold the n_train_rows={n_rows} bootstrap draws"
-        )
     # A tree of s splits has 2s + 1 nodes, and its k-th split node is at most
     # its node 2k, before its children 2k+1 and 2k+2: then every node but the
     # root is the child of exactly one earlier node, and every descent from
@@ -491,3 +493,10 @@ def _check_nodes(path, nodes: Nodes, p: int, n_rows: int) -> None:
         raise InputFormatError(f"{path}: a tree's node count is not twice its splits plus one")
     if np.any(split & (nodes.left <= np.arange(nodes.n_nodes))):
         raise InputFormatError(f"{path}: a split node comes after its children")
+    # A bootstrap draws exactly n_train_rows rows, all of them at the root,
+    # whose split record (when it splits) is the tree's first: checked
+    # before the draws are redrawn, so a bad count allocates nothing.
+    first = (nodes.roots - np.arange(nodes.sizes.shape[0])) // 2
+    if np.any(nodes.n_samples[first[split[nodes.roots]]] != n_rows):
+        raise InputFormatError(f"{path}: a tree's root does not hold the "
+                               f"n_train_rows={n_rows} bootstrap draws")

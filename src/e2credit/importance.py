@@ -2,9 +2,9 @@
 
 Two views of the same question:
 
-* improvement-weighted split counting (MDI): per feature, accumulate
-  (node sample count x SSE improvement) over every node split on it,
-  average over trees, normalize to sum one;
+* improvement-weighted split counting (MDI): per feature, sum node sample
+  count x SSE improvement (itself a sum over the node's rows) over the split
+  records of its splits, average over trees, normalize to sum one;
 * out-of-bag permutation importance: per tree b and feature A, compare the
   tree's R^2 on its OOB rows before and after permuting column A there,
   VI(A) = mean over trees of (R2_b - R2_b_permuted) / R2_b.
@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import FeatureMatrix
+from .errors import PipelineError
 from .forest import LEAF, Forest
 from .metrics import r_squared_arrays
 
@@ -49,9 +50,8 @@ def mdi_importance(forest: Forest, train: FeatureMatrix) -> np.ndarray:
     p = train.n_features
     nodes = forest.nodes
     nodes.check_columns(p)
-    split = nodes.feature != LEAF
-    totals = np.zeros(p, dtype=np.float64)
-    np.add.at(totals, nodes.feature[split], (nodes.n_samples * nodes.improvement)[split])
+    totals = np.bincount(nodes.feature[nodes.feature != LEAF],
+                         nodes.n_samples * nodes.improvement, minlength=p)
     totals /= forest.n_trees
     total = totals.sum()
     if total > 0.0:
@@ -103,7 +103,7 @@ def permutation_importance(forest: Forest, train: FeatureMatrix, seed: int) -> n
     for _, message in sorted(skipped):
         warnings.warn(message, stacklevel=2)
     if used == 0:
-        raise ValueError("no tree had a usable out-of-bag sample")
+        raise PipelineError("no tree had a usable out-of-bag sample")
     return acc / used
 
 

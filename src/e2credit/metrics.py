@@ -120,18 +120,18 @@ def avg_correlation(series_by_group: dict) -> float | None:
     """Mean Pearson correlation across groups of paired vectors.
 
     Groups with fewer than two points or zero variance on either side are
-    skipped with a warning; when every group is, the mean is undefined:
-    None, with one more warning.
+    skipped, with one warning per call that counts them; when every group
+    is, the mean is undefined: None, with one more warning.
     """
     correlations = []
-    for key, (a, b) in series_by_group.items():
-        a = np.asarray(a, dtype=np.float64)
-        b = np.asarray(b, dtype=np.float64)
-        if a.size < 2 or np.all(a == a[0]) or np.all(b == b[0]):
-            warnings.warn(f"group {key!r} degenerate for correlation, skipped",
-                          stacklevel=2)
-            continue
-        correlations.append(float(np.corrcoef(a, b)[0, 1]))
+    for a, b in series_by_group.values():
+        a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+        if a.size >= 2 and np.any(a != a[0]) and np.any(b != b[0]):
+            correlations.append(float(np.corrcoef(a, b)[0, 1]))
+    skipped = len(series_by_group) - len(correlations)
+    if skipped:
+        warnings.warn(f"{skipped} of {len(series_by_group)} groups degenerate for "
+                      "correlation, skipped", stacklevel=2)
     if not correlations:
         warnings.warn("correlation unavailable: no group had a defined correlation",
                       stacklevel=2)

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -381,7 +382,7 @@ class TestTrainCommand:
         assert main(["train", str(synth / "snapshots.csv"), "--seed", "1", "--trees", "5",
                      "--out-dir", str(out)]) == 0
         digest = hashlib.sha256((out / "forest.e2cf").read_bytes()).hexdigest()
-        assert digest == "e188c7975cee1414bc3ee34ceaf008de82fe69959ac9714f6770cf38e8162d33"
+        assert digest == "04b9632f18cbcd1a8b756d41001d66c8e5f157aba0001cd1625f1361fcceb553"
 
     def test_no_complete_records_exit_3(self, synth_dir, tmp_path, capsys):
         # Every label blank: each row is read and priced, none is complete.
@@ -510,6 +511,22 @@ class TestEvaluateCommand:
         for model in ("e2c", "creditgrades", "forest"):
             for key in ("corr_by_firm", "corr_by_date"):
                 assert (overall[model][key] == "") == (model == "creditgrades")
+
+    def test_one_correlation_warning_per_call(self, synth_dir, trained_dir, tmp_path):
+        # Every firm and every date is a degenerate group for CreditGrades:
+        # one counting warning per correlation, then one saying it is
+        # unavailable, not one warning per group.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["evaluate", str(trained_dir / "forest.e2cf"),
+                         str(synth_dir / "snapshots.csv"), "--debt-recovery-vol", "26.64",
+                         "--out-dir", str(tmp_path / "eval")]) == 0
+        messages = [str(w.message) for w in caught if "correlation" in str(w.message)]
+        unavailable = "correlation unavailable: no group had a defined correlation"
+        assert messages == [
+            "30 of 30 groups degenerate for correlation, skipped", unavailable,
+            "20 of 20 groups degenerate for correlation, skipped", unavailable,
+        ]
 
     @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_prices_creditgrades_for_evaluated_rows_only(self, tmp_path, monkeypatch):

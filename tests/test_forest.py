@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 
@@ -12,7 +13,7 @@ from e2credit import _kernels
 from e2credit.dataset import FeatureEncoder, FeatureMatrix, drop_incomplete
 from e2credit.structural import ModelParams
 from e2credit.synth import generate_snapshots
-from e2credit.errors import InputFormatError
+from e2credit.errors import InputFormatError, PipelineError
 
 from conftest import build_from_rows, edit_header
 from e2credit.forest import (
@@ -204,7 +205,7 @@ class TestGrowTree:
         assert tree.n_nodes == 1
         assert tree.feature[0] == -1
         assert tree.value[0] == 2.0
-        assert tree.n_samples[0] == 4
+        assert tree.n_samples.shape == tree.improvement.shape == (0,)
 
     def test_m_validation(self):
         with pytest.raises(ValueError):
@@ -261,8 +262,7 @@ class TestFitForest:
                 rng = forest_mod._tree_rng(2, b)
                 boot = forest_mod._draw_bootstrap(rng, matrix.n_rows)
                 alone = grow_tree(matrix.X, matrix.y, boot, m=3, max_depth=6, rng=rng)
-                for name in ("feature", "threshold", "left", "right", "value",
-                             "n_samples", "improvement"):
+                for name in ("feature", "key", "left", "right", "n_samples", "improvement"):
                     assert getattr(tree, name).tobytes() == getattr(alone, name).tobytes()
 
     def test_prediction_is_mean_of_trees(self, small_matrix):
@@ -299,6 +299,22 @@ class TestFitForest:
                 for oa, ob in zip(reference.oob_indices, other.oob_indices):
                     assert np.array_equal(oa, ob)
 
+    @pytest.mark.parametrize("matrix_name, digest", [
+        ("small_matrix", "665cb076acbdb31e8f063e8da2869ebfc3413b42de26da40967814555e7e6e74"),
+        ("block_matrix", "daceb73d4368e9f63b2e329934b9b412b587a2ec55b9dcdc08e00d341d53806e"),
+    ])
+    def test_key_is_threshold_at_splits_and_mean_at_leaves(self, matrix_name, digest, request):
+        # The digests are of the node arrays the same fits gave when every
+        # node stored both a threshold and a value (format E2CFOR03): sizes,
+        # feature, where(feature == LEAF, value, threshold), then n_samples
+        # and improvement at split nodes. key must be that where() exactly,
+        # and the split records those of the split nodes, in node order.
+        matrix = request.getfixturevalue(matrix_name)
+        nodes = fit_forest(matrix, n_trees=6, m=3, max_depth=None, master_seed=2).nodes
+        arrays = (nodes.sizes.astype("<i8"), nodes.feature.astype("<i8"), nodes.key,
+                  nodes.n_samples.astype("<i8"), nodes.improvement)
+        assert hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest() == digest
+
     @pytest.mark.parametrize("cpus, threads", [(1, []), (2, [2]), (None, [])])
     def test_workers_capped_at_cpu_count(self, small_matrix, monkeypatch, cpus, threads):
         # Never more threads than CPUs (one when the count is unknown), and
@@ -317,7 +333,7 @@ class TestFitForest:
         forest = fit_forest(small_matrix, n_trees=4, m=3, max_depth=4, master_seed=3,
                             workers=4)
         assert started == threads
-        for name in ("feature", "threshold", "value", "n_samples", "improvement", "sizes"):
+        for name in ("feature", "key", "n_samples", "improvement", "sizes"):
             assert getattr(forest.nodes, name).tobytes() == getattr(reference.nodes, name).tobytes()
 
     def test_oob_fraction_statistics(self):
@@ -461,8 +477,11 @@ class TestSerialization:
         assert loaded.master_seed == forest.master_seed
         assert loaded.columns == forest.columns
         for ta, tb in zip(forest.trees, loaded.trees):
-            for name in ("feature", "threshold", "left", "right", "value",
-                         "n_samples", "improvement"):
+            # A fitted forest holds feature and n_samples as int64, a loaded
+            # one as the file's <i2 and <i4.
+            for name in ("feature", "left", "right", "n_samples"):
+                assert np.array_equal(getattr(ta, name), getattr(tb, name))
+            for name in ("key", "improvement"):
                 assert getattr(ta, name).tobytes() == getattr(tb, name).tobytes()
         for a, b in zip(forest.oob_indices, loaded.oob_indices):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
@@ -476,8 +495,35 @@ class TestSerialization:
         for f in (forest, load_forest(tmp_path / "model.e2cf")):
             assert sum(tree.n_nodes for tree in f.trees) == f.nodes.n_nodes
             for tree in f.trees:
-                for name in ("feature", "threshold", "value", "n_samples", "improvement"):
+                for name in NODE_FIELDS:
                     assert np.shares_memory(getattr(tree, name), getattr(f.nodes, name))
+
+    def test_loaded_fields_are_views_of_the_file(self, small_matrix, tmp_path):
+        forest = fit_forest(small_matrix, n_trees=3, m=2, max_depth=4, master_seed=6)
+        save_forest(forest, tmp_path / "model.e2cf")
+        nodes = load_forest(tmp_path / "model.e2cf").nodes
+        for name, dtype in (("feature", "<i2"), ("key", "<f8"), ("n_samples", "<i4"),
+                            ("improvement", "<f8"), ("sizes", "<i8")):
+            field = getattr(nodes, name)
+            assert field.dtype == np.dtype(dtype) and not field.flags.owndata
+            assert field.flags.aligned
+
+    @pytest.mark.parametrize("p, error", [(2**15 - 1, None), (2**15, PipelineError)])
+    def test_columns_bounded_by_the_feature_type(self, p, error, tmp_path):
+        # One leaf on one row, whose bootstrap leaves no out-of-bag row: an
+        # <i2 feature numbers at most 32,767 columns.
+        matrix = FeatureMatrix.from_arrays(np.zeros((1, p)), np.zeros(1))
+        forest = Forest(nodes=leaf_tree(1.0), oob_indices=(np.array([], dtype=np.int64),),
+                        n_trees=1, m=1, max_depth=None, master_seed=0, n_train_rows=1,
+                        columns=matrix.columns, train_sha256=matrix.sha256())
+        path = tmp_path / "wide.e2cf"
+        if error is None:
+            save_forest(forest, path)
+            assert len(load_forest(path).columns) == p
+        else:
+            with pytest.raises(error, match="at most 32767 columns, got 32768"):
+                save_forest(forest, path)
+            assert not path.exists()
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.e2cf"
@@ -486,15 +532,19 @@ class TestSerialization:
             load_forest(path)
 
     def test_layout(self, small_matrix, tmp_path):
-        # Magic, header, node counts, then each field over all trees, and
-        # nothing else: no children, bootstrap or out-of-bag rows.
+        # Magic, header padded to a multiple of 8 bytes, node counts, then
+        # key over every node of every tree, improvement and n_samples over
+        # the split nodes only, feature over every node, and nothing else:
+        # no children, bootstrap or out-of-bag rows.
         forest = fit_forest(small_matrix, n_trees=3, m=2, max_depth=4, master_seed=6)
         path = tmp_path / "model.e2cf"
         save_forest(forest, path)
         raw = path.read_bytes()
         size = int.from_bytes(raw[8:12], "little")
         header = json.loads(raw[12 : 12 + size])
-        assert raw[:8] == b"E2CFOR03"
+        assert raw[:8] == b"E2CFOR04"
+        assert (12 + size) % 8 == 0
+        assert len(raw[12 : 12 + size]) - len(raw[12 : 12 + size].rstrip(b" ")) < 8
         assert sorted(header) == ["columns", "m", "master_seed", "max_depth",
                                   "n_train_rows", "n_trees", "train_sha256"]
         assert header["train_sha256"] == small_matrix.sha256()
@@ -503,9 +553,13 @@ class TestSerialization:
         assert np.frombuffer(payload, "<i8", count=3).tolist() == counts
         assert payload[24:] == b"".join(
             np.concatenate([getattr(t, name) for t in forest.trees]).astype(dtype).tobytes()
-            for name, dtype in (("feature", "<i4"), ("threshold", "<f8"), ("value", "<f8"),
-                                ("n_samples", "<i4"), ("improvement", "<f8"))
+            for name, dtype in (("key", "<f8"), ("improvement", "<f8"), ("n_samples", "<i4"),
+                                ("feature", "<i2"))
         )
+        splits = [int((t.feature != -1).sum()) for t in forest.trees]
+        assert [t.n_samples.size for t in forest.trees] == splits
+        assert counts == [2 * s + 1 for s in splits]
+        assert len(payload) == 8 * 3 + 10 * sum(counts) + 12 * sum(splits)
 
 
 def forest_file(tmp_path):
@@ -519,7 +573,7 @@ def forest_file(tmp_path):
     return forest, path
 
 
-NODE_FIELDS = ("feature", "threshold", "value", "n_samples", "improvement")
+NODE_FIELDS = ("feature", "key", "n_samples", "improvement")
 
 
 def with_tree0(forest, **arrays):
@@ -540,7 +594,7 @@ def corrupt_file(forest, path, case):
         return with_tree0(forest, **{name: arr})
 
     raw = path.read_bytes()
-    if case in ("format_1", "format_2"):
+    if case in ("format_1", "format_2", "format_3"):
         path.write_bytes(b"E2CFOR0" + case[-1].encode() + raw[8:])
     elif case == "truncated":
         path.write_bytes(raw[:-1])
@@ -586,7 +640,7 @@ def corrupt_file(forest, path, case):
 
 
 CORRUPT_CASES = [
-    "format_1", "format_2", "truncated", "trailing_byte", "missing_key",
+    "format_1", "format_2", "format_3", "truncated", "trailing_byte", "missing_key",
     "float_key", "bool_key", "bad_columns", "columns_null", "train_sha256_null",
     "not_an_object", "rows_1e15",
     "rows_plus_one", "empty_tree",
@@ -613,6 +667,12 @@ class TestCorruptFile:
         forest, path = forest_file(tmp_path)
         corrupt_file(forest, path, "format_2")
         with pytest.raises(InputFormatError, match="E2CFOR02 is an earlier forest format; retrain"):
+            load_forest(path)
+
+    def test_format_3_says_retrain(self, tmp_path):
+        forest, path = forest_file(tmp_path)
+        corrupt_file(forest, path, "format_3")
+        with pytest.raises(InputFormatError, match="E2CFOR03 is an earlier forest format; retrain"):
             load_forest(path)
 
     @pytest.mark.parametrize("case, message", [
@@ -665,8 +725,8 @@ class TestCorruptionProperty:
 
 def leaf_tree(value):
     return forest_mod.RegressionTree(
-        feature=np.array([-1]), threshold=np.array([0.0]), value=np.array([value]),
-        n_samples=np.array([1]), improvement=np.array([0.0]))
+        feature=np.array([-1]), key=np.array([value]),
+        n_samples=np.array([], dtype=np.int64), improvement=np.array([]))
 
 
 def oracle_cases():
@@ -758,13 +818,13 @@ def check_splits_against_oracle(X, y, rng, seed, brute_best_split):
     split_rows = []
     for i in range(tree.n_nodes):
         rows = node_rows[i]
-        assert rows.size == tree.n_samples[i]
         expected = brute_best_split(X, y, rows, feats)
         if tree.feature[i] == -1:
             open_node = cap is None or depth[i] < cap
             if open_node and np.ptp(y[rows]) > 0.0:
                 assert expected is None
             continue
+        assert rows.size == tree.n_samples[len(split_rows)]
         assert (tree.feature[i], tree.threshold[i]) == expected[:2]
         split_rows.append(rows)
         go_left = X[rows, tree.feature[i]] <= tree.threshold[i]

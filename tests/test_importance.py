@@ -5,6 +5,7 @@ import pytest
 
 import e2credit.importance as importance_mod
 from e2credit.dataset import FeatureMatrix
+from e2credit.errors import PipelineError
 from e2credit.forest import Forest, Nodes, RegressionTree, fit_forest, save_forest
 from e2credit.importance import (
     importance_report,
@@ -40,6 +41,18 @@ class TestMDI:
         matrix = constant_column_matrix()
         forest = fit_forest(matrix, n_trees=15, m=4, max_depth=6, master_seed=2)
         assert mdi_importance(forest, matrix)[2] == 0.0
+
+    def test_weight_is_node_size_times_improvement(self):
+        # One tree, two splits: the root (10 rows, improvement 1) on
+        # column 0 and its left child (2 rows, improvement 3) on column 1.
+        # Weighted by node size column 0 leads, 10 to 6; by improvement
+        # alone column 1 would, 3 to 1.
+        matrix = FeatureMatrix.from_arrays(np.zeros((10, 2)), np.arange(10.0))
+        tree = RegressionTree(
+            feature=np.array([0, 1, -1, -1, -1]), key=np.array([0.5, 0.5, 0.0, 0.0, 0.0]),
+            n_samples=np.array([10, 2]), improvement=np.array([1.0, 3.0]))
+        forest = hand_forest([tree], [np.arange(0)], matrix)
+        assert mdi_importance(forest, matrix).tolist() == [0.625, 0.375]
 
     def test_normalization(self):
         matrix = single_factor_matrix(seed=5)
@@ -101,8 +114,20 @@ class TestPermutationVI:
             lambda rng, n: np.arange(n, dtype=np.int64),
         )
         forest = fit_forest(matrix, n_trees=3, m=2, max_depth=4, master_seed=0)
-        with pytest.raises(ValueError, match="out-of-bag"), pytest.warns(UserWarning):
+        with pytest.raises(PipelineError, match="out-of-bag"), pytest.warns(UserWarning):
             permutation_importance(forest, matrix, seed=0)
+
+    def test_every_oob_set_constant_errors(self):
+        # Every tree has out-of-bag rows, but their labels never vary.
+        matrix = FeatureMatrix.from_arrays(np.zeros((30, 2)), np.repeat([1.0, 2.0, 3.0], 10))
+        forest = hand_forest([leaf_tree(1.0), leaf_tree(2.0)],
+                             (np.arange(10), np.arange(12, 18)), matrix)
+        messages = [f"tree {b}: constant OOB labels, R^2 undefined, skipped" for b in (0, 1)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(PipelineError, match="no tree had a usable out-of-bag sample"):
+                permutation_importance(forest, matrix, seed=0)
+        assert [str(w.message) for w in caught] == messages
 
 
 class TestReport:
@@ -140,8 +165,8 @@ def recorded(fn, *args):
 
 def leaf_tree(value):
     return RegressionTree(
-        feature=np.array([-1]), threshold=np.array([0.0]), value=np.array([value]),
-        n_samples=np.array([1]), improvement=np.array([0.0]))
+        feature=np.array([-1]), key=np.array([value]),
+        n_samples=np.array([], dtype=np.int64), improvement=np.array([]))
 
 
 def hand_forest(trees, oobs, matrix):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -153,6 +154,15 @@ class TestAvgCorrelation:
         groups = {"bad": ([1.0, 1.0], [1.0, 2.0]), "good": ([1.0, 2], [1.0, 2])}
         with pytest.warns(UserWarning, match="degenerate"):
             assert avg_correlation(groups) == pytest.approx(1.0)
+
+    def test_one_warning_counts_the_skipped_groups(self):
+        groups = {"one": ([1.0], [2.0]), "flat": ([1.0, 2.0], [3.0, 3.0]),
+                  "good": ([1.0, 2.0, 3.0], [3.0, 2.0, 1.0]), "empty": ([], [])}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert avg_correlation(groups) == pytest.approx(-1.0)
+        assert [str(w.message) for w in caught] == [
+            "3 of 4 groups degenerate for correlation, skipped"]
 
     def test_all_degenerate_errors(self):
         # No group defines a correlation: the mean is undefined, None with a
