@@ -281,9 +281,8 @@ def _draw_subsets(rngs, node_tree, p, m):
 
 
 # Per node: the tested feature (LEAF at a leaf) and the key, a split node's
-# threshold or a leaf's mean label. Per split node: its row count and SSE
-# improvement.
-_NODE_FIELDS = ("feature", "key", "n_samples", "improvement")
+# threshold or a leaf's mean label. Per split node: its SSE improvement.
+_NODE_FIELDS = ("feature", "key", "improvement")
 
 
 def build_trees(pre, y, samples, m, max_depth, rngs):
@@ -323,7 +322,6 @@ def build_trees(pre, y, samples, m, max_depth, rngs):
             "tree": tree,
             "feature": np.full(K, LEAF, dtype=np.int64),
             "key": mean,
-            "n_samples": counts,
             "improvement": np.zeros(K),
         }
         levels.append(level)
@@ -355,8 +353,7 @@ def build_trees(pre, y, samples, m, max_depth, rngs):
     by_tree = np.argsort(node_tree, kind="stable")
     nodes = {name: np.concatenate([level[name] for level in levels])[by_tree]
              for name in _NODE_FIELDS}
-    split = nodes["feature"] != LEAF
-    nodes.update(n_samples=nodes["n_samples"][split], improvement=nodes["improvement"][split])
+    nodes["improvement"] = nodes["improvement"][nodes["feature"] != LEAF]
     nodes["sizes"] = np.bincount(node_tree, minlength=n_trees)
     return nodes
 

@@ -222,14 +222,7 @@ def cmd_evaluate(args, config: RunConfig, out_dir: Path) -> None:
 def cmd_importance(args, config: RunConfig, out_dir: Path) -> None:
     forest, _, matrix, _ = _forest_and_dataset(args, config)
     split = split_in_out(matrix, config.firm_frac, config.date_frac, forest.master_seed)
-    train = split.in_sample
-    if train.sha256() != forest.train_sha256:
-        raise CompatibilityError(
-            f"the rebuilt in-sample set ({train.n_rows} rows) is not the one the "
-            f"forest was trained on ({forest.n_train_rows} rows); pass the same "
-            "snapshot CSV and config used for training"
-        )
-    report = importance_report(forest, train, seed=config.seed)
+    report = importance_report(forest, split.in_sample, seed=config.seed)
     names = report.feature_names
     scores = {"mdi": report.mdi, "permutation_vi": report.permutation_vi}
     # Every feature in column order with both scores, then each ranking.

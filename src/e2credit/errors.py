@@ -10,7 +10,7 @@ class PipelineError(Exception):
 
 
 class CompatibilityError(Exception):
-    """Forest and dataset do not match (columns, row counts). Exit code 4."""
+    """Forest and dataset do not match (columns, or not the training set). Exit code 4."""
 
 
 def not_utf8(path, exc: UnicodeDecodeError) -> InputFormatError:

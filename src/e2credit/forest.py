@@ -6,8 +6,10 @@ threads run: each tree owns an independent generator derived from
 (master_seed, tree_index) through numpy's SeedSequence spawn keys, so
 scheduling order cannot leak into the result. A forest's nodes live in one
 store, each field concatenated over the trees: per node the feature and the
-key (a split's threshold, a leaf's value), per split node the sample count
-and SSE improvement that MDI importance reads. Prediction moves every (tree,
+key (a split's threshold, a leaf's value), per split node the SSE
+improvement that MDI importance reads. Nothing the seed gives back is kept:
+a tree's bootstrap and out-of-bag rows are redrawn from (master_seed, tree,
+training row count) where they are needed. Prediction moves every (tree,
 row) pair down a level at a time, all pairs in the same few array operations.
 """
 from __future__ import annotations
@@ -91,16 +93,16 @@ class Nodes:
 
     Per node: feature[i], LEAF for a leaf, and key[i], the threshold of a
     split node or the mean label of a leaf's training rows. Per split node,
-    in node order: n_samples, its training row count, and improvement, the
-    SSE decrease of its split. Each tree is numbered breadth-first from its
-    root, so it has 2s + 1 nodes for s splits, the children of its k-th
-    split node are its nodes 2k+1 (left) and 2k+2 (right), and tree t's
-    split records start at (roots[t] - t) // 2. Children are derived.
+    in node order: improvement, the decrease its split brings to the summed
+    squared error of the node's training rows. Each tree is numbered
+    breadth-first from its root, so it has 2s + 1 nodes for s splits, the
+    children of its k-th split node are its nodes 2k+1 (left) and 2k+2
+    (right), and tree t's split records start at (roots[t] - t) // 2.
+    Children are derived.
     """
 
     feature: np.ndarray
     key: np.ndarray
-    n_samples: np.ndarray
     improvement: np.ndarray
     sizes: np.ndarray
 
@@ -126,8 +128,7 @@ class Nodes:
         """Tree t, as arrays that share this store's memory."""
         at = slice(self.roots[t], self.roots[t] + self.sizes[t])
         splits = slice((at.start - t) // 2, (at.stop - t) // 2)
-        return RegressionTree(self.feature[at], self.key[at],
-                              self.n_samples[splits], self.improvement[splits])
+        return RegressionTree(self.feature[at], self.key[at], self.improvement[splits])
 
     @cached_property
     def tree_of(self) -> np.ndarray:
@@ -215,8 +216,8 @@ class Nodes:
 class RegressionTree(Nodes):
     """Fitted CART: a store of one tree, root at index 0."""
 
-    def __init__(self, feature, key, n_samples, improvement):
-        super().__init__(feature, key, n_samples, improvement, np.array([feature.shape[0]]))
+    def __init__(self, feature, key, improvement):
+        super().__init__(feature, key, improvement, np.array([feature.shape[0]]))
 
     def depth(self) -> int:
         return int(self.depths[0])
@@ -261,12 +262,10 @@ class Forest:
     """Bagged ensemble; prediction is the arithmetic mean of tree outputs."""
 
     nodes: Nodes
-    oob_indices: tuple[np.ndarray, ...]
     n_trees: int
     m: int
     max_depth: int | None
     master_seed: int
-    n_train_rows: int
     columns: tuple[FeatureColumn, ...]
     train_sha256: str  # FeatureMatrix.sha256() of the training set
 
@@ -293,6 +292,13 @@ class Forest:
     def column_names(self) -> tuple[str, ...]:
         return tuple(col.name for col in self.columns)
 
+    def out_of_bag(self, n_rows: int) -> tuple[np.ndarray, ...]:
+        """Each tree's out-of-bag rows, ascending, for a training set of
+        n_rows rows: the rows its bootstrap never drew."""
+        return tuple(np.flatnonzero(np.bincount(_bootstrap(self.master_seed, b, n_rows)[1],
+                                                minlength=n_rows) == 0)
+                     for b in range(self.n_trees))
+
 
 def _tree_rng(master_seed: int, tree_index: int) -> np.random.Generator:
     # Counter-style derivation: child stream (master_seed, b) is independent
@@ -307,11 +313,10 @@ def _draw_bootstrap(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def _bootstrap(master_seed: int, tree_index: int, n: int):
-    """Tree tree_index's generator, left where growing starts, its n bootstrap
-    rows and its out-of-bag rows (those never drawn, ascending)."""
+    """Tree tree_index's generator, left where growing starts, and its n
+    bootstrap rows."""
     rng = _tree_rng(master_seed, tree_index)
-    boot = _draw_bootstrap(rng, n)
-    return rng, boot, np.flatnonzero(np.bincount(boot, minlength=n) == 0)
+    return rng, _draw_bootstrap(rng, n)
 
 
 # Trees grow in batches of about this many rows in total: one batch's level
@@ -334,9 +339,9 @@ def fit_forest(
     """Train a forest of n_trees bagged CARTs on the encoded matrix.
 
     Each tree draws a bootstrap sample of n rows with replacement and grows
-    with per-node feature subsets of size m; rows never drawn are recorded
-    as the tree's out-of-bag set. The result is identical for any worker
-    count, so at most os.cpu_count() threads run.
+    with per-node feature subsets of size m; rows never drawn are the tree's
+    out-of-bag set (Forest.out_of_bag). The result is identical for any
+    worker count, so at most os.cpu_count() threads run.
     """
     if train.n_rows == 0:
         raise ValueError("cannot fit a forest on an empty training set")
@@ -347,8 +352,8 @@ def fit_forest(
     n = train.n_rows
 
     def fit_batch(trees):
-        rngs, boots, oobs = zip(*(_bootstrap(master_seed, b, n) for b in trees))
-        return Nodes(**_kernels.build_trees(presorted, y, boots, m, max_depth, rngs)), oobs
+        rngs, boots = zip(*(_bootstrap(master_seed, b, n) for b in trees))
+        return Nodes(**_kernels.build_trees(presorted, y, boots, m, max_depth, rngs))
 
     size = max(1, _BATCH_ROWS // n)
     groups = [range(start, min(start + size, n_trees)) for start in range(0, n_trees, size)]
@@ -363,13 +368,11 @@ def fit_forest(
     else:
         batches = list(map(fit_batch, groups))
     return Forest(
-        nodes=Nodes.join([nodes for nodes, _ in batches]),
-        oob_indices=tuple(oob for _, oobs in batches for oob in oobs),
+        nodes=Nodes.join(batches),
         n_trees=n_trees,
         m=m,
         max_depth=max_depth,
         master_seed=master_seed,
-        n_train_rows=n,
         columns=train.columns,
         train_sha256=train.sha256(),
     )
@@ -379,15 +382,15 @@ def fit_forest(
 # Serialization
 # ---------------------------------------------------------------------------
 
-_MAGIC = b"E2CFOR04"
+_MAGIC = b"E2CFOR05"
 
 # Node fields in file order with their types on disk, which are also their
-# types once loaded: key for every node, improvement and n_samples for split
-# nodes only, then feature for every node. Widest first, so that each field
-# starts aligned to its type when the payload does: numpy gathers from a
+# types once loaded: key for every node, improvement for split nodes only,
+# then feature for every node. Widest first, so that each field starts
+# aligned to its type when the payload does: numpy gathers from a
 # misaligned view several times slower, and a descent gathers key and
 # feature at every level.
-_FILE_FIELDS = (("key", "<f8"), ("improvement", "<f8"), ("n_samples", "<i4"), ("feature", "<i2"))
+_FILE_FIELDS = (("key", "<f8"), ("improvement", "<f8"), ("feature", "<i2"))
 
 
 def _at_least(low: int):
@@ -401,7 +404,6 @@ _HEADER = {
     "m": _at_least(1),
     "max_depth": lambda v: v is None or _at_least(1)(v),
     "master_seed": _at_least(0),
-    "n_train_rows": _at_least(1),
     "columns": lambda v: type(v) is list and all(
         type(c) is list and len(c) == 2 and all(type(s) is str for s in c) for c in v
     ),
@@ -412,22 +414,19 @@ _HEADER = {
 def save_forest(forest: Forest, path) -> None:
     """Write the forest to a binary file; identical forests give identical bytes.
 
-    Layout: the magic "E2CFOR04" (the only version marker), a little-endian
+    Layout: the magic "E2CFOR05" (the only version marker), a little-endian
     uint32 header length, a JSON header (sorted keys, no spaces) with the
     _HEADER keys, padded with trailing spaces so that the payload starts on
     a multiple of 8 bytes, then the trees' node counts as <i8 and each of the
     _FILE_FIELDS concatenated over the trees in tree order: 10 bytes a node
-    and 12 more a split node. Children are not stored: they follow from the
-    breadth-first numbering. Out-of-bag rows are redrawn from (master_seed,
-    tree, n_train_rows) on load, not stored, so a forest whose out-of-bag
-    sets are not its seed's raises ValueError; one of more columns than an
-    <i2 feature can number, PipelineError.
+    and 8 more a split node. Children are not stored: they follow from the
+    breadth-first numbering. Neither are bootstrap or out-of-bag rows: they
+    follow from master_seed and the training set (Forest.out_of_bag). A
+    forest of more columns than an <i2 feature can number raises
+    PipelineError.
     """
     if len(forest.columns) > 2**15 - 1:
         raise PipelineError(f"a forest file holds at most 32767 columns, got {len(forest.columns)}")
-    for b, oob in enumerate(forest.oob_indices):
-        if not np.array_equal(oob, _bootstrap(forest.master_seed, b, forest.n_train_rows)[2]):
-            raise ValueError(f"tree {b}'s out-of-bag rows are not its seed's; cannot save")
     header = {key: getattr(forest, key) for key in _HEADER}
     header["columns"] = [[c.name, c.kind] for c in forest.columns]
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
@@ -442,10 +441,11 @@ def save_forest(forest: Forest, path) -> None:
 def load_forest(path) -> Forest:
     """Read a forest written by save_forest; round-trips bit-exactly, its
     node fields being read-only views of the file's bytes. Any other file,
-    one of an earlier format included, raises InputFormatError."""
+    one of an earlier format included, raises InputFormatError. No header
+    value sizes an allocation before the payload's length confirms it."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    if raw[:8] in (b"E2CFOR01", b"E2CFOR02", b"E2CFOR03"):
+    if raw[:8] in (b"E2CFOR01", b"E2CFOR02", b"E2CFOR03", b"E2CFOR04"):
         raise InputFormatError(f"{path}: {raw[:8].decode()} is an earlier forest format; retrain")
     if raw[:8] != _MAGIC:
         raise InputFormatError(f"{path}: not a forest file (bad magic {raw[:8]!r})")
@@ -459,13 +459,15 @@ def load_forest(path) -> Forest:
             raise InputFormatError(f"{path}: forest header key {key!r} missing or malformed")
     n_trees, columns = header["n_trees"], header["columns"]
     payload = memoryview(raw)[12 + size :]
-    sizes = np.frombuffer(payload, "<i8", count=min(n_trees, len(payload) // 8))
+    if len(payload) < 8 * n_trees:
+        raise InputFormatError(f"{path}: payload too short for {n_trees} node counts")
+    sizes = np.frombuffer(payload, "<i8", count=n_trees)
     if np.any(sizes < 1):
         raise InputFormatError(f"{path}: a tree has no nodes")
     n = sum(sizes.tolist())
     # A tree of s splits has 2s + 1 nodes (_check_nodes holds every tree to
     # it), so the forest has (n - n_trees) / 2 split records.
-    counts = (n, (n - n_trees) // 2, (n - n_trees) // 2, n)
+    counts = (n, (n - n_trees) // 2, n)
     widths = [count * np.dtype(disk).itemsize for (_, disk), count in zip(_FILE_FIELDS, counts)]
     if len(payload) != 8 * n_trees + sum(widths):
         raise InputFormatError(f"{path}: payload is not {n_trees} trees of {n} nodes")
@@ -474,18 +476,16 @@ def load_forest(path) -> Forest:
         fields[name] = np.frombuffer(payload, disk, count, at)
         at += width
     nodes = Nodes(sizes=sizes, **fields)
-    seed, n_rows = header["master_seed"], header["n_train_rows"]
-    _check_nodes(path, nodes, len(columns), n_rows)
-    oobs = tuple(_bootstrap(seed, b, n_rows)[2] for b in range(n_trees))
+    _check_nodes(path, nodes, len(columns))
     header["columns"] = tuple(FeatureColumn(name, kind) for name, kind in columns)
-    return Forest(nodes=nodes, oob_indices=oobs, **{key: header[key] for key in _HEADER})
+    return Forest(nodes=nodes, **{key: header[key] for key in _HEADER})
 
 
-def _check_nodes(path, nodes: Nodes, p: int, n_rows: int) -> None:
+def _check_nodes(path, nodes: Nodes, p: int) -> None:
     # A tree of s splits has 2s + 1 nodes, and its k-th split node is at most
     # its node 2k, before its children 2k+1 and 2k+2: then every node but the
     # root is the child of exactly one earlier node, and every descent from
-    # the root ends at a leaf.
+    # the root ends at a leaf. Every feature is one of the p columns or LEAF.
     if nodes.feature.min() < LEAF or nodes.feature.max() >= p:
         raise InputFormatError(f"{path}: a node tests a feature outside [-1, {p})")
     split = nodes.feature != LEAF
@@ -493,10 +493,3 @@ def _check_nodes(path, nodes: Nodes, p: int, n_rows: int) -> None:
         raise InputFormatError(f"{path}: a tree's node count is not twice its splits plus one")
     if np.any(split & (nodes.left <= np.arange(nodes.n_nodes))):
         raise InputFormatError(f"{path}: a split node comes after its children")
-    # A bootstrap draws exactly n_train_rows rows, all of them at the root,
-    # whose split record (when it splits) is the tree's first: checked
-    # before the draws are redrawn, so a bad count allocates nothing.
-    first = (nodes.roots - np.arange(nodes.sizes.shape[0])) // 2
-    if np.any(nodes.n_samples[first[split[nodes.roots]]] != n_rows):
-        raise InputFormatError(f"{path}: a tree's root does not hold the "
-                               f"n_train_rows={n_rows} bootstrap draws")

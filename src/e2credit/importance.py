@@ -2,12 +2,14 @@
 
 Two views of the same question:
 
-* improvement-weighted split counting (MDI): per feature, sum node sample
-  count x SSE improvement (itself a sum over the node's rows) over the split
-  records of its splits, average over trees, normalize to sum one;
+* mean decrease in impurity (MDI, Breiman 2001): per feature, sum the SSE
+  improvement of its splits (each the decrease in summed squared error over
+  the node's training rows), average over trees, normalize to sum one;
 * out-of-bag permutation importance: per tree b and feature A, compare the
   tree's R^2 on its OOB rows before and after permuting column A there,
-  VI(A) = mean over trees of (R2_b - R2_b_permuted) / R2_b.
+  VI(A) = mean over trees of (R2_b - R2_b_permuted) / R2_b. The OOB rows
+  are redrawn from the forest's seed, so the matrix must be the forest's
+  training set; its SHA-256 is checked first.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import FeatureMatrix
-from .errors import PipelineError
+from .errors import CompatibilityError, PipelineError
 from .forest import LEAF, Forest
 from .metrics import r_squared_arrays
 
@@ -43,15 +45,15 @@ def _ranking(scores: np.ndarray) -> tuple[int, ...]:
 
 
 def mdi_importance(forest: Forest, train: FeatureMatrix) -> np.ndarray:
-    """Improvement-weighted split counts per feature, normalized to sum one.
+    """Mean decrease in impurity per feature: the summed SSE improvement of
+    its splits, averaged over trees and normalized to sum one.
 
     A feature never chosen by any split scores exactly zero.
     """
     p = train.n_features
     nodes = forest.nodes
     nodes.check_columns(p)
-    totals = np.bincount(nodes.feature[nodes.feature != LEAF],
-                         nodes.n_samples * nodes.improvement, minlength=p)
+    totals = np.bincount(nodes.feature[nodes.feature != LEAF], nodes.improvement, minlength=p)
     totals /= forest.n_trees
     total = totals.sum()
     if total > 0.0:
@@ -77,9 +79,12 @@ def permutation_importance(forest: Forest, train: FeatureMatrix, seed: int) -> n
 
     Permutations are drawn per (tree, feature) from streams derived from
     (seed, tree index), so repeated calls agree bitwise and worker scheduling
-    cannot matter. Trees whose OOB set is too small, has constant labels, or
-    scores exactly zero R^2 are skipped with a warning; the average runs over
-    the remaining trees. The stored matrix is never modified.
+    cannot matter. Each tree's OOB rows are redrawn from the forest's seed
+    and train's row count, so train must be the forest's training set:
+    CompatibilityError otherwise. Trees whose OOB set is too small, has
+    constant labels, or scores exactly zero R^2 are skipped with a warning;
+    the average runs over the remaining trees. The stored matrix is never
+    modified.
 
     Only rows whose path tests a feature are re-scored when that feature is
     permuted, each from the first node on its path that tests it; every
@@ -87,6 +92,11 @@ def permutation_importance(forest: Forest, train: FeatureMatrix, seed: int) -> n
     unchanged. The scores equal those of predicting every permuted copy of
     the OOB block in full, bit for bit.
     """
+    if train.sha256() != forest.train_sha256:
+        raise CompatibilityError(
+            f"the {train.n_rows}-row matrix is not the one the forest was trained on; "
+            "pass the training set (the snapshot CSV and config used for training)"
+        )
     p = train.n_features
     X = np.ascontiguousarray(train.X, dtype=np.float64)
     forest.nodes.check_columns(p)
@@ -112,8 +122,7 @@ def _chunks(forest: Forest, train: FeatureMatrix, seed: int, skipped: list):
     _CHUNK_ROWS OOB rows or a little more each; trees that cannot be scored
     go to skipped instead."""
     chunk, rows = [], 0
-    for b in range(forest.n_trees):
-        oob = forest.oob_indices[b]
+    for b, oob in enumerate(forest.out_of_bag(train.n_rows)):
         if oob.size < 2:
             skipped.append((b, f"tree {b}: OOB set too small, skipped"))
             continue

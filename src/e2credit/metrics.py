@@ -172,16 +172,18 @@ def accuracy_metrics(
 ) -> dict[str, float | None]:
     """RMSE / MAPE / MASE after trimming rows by the actual value.
 
-    MASE falls back to None (with a warning) when the trimmed rows leave no
-    firm with two dates.
+    MAPE and MASE fall back to None (with a warning) where undefined: MAPE
+    when a trimmed actual value is zero, MASE when the trimmed rows leave no
+    firm with two dates or no naive forecast error.
     """
     trimmed = series.take(_trim_rows_by_actual(series.actual, trim_frac))
-    out: dict[str, float | None] = {"rmse": rmse(trimmed), "mape": mape(trimmed)}
-    try:
-        out["mase"] = mase(trimmed)
-    except ValueError as exc:
-        warnings.warn(f"MASE unavailable: {exc}", stacklevel=2)
-        out["mase"] = None
+    out: dict[str, float | None] = {"rmse": rmse(trimmed)}
+    for name, metric in (("mape", mape), ("mase", mase)):
+        try:
+            out[name] = metric(trimmed)
+        except ValueError as exc:
+            warnings.warn(f"{name.upper()} unavailable: {exc}", stacklevel=2)
+            out[name] = None
     return out
 
 

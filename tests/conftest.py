@@ -106,9 +106,10 @@ def stacked_permutation_importance(forest, train, seed, stacked_rows=2**14):
     """Reference OOB permutation VI: every permuted copy of a tree's OOB
     block is built in full and scored by the reference tree prediction.
 
-    Draws the permutations through the module's _permutation hook in the
-    same order as the program, and warns about skipped trees the same way.
-    Returns the VI vector.
+    Reads each tree's OOB rows from forest.out_of_bag and draws the
+    permutations through the module's _permutation hook, in the same order
+    as the program, and warns about skipped trees the same way. Returns the
+    VI vector.
     """
     import warnings
 
@@ -118,8 +119,7 @@ def stacked_permutation_importance(forest, train, seed, stacked_rows=2**14):
     p = train.n_features
     acc = np.zeros(p, dtype=np.float64)
     used = 0
-    for b, tree in enumerate(forest.trees):
-        oob = forest.oob_indices[b]
+    for b, (tree, oob) in enumerate(zip(forest.trees, forest.out_of_bag(train.n_rows))):
         if oob.size < 2:
             warnings.warn(f"tree {b}: OOB set too small, skipped", stacklevel=2)
             continue

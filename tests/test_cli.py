@@ -382,7 +382,7 @@ class TestTrainCommand:
         assert main(["train", str(synth / "snapshots.csv"), "--seed", "1", "--trees", "5",
                      "--out-dir", str(out)]) == 0
         digest = hashlib.sha256((out / "forest.e2cf").read_bytes()).hexdigest()
-        assert digest == "04b9632f18cbcd1a8b756d41001d66c8e5f157aba0001cd1625f1361fcceb553"
+        assert digest == "d6f760896f6a07e16b30829e06038fd3a8818bda4e24c89c32b530f21365bee5"
 
     def test_no_complete_records_exit_3(self, synth_dir, tmp_path, capsys):
         # Every label blank: each row is read and priced, none is complete.
@@ -528,6 +528,27 @@ class TestEvaluateCommand:
             "20 of 20 groups degenerate for correlation, skipped", unavailable,
         ]
 
+    def test_zero_label_leaves_blank_mape_cells(self, synth_dir, trained_dir, tmp_path):
+        # A zero CDS label is a valid reading, but MAPE divides by it: a
+        # blank cell with a warning, as an undefined MASE is.
+        lines = (synth_dir / "snapshots.csv").read_text().splitlines()
+        at = lines[0].split(",").index("cds_5y_bps")
+        for i in range(1, len(lines), 3):
+            row = lines[i].split(",")
+            row[at] = "0"
+            lines[i] = ",".join(row)
+        zeros = tmp_path / "zeros.csv"
+        zeros.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "eval"
+        with pytest.warns(UserWarning, match="MAPE unavailable: MAPE undefined"):
+            code = main(["evaluate", str(trained_dir / "forest.e2cf"), str(zeros),
+                         "--out-dir", str(out)])
+        assert code == 0
+        overall = read_table(out / "overall_metrics.csv")
+        assert [r["mape"] for r in overall] == ["", "", ""]
+        assert all(r["rmse"] != "" for r in overall)
+        assert any(r["mape_forest"] == "" for r in read_table(out / "by_rating.csv"))
+
     @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_prices_creditgrades_for_evaluated_rows_only(self, tmp_path, monkeypatch):
         # Blanked ratings drop priced rows from the dataset: CreditGrades is
@@ -625,18 +646,18 @@ class TestImportanceCommand:
 
 def corrupt_forest(trained_dir, tmp_path, case):
     """A copy of the trained forest file, truncated, with a header key
-    removed or with a row count its trees do not hold."""
+    removed or with a tree count no file could hold."""
     raw = (trained_dir / "forest.e2cf").read_bytes()
     path = tmp_path / "corrupt.e2cf"
     path.write_bytes(raw[: len(raw) // 2] if case == "truncated" else raw)
     if case == "header_without_key":
         edit_header(path, lambda h: {k: v for k, v in h.items() if k != "master_seed"})
-    if case == "huge_row_count":
-        edit_header(path, lambda h: {**h, "n_train_rows": 10**15})
+    if case == "huge_tree_count":
+        edit_header(path, lambda h: {**h, "n_trees": 10**15})
     return path
 
 
-@pytest.mark.parametrize("case", ["truncated", "header_without_key", "huge_row_count"])
+@pytest.mark.parametrize("case", ["truncated", "header_without_key", "huge_tree_count"])
 @pytest.mark.parametrize("command", ["evaluate", "importance"])
 def test_corrupt_forest_exit_2(synth_dir, trained_dir, tmp_path, capsys, command, case):
     path = corrupt_forest(trained_dir, tmp_path, case)

@@ -205,7 +205,7 @@ class TestGrowTree:
         assert tree.n_nodes == 1
         assert tree.feature[0] == -1
         assert tree.value[0] == 2.0
-        assert tree.n_samples.shape == tree.improvement.shape == (0,)
+        assert tree.improvement.shape == (0,)
 
     def test_m_validation(self):
         with pytest.raises(ValueError):
@@ -221,8 +221,7 @@ class TestFitForest:
         forest = fit_forest(small_matrix, n_trees=5, m=3, max_depth=4, master_seed=0)
         assert forest.n_trees == 5
         assert len(forest.trees) == 5
-        assert forest.n_train_rows == small_matrix.n_rows
-        for b, oob in enumerate(forest.oob_indices):
+        for b, oob in enumerate(forest.out_of_bag(small_matrix.n_rows)):
             boot = bootstrap_rows(0, b, small_matrix.n_rows)
             assert boot.shape[0] == small_matrix.n_rows
             assert np.intersect1d(boot, oob).size == 0
@@ -262,7 +261,7 @@ class TestFitForest:
                 rng = forest_mod._tree_rng(2, b)
                 boot = forest_mod._draw_bootstrap(rng, matrix.n_rows)
                 alone = grow_tree(matrix.X, matrix.y, boot, m=3, max_depth=6, rng=rng)
-                for name in ("feature", "key", "left", "right", "n_samples", "improvement"):
+                for name in ("feature", "key", "left", "right", "improvement"):
                     assert getattr(tree, name).tobytes() == getattr(alone, name).tobytes()
 
     def test_prediction_is_mean_of_trees(self, small_matrix):
@@ -273,10 +272,9 @@ class TestFitForest:
 
     def test_two_tree_mean(self):
         matrix = FeatureMatrix.from_arrays(np.zeros((1, 4)), np.zeros(1))
-        pair = Forest(nodes=Nodes.join((leaf_tree(100.0), leaf_tree(200.0))),
-                      oob_indices=(np.array([], dtype=np.int64),) * 2, n_trees=2,
-                      m=1, max_depth=1, master_seed=0, n_train_rows=1,
-                      columns=matrix.columns, train_sha256=matrix.sha256())
+        pair = Forest(nodes=Nodes.join((leaf_tree(100.0), leaf_tree(200.0))), n_trees=2, m=1,
+                      max_depth=1, master_seed=0, columns=matrix.columns,
+                      train_sha256=matrix.sha256())
         assert pair.predict(np.zeros(4)) == 150.0
 
     def test_dimension_mismatch(self, small_matrix):
@@ -296,23 +294,20 @@ class TestFitForest:
                     assert np.array_equal(ta.feature, tb.feature)
                     assert np.array_equal(ta.threshold, tb.threshold)
                     assert np.array_equal(ta.value, tb.value)
-                for oa, ob in zip(reference.oob_indices, other.oob_indices):
-                    assert np.array_equal(oa, ob)
 
     @pytest.mark.parametrize("matrix_name, digest", [
-        ("small_matrix", "665cb076acbdb31e8f063e8da2869ebfc3413b42de26da40967814555e7e6e74"),
-        ("block_matrix", "daceb73d4368e9f63b2e329934b9b412b587a2ec55b9dcdc08e00d341d53806e"),
+        ("small_matrix", "24310dd8f90d274c4c8586e9dd58029fc2336731b4f5083b9639c0db3496194c"),
+        ("block_matrix", "c3950ce767f62ab89a620c813887194d6301f2184cab4e7b2bd09eda9556e7c7"),
     ])
     def test_key_is_threshold_at_splits_and_mean_at_leaves(self, matrix_name, digest, request):
-        # The digests are of the node arrays the same fits gave when every
-        # node stored both a threshold and a value (format E2CFOR03): sizes,
-        # feature, where(feature == LEAF, value, threshold), then n_samples
-        # and improvement at split nodes. key must be that where() exactly,
-        # and the split records those of the split nodes, in node order.
+        # The digests are of the node arrays the same fits gave when split
+        # records also held the node's row count (format E2CFOR04): sizes,
+        # feature, key (the threshold at split nodes and the mean label at
+        # leaves), then improvement at split nodes, in node order.
         matrix = request.getfixturevalue(matrix_name)
         nodes = fit_forest(matrix, n_trees=6, m=3, max_depth=None, master_seed=2).nodes
         arrays = (nodes.sizes.astype("<i8"), nodes.feature.astype("<i8"), nodes.key,
-                  nodes.n_samples.astype("<i8"), nodes.improvement)
+                  nodes.improvement)
         assert hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest() == digest
 
     @pytest.mark.parametrize("cpus, threads", [(1, []), (2, [2]), (None, [])])
@@ -333,7 +328,7 @@ class TestFitForest:
         forest = fit_forest(small_matrix, n_trees=4, m=3, max_depth=4, master_seed=3,
                             workers=4)
         assert started == threads
-        for name in ("feature", "key", "n_samples", "improvement", "sizes"):
+        for name in ("feature", "key", "improvement", "sizes"):
             assert getattr(forest.nodes, name).tobytes() == getattr(reference.nodes, name).tobytes()
 
     def test_oob_fraction_statistics(self):
@@ -476,15 +471,14 @@ class TestSerialization:
         assert loaded.max_depth == forest.max_depth
         assert loaded.master_seed == forest.master_seed
         assert loaded.columns == forest.columns
+        assert loaded.train_sha256 == forest.train_sha256
         for ta, tb in zip(forest.trees, loaded.trees):
-            # A fitted forest holds feature and n_samples as int64, a loaded
-            # one as the file's <i2 and <i4.
-            for name in ("feature", "left", "right", "n_samples"):
+            # A fitted forest holds feature as int64, a loaded one as the
+            # file's <i2.
+            for name in ("feature", "left", "right"):
                 assert np.array_equal(getattr(ta, name), getattr(tb, name))
             for name in ("key", "improvement"):
                 assert getattr(ta, name).tobytes() == getattr(tb, name).tobytes()
-        for a, b in zip(forest.oob_indices, loaded.oob_indices):
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
         save_forest(loaded, tmp_path / "again.e2cf")
         assert (tmp_path / "again.e2cf").read_bytes() == path.read_bytes()
 
@@ -502,19 +496,17 @@ class TestSerialization:
         forest = fit_forest(small_matrix, n_trees=3, m=2, max_depth=4, master_seed=6)
         save_forest(forest, tmp_path / "model.e2cf")
         nodes = load_forest(tmp_path / "model.e2cf").nodes
-        for name, dtype in (("feature", "<i2"), ("key", "<f8"), ("n_samples", "<i4"),
-                            ("improvement", "<f8"), ("sizes", "<i8")):
+        for name, dtype in (("feature", "<i2"), ("key", "<f8"), ("improvement", "<f8"),
+                            ("sizes", "<i8")):
             field = getattr(nodes, name)
             assert field.dtype == np.dtype(dtype) and not field.flags.owndata
             assert field.flags.aligned
 
     @pytest.mark.parametrize("p, error", [(2**15 - 1, None), (2**15, PipelineError)])
     def test_columns_bounded_by_the_feature_type(self, p, error, tmp_path):
-        # One leaf on one row, whose bootstrap leaves no out-of-bag row: an
-        # <i2 feature numbers at most 32,767 columns.
+        # One leaf on one row: an <i2 feature numbers at most 32,767 columns.
         matrix = FeatureMatrix.from_arrays(np.zeros((1, p)), np.zeros(1))
-        forest = Forest(nodes=leaf_tree(1.0), oob_indices=(np.array([], dtype=np.int64),),
-                        n_trees=1, m=1, max_depth=None, master_seed=0, n_train_rows=1,
+        forest = Forest(nodes=leaf_tree(1.0), n_trees=1, m=1, max_depth=None, master_seed=0,
                         columns=matrix.columns, train_sha256=matrix.sha256())
         path = tmp_path / "wide.e2cf"
         if error is None:
@@ -533,33 +525,32 @@ class TestSerialization:
 
     def test_layout(self, small_matrix, tmp_path):
         # Magic, header padded to a multiple of 8 bytes, node counts, then
-        # key over every node of every tree, improvement and n_samples over
-        # the split nodes only, feature over every node, and nothing else:
-        # no children, bootstrap or out-of-bag rows.
+        # key over every node of every tree, improvement over the split
+        # nodes only, feature over every node, and nothing else: no
+        # children, row counts, bootstrap or out-of-bag rows.
         forest = fit_forest(small_matrix, n_trees=3, m=2, max_depth=4, master_seed=6)
         path = tmp_path / "model.e2cf"
         save_forest(forest, path)
         raw = path.read_bytes()
         size = int.from_bytes(raw[8:12], "little")
         header = json.loads(raw[12 : 12 + size])
-        assert raw[:8] == b"E2CFOR04"
+        assert raw[:8] == b"E2CFOR05"
         assert (12 + size) % 8 == 0
         assert len(raw[12 : 12 + size]) - len(raw[12 : 12 + size].rstrip(b" ")) < 8
-        assert sorted(header) == ["columns", "m", "master_seed", "max_depth",
-                                  "n_train_rows", "n_trees", "train_sha256"]
+        assert sorted(header) == ["columns", "m", "master_seed", "max_depth", "n_trees",
+                                  "train_sha256"]
         assert header["train_sha256"] == small_matrix.sha256()
         payload = raw[12 + size :]
         counts = [tree.n_nodes for tree in forest.trees]
         assert np.frombuffer(payload, "<i8", count=3).tolist() == counts
         assert payload[24:] == b"".join(
             np.concatenate([getattr(t, name) for t in forest.trees]).astype(dtype).tobytes()
-            for name, dtype in (("key", "<f8"), ("improvement", "<f8"), ("n_samples", "<i4"),
-                                ("feature", "<i2"))
+            for name, dtype in (("key", "<f8"), ("improvement", "<f8"), ("feature", "<i2"))
         )
         splits = [int((t.feature != -1).sum()) for t in forest.trees]
-        assert [t.n_samples.size for t in forest.trees] == splits
+        assert [t.improvement.size for t in forest.trees] == splits
         assert counts == [2 * s + 1 for s in splits]
-        assert len(payload) == 8 * 3 + 10 * sum(counts) + 12 * sum(splits)
+        assert len(payload) == 8 * 3 + 10 * sum(counts) + 8 * sum(splits)
 
 
 def forest_file(tmp_path):
@@ -573,7 +564,7 @@ def forest_file(tmp_path):
     return forest, path
 
 
-NODE_FIELDS = ("feature", "key", "n_samples", "improvement")
+NODE_FIELDS = ("feature", "key", "improvement")
 
 
 def with_tree0(forest, **arrays):
@@ -594,14 +585,16 @@ def corrupt_file(forest, path, case):
         return with_tree0(forest, **{name: arr})
 
     raw = path.read_bytes()
-    if case in ("format_1", "format_2", "format_3"):
+    if case in ("format_1", "format_2", "format_3", "format_4"):
         path.write_bytes(b"E2CFOR0" + case[-1].encode() + raw[8:])
     elif case == "truncated":
         path.write_bytes(raw[:-1])
+    elif case == "cut_after_header":
+        path.write_bytes(raw[: 12 + int.from_bytes(raw[8:12], "little")])
     elif case == "trailing_byte":
         path.write_bytes(raw + b"\0")
     elif case == "missing_key":
-        edit_header(path, lambda h: {k: v for k, v in h.items() if k != "n_train_rows"})
+        edit_header(path, lambda h: {k: v for k, v in h.items() if k != "master_seed"})
     elif case == "float_key":
         edit_header(path, lambda h: {**h, "m": 2.0})
     elif case == "bool_key":
@@ -612,11 +605,9 @@ def corrupt_file(forest, path, case):
         edit_header(path, lambda h: {**h, case.removesuffix("_null"): None})
     elif case == "not_an_object":
         edit_header(path, lambda h: list(h))
-    elif case == "rows_1e15":
-        # Fails before the bootstrap redraw, which would allocate 8e15 bytes.
-        edit_header(path, lambda h: {**h, "n_train_rows": 10**15})
-    elif case == "rows_plus_one":
-        edit_header(path, lambda h: {**h, "n_train_rows": h["n_train_rows"] + 1})
+    elif case == "huge_tree_count":
+        # Fails before reading node counts, which would take 8e15 bytes.
+        edit_header(path, lambda h: {**h, "n_trees": 10**15})
     elif case == "empty_tree":
         empty = {name: getattr(t0, name)[:0] for name in NODE_FIELDS}
         save_forest(with_tree0(forest, **empty), path)
@@ -640,10 +631,9 @@ def corrupt_file(forest, path, case):
 
 
 CORRUPT_CASES = [
-    "format_1", "format_2", "format_3", "truncated", "trailing_byte", "missing_key",
-    "float_key", "bool_key", "bad_columns", "columns_null", "train_sha256_null",
-    "not_an_object", "rows_1e15",
-    "rows_plus_one", "empty_tree",
+    "format_1", "format_2", "format_3", "format_4", "truncated", "cut_after_header",
+    "trailing_byte", "missing_key", "float_key", "bool_key", "bad_columns", "columns_null",
+    "train_sha256_null", "not_an_object", "huge_tree_count", "empty_tree",
     "feature_too_large", "feature_below_leaf", "leaf_made_split",
     "split_made_leaf", "split_after_children",
 ]
@@ -675,9 +665,15 @@ class TestCorruptFile:
         with pytest.raises(InputFormatError, match="E2CFOR03 is an earlier forest format; retrain"):
             load_forest(path)
 
+    def test_format_4_says_retrain(self, tmp_path):
+        forest, path = forest_file(tmp_path)
+        corrupt_file(forest, path, "format_4")
+        with pytest.raises(InputFormatError, match="E2CFOR04 is an earlier forest format; retrain"):
+            load_forest(path)
+
     @pytest.mark.parametrize("case, message", [
-        ("rows_1e15", "root does not hold the n_train_rows=1000000000000000 bootstrap"),
-        ("rows_plus_one", "root does not hold the n_train_rows="),
+        ("cut_after_header", "payload too short for 3 node counts"),
+        ("huge_tree_count", "payload too short for 1000000000000000 node counts"),
         ("leaf_made_split", "node count is not twice its splits plus one"),
         ("split_made_leaf", "node count is not twice its splits plus one"),
         ("split_after_children", "split node comes after its children"),
@@ -725,8 +721,7 @@ class TestCorruptionProperty:
 
 def leaf_tree(value):
     return forest_mod.RegressionTree(
-        feature=np.array([-1]), key=np.array([value]),
-        n_samples=np.array([], dtype=np.int64), improvement=np.array([]))
+        feature=np.array([-1]), key=np.array([value]), improvement=np.array([]))
 
 
 def oracle_cases():
@@ -749,9 +744,7 @@ def oracle_cases():
          X[:, :1]),
         ("mixed", Forest(
             nodes=Nodes.join(stumps.trees[:3] + leaves.trees[:1] + (leaf_tree(-0.0),)),
-            oob_indices=(np.arange(1),) * 5,
-            n_trees=5, m=2, max_depth=None, master_seed=0, n_train_rows=100,
-            columns=train.columns, train_sha256=train.sha256()), X),
+            n_trees=5, m=2, max_depth=None, master_seed=0, columns=train.columns, train_sha256=train.sha256()), X),
     ]
 
 
@@ -806,7 +799,8 @@ def check_splits_against_oracle(X, y, rng, seed, brute_best_split):
     """Grow a tree with m = p on a bootstrap of X drawn from rng and check
     every node against the brute-force split search: an internal node holds
     the best split of its own rows, and a leaf that could still split has
-    none. Returns the rows of every internal node."""
+    none, and its improvement is the SSE of its rows less that of the best
+    split's children. Returns the rows of every internal node."""
     n = X.shape[0]
     boot = rng.integers(0, n, size=n)
     cap = None if seed % 2 else 5
@@ -824,8 +818,10 @@ def check_splits_against_oracle(X, y, rng, seed, brute_best_split):
             if open_node and np.ptp(y[rows]) > 0.0:
                 assert expected is None
             continue
-        assert rows.size == tree.n_samples[len(split_rows)]
         assert (tree.feature[i], tree.threshold[i]) == expected[:2]
+        node_sse = float(np.sum((y[rows] - y[rows].mean()) ** 2))
+        assert tree.improvement[len(split_rows)] == pytest.approx(node_sse - expected[2],
+                                                                  rel=1e-9)
         split_rows.append(rows)
         go_left = X[rows, tree.feature[i]] <= tree.threshold[i]
         node_rows[tree.left[i]] = rows[go_left]

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -5,8 +6,8 @@ import pytest
 
 import e2credit.importance as importance_mod
 from e2credit.dataset import FeatureMatrix
-from e2credit.errors import PipelineError
-from e2credit.forest import Forest, Nodes, RegressionTree, fit_forest, save_forest
+from e2credit.errors import CompatibilityError, PipelineError
+from e2credit.forest import Forest, Nodes, RegressionTree, fit_forest
 from e2credit.importance import (
     importance_report,
     mdi_importance,
@@ -42,17 +43,17 @@ class TestMDI:
         forest = fit_forest(matrix, n_trees=15, m=4, max_depth=6, master_seed=2)
         assert mdi_importance(forest, matrix)[2] == 0.0
 
-    def test_weight_is_node_size_times_improvement(self):
+    def test_weight_is_improvement(self):
         # One tree, two splits: the root (10 rows, improvement 1) on
         # column 0 and its left child (2 rows, improvement 3) on column 1.
-        # Weighted by node size column 0 leads, 10 to 6; by improvement
-        # alone column 1 would, 3 to 1.
+        # By improvement alone column 1 leads, 3 to 1; weighted once more by
+        # node size column 0 would, 10 to 6.
         matrix = FeatureMatrix.from_arrays(np.zeros((10, 2)), np.arange(10.0))
         tree = RegressionTree(
             feature=np.array([0, 1, -1, -1, -1]), key=np.array([0.5, 0.5, 0.0, 0.0, 0.0]),
-            n_samples=np.array([10, 2]), improvement=np.array([1.0, 3.0]))
+            improvement=np.array([1.0, 3.0]))
         forest = hand_forest([tree], [np.arange(0)], matrix)
-        assert mdi_importance(forest, matrix).tolist() == [0.625, 0.375]
+        assert mdi_importance(forest, matrix).tolist() == [0.25, 0.75]
 
     def test_normalization(self):
         matrix = single_factor_matrix(seed=5)
@@ -129,6 +130,17 @@ class TestPermutationVI:
                 permutation_importance(forest, matrix, seed=0)
         assert [str(w.message) for w in caught] == messages
 
+    @pytest.mark.parametrize("change", ["fewer_rows", "other_labels"])
+    def test_matrix_other_than_the_training_set_rejected(self, change):
+        # Out-of-bag rows are redrawn from the seed, so they mean something
+        # only on the training set itself.
+        matrix = single_factor_matrix(n=60, seed=11)
+        forest = fit_forest(matrix, n_trees=3, m=2, max_depth=4, master_seed=0)
+        other = (matrix.take(np.arange(50)) if change == "fewer_rows"
+                 else FeatureMatrix.from_arrays(matrix.X, matrix.y + 1.0))
+        with pytest.raises(CompatibilityError, match="not the one the forest was trained on"):
+            permutation_importance(forest, other, seed=0)
+
 
 class TestReport:
     def test_combined_report(self):
@@ -164,16 +176,25 @@ def recorded(fn, *args):
 
 
 def leaf_tree(value):
-    return RegressionTree(
-        feature=np.array([-1]), key=np.array([value]),
-        n_samples=np.array([], dtype=np.int64), improvement=np.array([]))
+    return RegressionTree(feature=np.array([-1]), key=np.array([value]),
+                          improvement=np.array([]))
+
+
+@dataclasses.dataclass(frozen=True)
+class HandForest(Forest):
+    """A forest whose out-of-bag sets are given rather than drawn from its
+    seed, to reach cases that no seed draws."""
+
+    oobs: tuple = ()
+
+    def out_of_bag(self, n_rows):
+        return self.oobs
 
 
 def hand_forest(trees, oobs, matrix):
-    return Forest(nodes=Nodes.join(trees),
-                  oob_indices=tuple(oobs), n_trees=len(trees), m=1, max_depth=None,
-                  master_seed=0, n_train_rows=matrix.n_rows, columns=matrix.columns,
-                  train_sha256=matrix.sha256())
+    return HandForest(nodes=Nodes.join(trees), n_trees=len(trees), m=1, max_depth=None,
+                      master_seed=0, columns=matrix.columns, train_sha256=matrix.sha256(),
+                      oobs=tuple(oobs))
 
 
 def vi_cases():
@@ -191,11 +212,12 @@ def vi_cases():
     # row (tree 1), a single leaf whose value is exactly the mean of its OOB
     # labels, so R^2 == 0 (tree 3), and OOB labels all equal (tree 5).
     zero_r2 = leaf_tree(y[70:90].mean())
+    deep_oob = deep.out_of_bag(matrix.n_rows)
     mixed = hand_forest(
         (deep.trees[0], stumps.trees[0], leaf_tree(1.0), zero_r2, deep.trees[1],
          stumps.trees[1], deep.trees[2]),
-        (deep.oob_indices[0], np.array([4]), np.arange(0, 150, 3), np.arange(70, 90),
-         deep.oob_indices[1], np.arange(100, 110), np.arange(10, 60)),
+        (deep_oob[0], np.array([4]), np.arange(0, 150, 3), np.arange(70, 90),
+         deep_oob[1], np.arange(100, 110), np.arange(10, 60)),
         matrix)
     leaves = hand_forest([leaf_tree(v) for v in (1.0, -2.0, 0.5)],
                          (np.arange(40), np.arange(50, 150), np.arange(7)), matrix)
@@ -245,7 +267,7 @@ class TestPermutationMatchesOracle:
         with pytest.warns(UserWarning):
             permutation_importance(forest, matrix, seed=5)
         expected = []
-        for b, oob in enumerate(forest.oob_indices):
+        for b, oob in enumerate(forest.out_of_bag(matrix.n_rows)):
             if b in (1, 5):
                 continue
             rng = np.random.default_rng(np.random.SeedSequence(5, spawn_key=(b,)))
@@ -253,11 +275,3 @@ class TestPermutationMatchesOracle:
                          for _ in range(matrix.n_features)]
         assert calls == expected
 
-
-def test_save_rejects_out_of_bag_sets_not_drawn_from_the_seed(tmp_path):
-    matrix = FeatureMatrix.from_arrays(np.zeros((50, 2)), np.arange(50.0))
-    forest = hand_forest([leaf_tree(1.0), leaf_tree(2.0)],
-                         (np.arange(40), np.arange(10, 30)), matrix)
-    with pytest.raises(ValueError, match="out-of-bag"):
-        save_forest(forest, tmp_path / "hand.e2cf")
-    assert not (tmp_path / "hand.e2cf").exists()

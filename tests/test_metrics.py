@@ -225,6 +225,19 @@ class TestBucketTable:
         assert out["rmse"] == 0.0
         assert out["mape"] == 0.0
 
+    def test_zero_actual_after_trimming_leaves_mape_none(self):
+        # Zeros inside the kept rows make MAPE undefined: None with one
+        # warning, while RMSE and MASE are still computed.
+        actual = np.array([0.0, 0.0, 0.0, 10.0, 20.0, 30.0, 40.0, 50.0, 60.0, 70.0])
+        s = series(actual, actual + 1.0, firms=["A"] * 10,
+                   dates=[f"2016-01-{i + 1:02d}" for i in range(10)])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = accuracy_metrics(s, trim_frac=0.10)
+        assert [str(w.message) for w in caught] == [
+            "MAPE unavailable: MAPE undefined: actual series contains zeros"]
+        assert out["rmse"] == 1.0 and out["mape"] is None and out["mase"] > 0.0
+
     def test_empty_table(self):
         assert bucket_comparison([], [], [], np.zeros(0), {"m": np.zeros(0)}) == []
 
