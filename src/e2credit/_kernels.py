@@ -6,12 +6,13 @@ rather than per node. Several trees can grow in one batch, which makes those
 operations larger still; their nodes never mix, so each tree is the same
 whatever else its batch holds.
 
-Split search is exact greedy CART. Every midpoint between two consecutive
-distinct values of a candidate feature inside a node is scored by the summed
-SSE of the two children; within a feature the first minimum (lowest
-threshold) wins, and a later feature must beat the incumbent by TIE_TOL
-times the node SSE. Each column takes one of three routes, chosen from its
-own count V of distinct values over the matrix's N rows:
+Split search is exact greedy CART. Every midpoint of a feature the node
+drew, at a value boundary (between two consecutive distinct values of that
+feature inside the node), is scored by the summed SSE of the two children;
+within a feature the first minimum (lowest threshold) wins, and a later
+feature must beat the incumbent by TIE_TOL times the node SSE. Each column
+takes one of three routes, chosen from its own count V of distinct values
+over the matrix's N rows:
 
 * two values (every one-hot dummy): the columns are packed into blocks of
   columns that are never high on the same row, like the country dummies of
@@ -24,13 +25,14 @@ own count V of distinct values over the matrix's N rows:
   very partition, so the scan stays exact, and a block of c columns costs
   two passes over the rows instead of 2c.
 * few values (V >= 3, V * V <= N): np.bincount over (node, value), one
-  column at a time, gives the counts and label sums, prefix-summed along
-  the value axis inside each node. The bins are the distinct values
-  themselves, so the scan stays exact.
+  column at a time and over the nodes that drew it, gives the counts and
+  label sums, prefix-summed along the value axis inside each node. The bins
+  are the distinct values themselves, so the scan stays exact.
 * many values: each batch sorts its positions once per column, by tree,
   value and row. Every level keeps each node's rows in value order (a
-  stable partition into the children) and takes segmented prefix sums that
-  restart at every node boundary.
+  stable partition into the children), takes segmented prefix sums that
+  restart at every node boundary over the nodes that drew the column, and
+  scores the last position of each run of equal values only.
 
 Labels are centred on their node mean before summing, and no sum runs across
 nodes, so the SSEs of a deep node carry rounding error on the scale of that
@@ -157,14 +159,26 @@ def _segmented_cumsum(a, pos):
         shift *= 2
 
 
+def _drawn(drew, counts):
+    """The nodes that drew a feature (drew marks them): their indices, the
+    mask of their rows among the node-grouped positions, their counts, and
+    each kept row's node among them."""
+    at = np.flatnonzero(drew)
+    n = counts[at]
+    return at, np.repeat(drew, counts), n, np.repeat(np.arange(at.shape[0]), n)
+
+
 def _scan_level(batch, O, counts, mean, sel):
     """Best split of every node of one level.
 
     Each row of O lists the positions of every node contiguously, nodes in
     order with the given counts: row j in ascending order of presorted
     column j inside each node, or, with no presorted column, one row in any
-    fixed order. O[0] serves as the node-grouped row list. mean is the node
-    mean label and sel (nodes x p) marks each node's candidate features.
+    fixed order. O[0] serves as the node-grouped row list; row j is read
+    only at the nodes that drew column j. mean is the node mean label and
+    sel (nodes x p) marks each node's candidate features, each scored at
+    the nodes that drew it only (no sum runs across nodes, so the other
+    nodes' rows change nothing).
     Returns per node (feature, threshold, sse_after, node_sse); feature is
     LEAF where no candidate feature has two distinct values in the node.
     """
@@ -173,14 +187,14 @@ def _scan_level(batch, O, counts, mean, sel):
     starts = np.cumsum(counts) - counts
     seg = np.repeat(np.arange(K), counts)
     act = O[0]
-    n_act = act.shape[0]
     yc_g = batch.y[act] - mean[seg]
     node_sse = np.add.reduceat(yc_g * yc_g, starts)
     cand_sse = np.full((pre.p, K), np.inf)
     cand_thr = np.zeros((pre.p, K))
 
     # Member j of a block splits "code j + 1 versus the rest": its left
-    # child holds every row of the node but the n_j with code j + 1.
+    # child holds every row of the node but the n_j with code j + 1. A node
+    # almost always drew some member, so every node of the level is counted.
     node_sum = np.add.reduceat(yc_g, starts)[:, None]
     for (cols, _, thr), codes in zip(pre.blocks, batch.block_codes):
         width = cols.shape[0] + 1
@@ -191,47 +205,50 @@ def _scan_level(batch, O, counts, mean, sel):
             node_sse[:, None], node_sum - s_j, node_sum, counts[:, None] - n_j,
             counts[:, None],
         )
-        cand_sse[cols] = np.where(ok, sse, np.inf).T
+        cand_sse[cols] = np.where(ok & sel[:, cols], sse, np.inf).T
         cand_thr[cols] = thr[:, None]
 
     for f, ranks in zip(pre.few_feats.tolist(), batch.few_ranks):
+        at, keep, n, node = _drawn(sel[:, f], counts)
         v = int(pre.n_distinct[f])
-        key = np.take(ranks, act) + seg * v
-        cnt = np.bincount(key, minlength=K * v).reshape(K, v)
-        p1 = np.bincount(key, yc_g, K * v).reshape(K, v).cumsum(axis=1)
-        sse, ok = _split_sse(node_sse[:, None], p1, p1[:, -1:], cnt.cumsum(axis=1),
-                             counts[:, None])
+        key = np.take(ranks, act[keep]) + node * v
+        cnt = np.bincount(key, minlength=at.shape[0] * v).reshape(-1, v)
+        p1 = np.bincount(key, yc_g[keep], at.shape[0] * v).reshape(-1, v).cumsum(axis=1)
+        sse, ok = _split_sse(node_sse[at, None], p1, p1[:, -1:], cnt.cumsum(axis=1),
+                             n[:, None])
         sse = np.where(ok & (cnt > 0), sse, np.inf)
         k = np.argmin(sse, axis=1)
         k_next = np.argmax((cnt > 0) & (np.arange(v) > k[:, None]), axis=1)
-        cand_sse[f] = sse[np.arange(K), k]
+        cand_sse[f, at] = sse[np.arange(at.shape[0]), k]
         values = pre.distinct[pre.offset[f]:]
-        cand_thr[f] = (values[k] + values[k_next]) / 2.0
+        cand_thr[f, at] = (values[k] + values[k_next]) / 2.0
 
-    if pre.sorted_feats.shape[0]:
-        yc = np.empty(batch.n)
-        yc[act] = yc_g
-        p1 = yc[O]
-        pos = np.arange(n_act) - starts[seg]
+    yc = np.empty(batch.n)
+    yc[act] = yc_g
+    pos_g = np.arange(act.shape[0]) - starts[seg]
+    for j, f in enumerate(pre.sorted_feats.tolist()):
+        at, keep, n, node = _drawn(sel[:, f], counts)
+        o, pos = O[j][keep], pos_g[keep]
+        r = batch.sorted_ranks[j][o]
+        # A split can only follow the last position of a run of equal
+        # values that is not its node's last position.
+        c = np.flatnonzero((r[:-1] < r[1:]) & (pos[1:] > 0))
+        if not c.shape[0]:
+            continue
+        p1 = yc[o]
         _segmented_cumsum(p1, pos)
-        last = (starts + counts - 1)[seg]
-        t1 = np.take(p1, last, axis=1)
-        sse, ok = _split_sse(node_sse[seg], p1, t1, pos + 1.0, counts[seg])
-        r = np.take_along_axis(batch.sorted_ranks, O, axis=1)
-        rises = np.zeros(r.shape, dtype=bool)
-        rises[:, :-1] = r[:, :-1] < r[:, 1:]
-        sse = np.where(ok & rises, sse, np.inf)
-        best = np.minimum.reduceat(sse, starts, axis=1)
-        at_best = np.where(sse == np.take(best, seg, axis=1), np.arange(n_act), n_act)
-        k = np.minimum.reduceat(at_best, starts, axis=1)
-        k_next = np.minimum(k + 1, n_act - 1)
-        base = pre.offset[pre.sorted_feats][:, None]
-        lo = pre.distinct[base + np.take_along_axis(r, k, axis=1)]
-        hi = pre.distinct[base + np.take_along_axis(r, k_next, axis=1)]
-        cand_sse[pre.sorted_feats] = best
-        cand_thr[pre.sorted_feats] = (lo + hi) / 2.0
+        node = node[c]
+        t1 = p1[(np.cumsum(n) - 1)[node]]
+        sse, _ = _split_sse(node_sse[at][node], p1[c], t1, pos[c] + 1.0, n[node])
+        first = np.flatnonzero(np.diff(node, prepend=-1))
+        best = np.minimum.reduceat(sse, first)
+        # Within a node the first minimum (lowest threshold) wins.
+        on_best = sse == np.repeat(best, np.diff(first, append=c.shape[0]))
+        k = np.minimum.reduceat(np.where(on_best, c, o.shape[0]), first)
+        values = pre.distinct[pre.offset[f]:]
+        cand_sse[f, at[node[first]]] = best
+        cand_thr[f, at[node[first]]] = (values[r[k]] + values[r[k + 1]]) / 2.0
 
-    cand_sse[~sel.T] = np.inf
     # Features in ascending order; a later one must beat the incumbent by
     # TIE_TOL times the node SSE.
     best_f = np.full(K, LEAF, dtype=np.int64)
@@ -276,7 +293,7 @@ def _draw_subsets(rngs, node_tree, p, m):
     keys = np.concatenate(
         [rngs[t].random((k, p)) for t, k in enumerate(per_tree.tolist()) if k]
     )
-    np.put_along_axis(sel, np.argsort(keys, axis=1)[:, :m], True, axis=1)
+    np.put_along_axis(sel, np.argpartition(keys, m - 1, axis=1)[:, :m], True, axis=1)
     return sel
 
 

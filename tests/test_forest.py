@@ -82,6 +82,47 @@ class TestBestSplit:
             assert got.threshold == expected[1]
             assert got.sse_after == pytest.approx(expected[2], rel=1e-9, abs=1e-9)
 
+    def test_strict_feature_subsets_match_brute_force(self, brute_best_split):
+        # A random strict subset of the features, on bootstrap rows with
+        # duplicates drawn from the first half of the matrix. Columns 0-1
+        # are presorted (V * V > N), 2-3 counted per value, 4-7 dummies (4-6
+        # one-hot a 4-level categorical, 7 overlaps them) and column 8 is
+        # presorted but constant on the first half, so never splits there.
+        # Column 8 is always drawn; drawn alone, there is no split.
+        constant_only = 0
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(40, 200))
+            half = n // 2
+            level = rng.integers(0, 4, n)
+            X = np.column_stack([
+                rng.normal(size=n),
+                np.round(rng.normal(size=n), 1),
+                rng.integers(0, 3, n),
+                rng.integers(0, 5, n),
+                *(level == k for k in range(3)),
+                rng.integers(0, 2, n),
+                np.r_[np.full(half, 0.25), rng.normal(size=n - half)],
+            ]).astype(np.float64)
+            pre = _kernels.Presorted(X)
+            assert pre.sorted_feats.tolist() == [0, 1, 8]
+            assert pre.few_feats.tolist() == [2, 3]
+            assert [b[0].tolist() for b in pre.blocks] == [[4, 5, 6], [7]]
+            y = X[:, 0] + 0.5 * X[:, 3] - X[:, 4] + rng.normal(scale=0.5, size=n)
+            rows = rng.integers(0, half, size=half)
+            others = rng.permutation(8)[: int(rng.integers(0, 8))]
+            feats = np.r_[others, 8]
+            expected = brute_best_split(X, y, rows, feats)
+            got = best_split(X, y, rows, feats)
+            if expected is None:
+                constant_only += 1
+                assert got is None
+                continue
+            assert got.feature == expected[0]
+            assert got.threshold == expected[1]
+            assert got.sse_after == pytest.approx(expected[2], rel=1e-9, abs=1e-9)
+        assert constant_only > 0
+
 
 class TestGrowTree:
     def test_depth_one_matches_split(self):
@@ -189,10 +230,47 @@ class TestGrowTree:
             assert [b[0].tolist() for b in pre.blocks] == [[0, 1, 2, 3, 5], [4]]
             y = (np.array([0.0, 2.0, -1.0, 3.0, 1.0])[level] + 0.3 * X[:, 4]
                  + np.sin(X[:, 9]) + rng.normal(scale=0.5, size=n))
-            for rows in check_splits_against_oracle(X, y, rng, seed, brute_best_split):
+            split_rows, _ = check_splits_against_oracle(X, y, rng, seed, brute_best_split)
+            for rows in split_rows:
                 varies = np.ptp(X[rows][:, [0, 1, 2, 3, 5]], axis=0) > 0
                 member_constant += bool(varies.any() and not varies.all())
         assert member_constant > 0
+
+    def test_drawn_splits_match_brute_force(self, brute_best_split, monkeypatch):
+        # With m < p each node must hold the exhaustive best split over the
+        # features it drew, as recorded level by level from _draw_subsets,
+        # and a node that drew only features constant on its rows must stay
+        # a leaf. Columns 0-3 are dummies (0-2 one-hot a 4-level
+        # categorical), 4-6 integers and 7-8 continuous, so every route is
+        # scanned at subsets of every size 1..p-1.
+        drawn = []
+        draw = _kernels._draw_subsets
+
+        def recording(rngs, node_tree, p, m):
+            drawn.append(draw(rngs, node_tree, p, m))
+            return drawn[-1]
+
+        monkeypatch.setattr(_kernels, "_draw_subsets", recording)
+        stuck = 0
+        for seed in range(16):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(40, 300))
+            level = rng.integers(0, 4, n)
+            X = np.column_stack([
+                *(level == k for k in range(3)),
+                rng.integers(0, 2, n),
+                rng.integers(0, 5, n),
+                rng.integers(0, 12, n),
+                rng.integers(0, 40, n),
+                rng.normal(size=n),
+                np.round(rng.normal(size=n), 1),
+            ]).astype(np.float64)
+            y = (np.array([0.0, 2.0, -1.0, 3.0])[level] + 0.5 * X[:, 4]
+                 + np.sin(X[:, 7]) + rng.normal(scale=0.5, size=n))
+            drawn.clear()
+            m = 1 + seed % (X.shape[1] - 1)
+            stuck += check_splits_against_oracle(X, y, rng, seed, brute_best_split, m, drawn)[1]
+        assert stuck > 0
 
     def test_rows_alike_in_every_feature_stay_one_leaf(self):
         # The sampled rows differ in label but not in any column, so the
@@ -214,6 +292,30 @@ class TestGrowTree:
         with pytest.raises(ValueError):
             grow_tree(FOUR_X, FOUR_Y, np.arange(4), m=2, max_depth=3,
                       rng=np.random.default_rng(0))
+
+
+class TestDrawSubsets:
+    # Three trees' generators; tree 1 has no node at this level.
+    NODE_TREE = np.array([0, 0, 2, 2, 2])
+
+    def draw(self, m, p=20):
+        rngs = [np.random.default_rng(seed) for seed in (7, 8, 9)]
+        return _kernels._draw_subsets(rngs, self.NODE_TREE, p, m)
+
+    @pytest.mark.parametrize("m", [1, 19])
+    def test_features_with_the_m_smallest_keys(self, m):
+        keys = np.concatenate([np.random.default_rng(7).random((2, 20)),
+                               np.random.default_rng(9).random((3, 20))])
+        expected = np.zeros((5, 20), dtype=bool)
+        np.put_along_axis(expected, np.argsort(keys, axis=1)[:, :m], True, axis=1)
+        sel = self.draw(m)
+        assert (sel.sum(axis=1) == m).all()
+        assert np.array_equal(sel, expected)
+
+    def test_all_features_at_m_equals_p(self):
+        sel = self.draw(20)
+        assert sel.shape == (5, 20)
+        assert sel.all()
 
 
 class TestFitForest:
@@ -795,28 +897,43 @@ def bootstrap_rows(master_seed, tree_index, n):
     return forest_mod._draw_bootstrap(rng, n)
 
 
-def check_splits_against_oracle(X, y, rng, seed, brute_best_split):
-    """Grow a tree with m = p on a bootstrap of X drawn from rng and check
-    every node against the brute-force split search: an internal node holds
-    the best split of its own rows, and a leaf that could still split has
-    none, and its improvement is the SSE of its rows less that of the best
-    split's children. Returns the rows of every internal node."""
-    n = X.shape[0]
+def check_splits_against_oracle(X, y, rng, seed, brute_best_split, m=None, drawn=None):
+    """Grow a tree with m features per node (all p by default) on a
+    bootstrap of X drawn from rng and check every node against the
+    brute-force split search: an internal node holds the best split of its
+    own rows, and a leaf that could still split has none, and its
+    improvement is the SSE of its rows less that of the best split's
+    children. With m < p, drawn is the list a recording _draw_subsets
+    appends each level's subsets to, and each node is searched over the
+    features it drew. Returns the rows of every internal node and the
+    number of nodes that could split but drew only features constant on
+    their rows."""
+    n, p = X.shape
+    m = p if m is None else m
     boot = rng.integers(0, n, size=n)
     cap = None if seed % 2 else 5
-    tree = grow_tree(X, y, boot, m=X.shape[1], max_depth=cap,
-                     rng=np.random.default_rng(seed))
-    feats = np.arange(X.shape[1])
+    tree = grow_tree(X, y, boot, m=m, max_depth=cap, rng=np.random.default_rng(seed))
     node_rows = {0: boot}
     depth = {0: 0}
     split_rows = []
+    stuck = 0
+    # The rows of each level's subsets, one per node that could split, in
+    # breadth-first order.
+    subsets = iter(np.concatenate(drawn) if drawn else np.ones((tree.n_nodes, p), bool))
     for i in range(tree.n_nodes):
         rows = node_rows[i]
+        open_node = cap is None or depth[i] < cap
+        if not (open_node and np.ptp(y[rows]) > 0.0):
+            assert tree.feature[i] == -1
+            continue
+        feats = np.flatnonzero(next(subsets))
+        assert feats.shape[0] == m
         expected = brute_best_split(X, y, rows, feats)
+        if np.ptp(X[np.ix_(rows, feats)], axis=0).max() == 0.0:
+            stuck += 1
+            assert tree.feature[i] == -1
         if tree.feature[i] == -1:
-            open_node = cap is None or depth[i] < cap
-            if open_node and np.ptp(y[rows]) > 0.0:
-                assert expected is None
+            assert expected is None
             continue
         assert (tree.feature[i], tree.threshold[i]) == expected[:2]
         node_sse = float(np.sum((y[rows] - y[rows].mean()) ** 2))
@@ -827,4 +944,6 @@ def check_splits_against_oracle(X, y, rng, seed, brute_best_split):
         node_rows[tree.left[i]] = rows[go_left]
         node_rows[tree.right[i]] = rows[~go_left]
         depth[tree.left[i]] = depth[tree.right[i]] = depth[i] + 1
-    return split_rows
+    if drawn:
+        assert next(subsets, None) is None
+    return split_rows, stuck
