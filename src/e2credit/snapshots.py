@@ -431,32 +431,55 @@ def build_records(snaps: Snapshots, params: ModelParams) -> tuple[Records, Sprea
     return records, spreads
 
 
+def _quoted(texts: list[str]) -> list[str]:
+    """Text cells as CSV fields: a cell holding a comma, a double quote, CR
+    or LF is quoted, with each double quote doubled."""
+    blob = "".join(texts)
+    if not any(c in blob for c in ',"\r\n'):
+        return texts
+    return ['"' + t.replace('"', '""') + '"' if any(c in t for c in ',"\r\n') else t
+            for t in texts]
+
+
 def _cells(name: str, cells) -> list[str]:
-    """One column's cells as CSV text. In a float64 array NaN is blank,
-    is_banking is 1/0 and any other value is its repr; in a sequence of
-    Python values None is blank, a bool is 1/0 and any other value is its
-    str."""
-    if isinstance(cells, np.ndarray):
-        if name == "is_banking":
-            return [{1.0: "1", 0.0: "0"}.get(v, "") for v in cells.tolist()]
-        text = list(map(repr, cells.tolist()))
-        for i in np.flatnonzero(np.isnan(cells)).tolist():
-            text[i] = ""
-        return text
-    return ["" if v is None else ("1" if v else "0") if isinstance(v, bool) else str(v)
-            for v in cells]
+    """One column's cells as CSV fields. In an array NaN is blank, is_banking
+    is 1/0 and any other value is its repr; a float64 array is formatted
+    once per distinct 64-bit pattern, so -0.0 stays apart from 0.0. In a
+    sequence of Python values None is blank, a bool is 1/0, a float is its
+    repr and any other value is its str, quoted as _quoted says."""
+    if not isinstance(cells, np.ndarray):
+        return _quoted([repr(v) if type(v) is float else "" if v is None
+                        else ("1" if v else "0") if type(v) is bool else str(v) for v in cells])
+    if name == "is_banking":
+        return [{1.0: "1", 0.0: "0"}.get(v, "") for v in cells.tolist()]
+    at = None
+    if cells.dtype == np.float64:
+        bits, at = np.unique(cells.view(np.int64), return_inverse=True)
+        cells = bits.view(np.float64)
+    text = list(map(repr, cells.tolist()))
+    for i in np.flatnonzero(np.isnan(cells)).tolist():
+        text[i] = ""
+    return text if at is None else list(map(text.__getitem__, at.tolist()))
+
+
+def _lines(fields: list[list[str]]) -> str:
+    """Rows of fields, given as columns, as CSV lines. A row of one empty
+    field is written "" so that it reads back as a row."""
+    if len(fields) == 1:
+        fields = [[t or '""' for t in fields[0]]]
+    return "\n".join(map(",".join, zip(*fields))) + "\n"
 
 
 def write_csv(path, columns: dict) -> None:
     """Write a table given as columns (header name -> cells, all of one
-    length), _CHUNK_ROWS rows at a time, each cell as _cells formats it."""
+    length): the header quoted as _quoted says, then _CHUNK_ROWS rows at a
+    time, each cell as _cells formats it, in one write per chunk."""
     n = len(next(iter(columns.values())))
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
+        fh.write(_lines([[name] for name in _quoted(list(columns))]))
         for start in range(0, n, _CHUNK_ROWS):
             rows = slice(start, start + _CHUNK_ROWS)
-            writer.writerows(zip(*(_cells(name, col[rows]) for name, col in columns.items())))
+            fh.write(_lines([_cells(name, col[rows]) for name, col in columns.items()]))
 
 
 def write_snapshot_csv(rows: list[dict], path) -> None:

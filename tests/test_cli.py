@@ -11,7 +11,7 @@ from e2credit import snapshots as snapshots_mod
 from e2credit.cli import build_parser, main
 from e2credit.config import RunConfig, save_config
 from e2credit.forest import load_forest
-from e2credit.snapshots import SNAPSHOT_COLUMNS
+from e2credit.snapshots import SNAPSHOT_COLUMNS, read_snapshots
 
 from conftest import edit_header
 
@@ -101,6 +101,27 @@ class TestSpreadCommand:
         assert main(["spread", str(synth_dir / "snapshots.csv"),
                      "--out-dir", str(tmp_path / "o")]) == 0
         assert events == ["price", "write"]
+
+    def test_text_with_line_breaks_reads_back_from_spreads(self, synth_dir, tmp_path):
+        # Quoted input cells holding CR, LF, commas and quotes pass the
+        # reader; spreads.csv must quote them so that its rows read back.
+        with open(synth_dir / "snapshots.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        at = {c: rows[0].index(c) for c in ("firm_id", "sector", "country")}
+        for row in rows[1:]:
+            row[at["firm_id"]] = row[at["firm_id"]][:2] + "\r" + row[at["firm_id"]][2:]
+            row[at["sector"]] = 'a,"b"\nc'
+            row[at["country"]] = "p\rq"
+        odd = tmp_path / "odd.csv"
+        with open(odd, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, quoting=csv.QUOTE_ALL).writerows(rows)
+        out = tmp_path / "spread"
+        assert main(["spread", str(odd), "--out-dir", str(out)]) == 0
+        before, after = read_snapshots(odd), read_snapshots(out / "spreads.csv")
+        assert after.firm_id == before.firm_id and after.date == before.date
+        assert len(set(after.firm_id)) == 30 and after.firm_id[0] == "F0\r000"
+        for col in ("sector", "country"):
+            assert after.columns[col] == before.columns[col]
 
     def test_missing_column_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

@@ -1,7 +1,11 @@
+import csv
+import io
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from e2credit.errors import InputFormatError
 from e2credit.snapshots import (
@@ -275,3 +279,63 @@ class TestWriteCsv:
         path = tmp_path / "long.csv"
         write_csv(path, {"i": range(n), "v": np.arange(n) / 4.0})
         assert path.read_text().splitlines() == ["i,v"] + [f"{i},{i / 4.0!r}" for i in range(n)]
+
+    def test_line_breaks_quoted_and_lone_empty_cells_kept(self, tmp_path):
+        # A carriage return is quoted like a line feed, so the row reads
+        # back whole; a row of one empty field is "", not a blank line.
+        path = tmp_path / "t.csv"
+        write_csv(path, {"a": ["x\ry", "p"], "b": np.array([1.0, 2.0])})
+        assert path.read_bytes() == b'a,b\n"x\ry",1.0\np,2.0\n'
+        write_csv(path, {"": ["", "x", None, "\n"]})
+        assert path.read_bytes() == b'""\n""\nx\n""\n"\n"\n'
+        with open(path, newline="", encoding="utf-8") as fh:
+            assert list(csv.reader(fh)) == [[""], [""], ["x"], [""], ["\n"]]
+
+    def test_zero_rows_header_only(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(path, {"a": [], "b": np.array([]), "c,d": ()})
+        assert path.read_bytes() == b'a,b,"c,d"\n'
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_cells_read_back_by_the_per_cell_rule(self, tmp_path_factory, data):
+        n = data.draw(st.integers(_CHUNK_ROWS + 1, 2 * _CHUNK_ROWS + 5), label="rows")
+        names = data.draw(st.lists(_TEXT, min_size=2, max_size=4, unique=True), label="names")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        columns, expected = {}, []
+        for name in names:
+            kind = data.draw(st.sampled_from(("array", "text", "mixed")))
+            pool = data.draw(st.lists(_POOLS[kind], min_size=1, max_size=8))
+            values = [pool[i] for i in rng.integers(len(pool), size=n).tolist()]
+            columns[name] = {"array": np.array, "text": tuple, "mixed": list}[kind](values)
+            expected.append([_cell_text(kind, v) for v in values])
+        path = tmp_path_factory.mktemp("csv") / "t.csv"
+        write_csv(path, columns)
+        rows = [names] + [list(row) for row in zip(*expected)]
+        with open(path, newline="", encoding="utf-8") as fh:
+            assert list(csv.reader(fh)) == rows
+        if not any("\r" in t for row in rows for t in row):
+            reference = io.StringIO(newline="")
+            csv.writer(reference, lineterminator="\n").writerows(rows)
+            assert path.read_bytes() == reference.getvalue().encode("utf-8")
+
+
+_TEXT = st.text(alphabet='ab ,"\r\n', max_size=4)
+_POOLS = {
+    "array": st.sampled_from([math.nan, 0.0, -0.0, math.inf, -math.inf, 5e-324, 1e16, 0.1])
+    | st.floats(),
+    "text": _TEXT,
+    "mixed": st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                       st.floats().map(np.float64), _TEXT),
+}
+
+
+def _cell_text(kind: str, v) -> str:
+    """The text write_csv gives one cell, by the documented rule."""
+    if kind == "array":
+        return "" if math.isnan(v) else repr(v)
+    if v is None:
+        return ""
+    if type(v) is bool:
+        return "1" if v else "0"
+    return repr(v) if type(v) is float else str(v)
