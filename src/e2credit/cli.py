@@ -181,6 +181,8 @@ def cmd_train(args, config: RunConfig, out_dir: Path) -> None:
 
 def cmd_evaluate(args, config: RunConfig, out_dir: Path) -> None:
     forest, complete, matrix, spreads = _forest_and_dataset(args, config)
+    if np.ptp(matrix.y) == 0:
+        raise PipelineError(f"labels do not vary (rows: {matrix.n_rows}); R^2 undefined")
     models = {
         "e2c": matrix.X[:, 0],
         "creditgrades": spreads.creditgrades_at(complete.index),

@@ -1,10 +1,10 @@
-"""Evaluation statistics: R^2, RMSE, MAPE, MASE, truncated means and
-averaged per-group correlations, plus the bucketed comparison tables."""
+"""Evaluation statistics, each computed once per table: R^2, RMSE, MAPE,
+MASE, truncated means, averaged per-group correlations and bucket tables."""
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -79,7 +79,10 @@ def mase(series: PairedSeries) -> float:
     panel adaptation of the usual scaling is a documented convention here;
     firms observed on a single date contribute to the numerator only.
     """
-    scale = _naive_scale(series)
+    return _mase(series, _naive_scale(series))
+
+
+def _mase(series: PairedSeries, scale: float | None) -> float:
     if scale is None:
         raise ValueError("MASE undefined: no firm has two or more dates")
     if scale == 0.0:
@@ -119,20 +122,29 @@ def truncated_mean(values, trim_frac: float) -> float:
 def avg_correlation(series_by_group: dict) -> float | None:
     """Mean Pearson correlation across groups of paired vectors.
 
-    Groups with fewer than two points or zero variance on either side are
+    The groups are concatenated once, and each group's r is
+    sum(da*db) / sqrt(sum(da*da) * sum(db*db)) over its values centred on
+    their means, from segment sums (np.add.reduceat), clipped to [-1, 1]
+    as np.corrcoef clips: within 1e-12 of np.corrcoef.
+
+    Groups with fewer than two points or a constant side (max == min) are
     skipped, with one warning per call that counts them; when every group
     is, the mean is undefined: None, with one more warning.
     """
-    correlations = []
-    for a, b in series_by_group.values():
-        a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
-        if a.size >= 2 and np.any(a != a[0]) and np.any(b != b[0]):
-            correlations.append(float(np.corrcoef(a, b)[0, 1]))
-    skipped = len(series_by_group) - len(correlations)
+    kept = [np.array(p, dtype=np.float64) for p in series_by_group.values() if len(p[0]) > 1]
+    sizes = np.array([pair.shape[1] for pair in kept], dtype=np.intp)
+    starts = np.cumsum(sizes) - sizes
+    # Row 0 holds every group's a, row 1 its b; the empty block covers no kept group.
+    x = np.concatenate([np.empty((2, 0)), *kept], axis=1)
+    varies = np.all(np.maximum.reduceat(x, starts, 1) != np.minimum.reduceat(x, starts, 1), 0)
+    d = x - np.repeat(np.add.reduceat(x, starts, axis=1) / sizes, sizes, axis=1)
+    sab, saa, sbb = (np.add.reduceat(v, starts)[varies] for v in (d[0] * d[1], *(d * d)))
+    correlations = np.clip(sab / np.sqrt(saa * sbb), -1.0, 1.0)
+    skipped = len(series_by_group) - correlations.size
     if skipped:
         warnings.warn(f"{skipped} of {len(series_by_group)} groups degenerate for "
                       "correlation, skipped", stacklevel=2)
-    if not correlations:
+    if not correlations.size:
         warnings.warn("correlation unavailable: no group had a defined correlation",
                       stacklevel=2)
         return None
@@ -141,11 +153,8 @@ def avg_correlation(series_by_group: dict) -> float | None:
 
 def group_pairs(series: PairedSeries, mode: str) -> dict:
     """Group (actual, predicted) vectors by firm or by date."""
-    if mode == "by_firm":
-        keys = series.firm_ids
-    elif mode == "by_date":
-        keys = series.dates
-    else:
+    keys = {"by_firm": series.firm_ids, "by_date": series.dates}.get(mode)
+    if keys is None:
         raise ValueError(f"mode must be 'by_firm' or 'by_date', got {mode!r}")
     names, codes = sorted_codes(keys)
     actual, predicted = _groups(codes, series.actual, series.predicted)
@@ -163,8 +172,19 @@ def _trim_rows_by_actual(actual: np.ndarray, trim_frac: float) -> np.ndarray:
     n = actual.shape[0]
     k = int(math.floor(trim_frac * n))
     order = np.argsort(actual, kind="stable")
-    keep = np.sort(order[k : n - k])
-    return keep
+    return np.sort(order[k : n - k])
+
+
+def _accuracy(trimmed: PairedSeries, scale: float | None) -> dict[str, float | None]:
+    """accuracy_metrics of rows already trimmed, MASE by the given scale."""
+    out: dict[str, float | None] = {"rmse": rmse(trimmed)}
+    for name, metric in (("mape", mape), ("mase", lambda s: _mase(s, scale))):
+        try:
+            out[name] = metric(trimmed)
+        except ValueError as exc:
+            warnings.warn(f"{name.upper()} unavailable: {exc}", stacklevel=3)
+            out[name] = None
+    return out
 
 
 def accuracy_metrics(
@@ -177,14 +197,7 @@ def accuracy_metrics(
     firm with two dates or no naive forecast error.
     """
     trimmed = series.take(_trim_rows_by_actual(series.actual, trim_frac))
-    out: dict[str, float | None] = {"rmse": rmse(trimmed)}
-    for name, metric in (("mape", mape), ("mase", mase)):
-        try:
-            out[name] = metric(trimmed)
-        except ValueError as exc:
-            warnings.warn(f"{name.upper()} unavailable: {exc}", stacklevel=2)
-            out[name] = None
-    return out
+    return _accuracy(trimmed, _naive_scale(trimmed))
 
 
 def bucket_comparison(
@@ -196,7 +209,8 @@ def bucket_comparison(
     trim_frac: float = 0.10,
 ) -> list[dict]:
     """One table row per bucket: observation count, median and truncated mean
-    of the actual and of each model, and trimmed accuracy metrics per model.
+    of the actual and of each model, and accuracy_metrics of each model on
+    the bucket's rows, whose trimming and MASE scale are found once per bucket.
 
     Buckets too small to trim (fewer than ceil(1/trim_frac) rows) are skipped
     with a warning.
@@ -215,11 +229,13 @@ def bucket_comparison(
         row: dict = {"bucket": bucket, "obs": int(idx.size)}
         row["median_actual"] = float(np.median(actual[idx]))
         row["tmean_actual"] = truncated_mean(actual[idx], trim_frac)
+        keep = idx[_trim_rows_by_actual(actual[idx], trim_frac)]
+        trimmed = PairedSeries(firm_ids, dates, actual, actual).take(keep)
+        scale = _naive_scale(trimmed)
         for name, values in models.items():
             row[f"median_{name}"] = float(np.median(values[idx]))
             row[f"tmean_{name}"] = truncated_mean(values[idx], trim_frac)
-            sub = PairedSeries(firm_ids, dates, actual, values).take(idx)
-            for metric, value in accuracy_metrics(sub, trim_frac).items():
-                row[f"{metric}_{name}"] = value
+            scored = _accuracy(replace(trimmed, predicted=values[keep]), scale)
+            row.update((f"{metric}_{name}", value) for metric, value in scored.items())
         rows.append(row)
     return rows

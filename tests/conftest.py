@@ -155,6 +155,28 @@ def stacked_permutation_importance(forest, train, seed, stacked_rows=2**14):
     return acc / used
 
 
+def per_group_corrcoef(series_by_group):
+    """Reference avg_correlation: np.corrcoef once per group that has two or
+    more points and varies on both sides, with the same warnings. Returns
+    the mean of the kept groups' r, or None when no group is kept."""
+    import warnings
+
+    correlations = []
+    for a, b in series_by_group.values():
+        a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+        if a.size >= 2 and np.any(a != a[0]) and np.any(b != b[0]):
+            correlations.append(float(np.corrcoef(a, b)[0, 1]))
+    skipped = len(series_by_group) - len(correlations)
+    if skipped:
+        warnings.warn(f"{skipped} of {len(series_by_group)} groups degenerate for "
+                      "correlation, skipped", stacklevel=2)
+    if not correlations:
+        warnings.warn("correlation unavailable: no group had a defined correlation",
+                      stacklevel=2)
+        return None
+    return float(np.mean(correlations))
+
+
 def edit_header(path, edit):
     """Replace the header of the forest file at path with edit(header)."""
     raw = path.read_bytes()

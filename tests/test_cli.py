@@ -570,6 +570,29 @@ class TestEvaluateCommand:
         assert all(r["rmse"] != "" for r in overall)
         assert any(r["mape_forest"] == "" for r in read_table(out / "by_rating.csv"))
 
+    def test_constant_labels_exit_3_before_scoring(self, synth_dir, trained_dir, tmp_path,
+                                                   capsys):
+        # Every complete row carries one CDS label: R^2 is undefined, so
+        # evaluate stops before it scores a model or writes a table.
+        lines = (synth_dir / "snapshots.csv").read_text().splitlines()
+        at = lines[0].split(",").index("cds_5y_bps")
+        for i in range(1, len(lines)):
+            row = lines[i].split(",")
+            row[at] = "100.0"
+            lines[i] = ",".join(row)
+        flat = tmp_path / "flat.csv"
+        flat.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "eval"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["evaluate", str(trained_dir / "forest.e2cf"), str(flat),
+                         "--out-dir", str(out)])
+        assert code == 3
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == (
+            "pipeline error: labels do not vary (rows: 600); R^2 undefined\n")
+        assert not (out / "overall_metrics.csv").exists()
+
     @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_prices_creditgrades_for_evaluated_rows_only(self, tmp_path, monkeypatch):
         # Blanked ratings drop priced rows from the dataset: CreditGrades is

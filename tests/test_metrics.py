@@ -3,6 +3,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import per_group_corrcoef
 
 from e2credit.metrics import (
     PairedSeries,
@@ -171,6 +175,45 @@ class TestAvgCorrelation:
             assert avg_correlation({"bad": ([1.0], [2.0]),
                                     "flat": ([1.0, 2.0], [3.0, 3.0])}) is None
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_per_group_corrcoef(self, data):
+        # Segment sums against np.corrcoef group by group: the same groups
+        # kept, the same warnings, and the mean within 1e-12. Integer steps
+        # on offsets up to 1e6, some sides constant and some exact affine
+        # images of the other (r = +-1), as lists or arrays.
+        groups = {}
+        for g in range(data.draw(st.integers(0, 12))):
+            size = data.draw(st.integers(0, 40))
+            steps = st.lists(st.integers(-1000, 1000), min_size=size, max_size=size)
+            scale = data.draw(st.sampled_from([1.0, 0.25, 1e-3, 37.5]))
+            a = data.draw(st.floats(-1e6, 1e6)) + scale * np.array(data.draw(steps), float)
+            kind = data.draw(st.sampled_from(["free", "constant a", "constant b", "affine"]))
+            if kind == "affine":
+                b = data.draw(st.sampled_from([-2.0, -1.0, 0.5, 3.0])) * a + 7.0
+            else:
+                b = data.draw(st.floats(-1e6, 1e6)) + np.array(data.draw(steps), float)
+            if kind == "constant a":
+                a = np.full(size, a[0] if size else 0.0)
+            if kind == "constant b":
+                b = np.full(size, 42.0)
+            as_list = data.draw(st.booleans())
+            groups[f"g{g}"] = (a.tolist(), b.tolist()) if as_list else (a, b)
+        results = []
+        for avg in (avg_correlation, per_group_corrcoef):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                results.append((avg(groups), [str(w.message) for w in caught]))
+        (got, got_warnings), (want, want_warnings) = results
+        assert got_warnings == want_warnings
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert abs(got - want) <= 1e-12 and -1.0 <= got <= 1.0
+
+    def test_mismatched_pair_lengths_rejected(self):
+        with pytest.raises(ValueError):
+            avg_correlation({"g": ([1.0, 2.0, 3.0], [1.0, 2.0])})
+
     def test_group_pairs_modes(self):
         s = series([1, 2, 3, 4], [1, 2, 3, 4],
                    firms=["A", "A", "B", "B"],
@@ -181,6 +224,50 @@ class TestAvgCorrelation:
         assert set(by_date) == {"d1", "d2"}
         with pytest.raises(ValueError):
             group_pairs(s, "by_planet")
+
+
+def reference_bucket_table(keys, firm_ids, dates, actual, models, trim_frac=0.10):
+    """bucket_comparison cell by cell: accuracy_metrics of each (bucket,
+    model) series on its own, trimmed and MASE-scaled per model."""
+    min_rows = math.ceil(1.0 / trim_frac) if trim_frac > 0 else 1
+    rows = []
+    for bucket in sorted(set(keys)):
+        idx = np.array([i for i, key in enumerate(keys) if key == bucket])
+        if idx.size < min_rows:
+            warnings.warn(f"bucket {bucket!r} has {idx.size} rows (< {min_rows}), skipped")
+            continue
+        row = {"bucket": bucket, "obs": idx.size, "median_actual": float(np.median(actual[idx])),
+               "tmean_actual": truncated_mean(actual[idx], trim_frac)}
+        for name, values in models.items():
+            row[f"median_{name}"] = float(np.median(values[idx]))
+            row[f"tmean_{name}"] = truncated_mean(values[idx], trim_frac)
+            sub = PairedSeries(tuple(firm_ids), tuple(dates), actual, values).take(idx)
+            for metric, value in accuracy_metrics(sub, trim_frac).items():
+                row[f"{metric}_{name}"] = value
+        rows.append(row)
+    return rows
+
+
+def assert_tables_bitwise(keys, firm_ids, dates, actual, models, trim_frac=0.10):
+    """bucket_comparison equals the reference in every cell, bit for bit,
+    with the same warnings in the same order. Returns the table."""
+    tables = []
+    for build in (bucket_comparison, reference_bucket_table):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            table = build(keys, firm_ids, dates, actual, models, trim_frac)
+        tables.append((table, [str(w.message) for w in caught]))
+    (got, got_warnings), (want, want_warnings) = tables
+    assert got_warnings == want_warnings
+    assert [list(row) for row in got] == [list(row) for row in want]
+
+    def bits(value):
+        return value if value is None or isinstance(value, str) else np.float64(value).tobytes()
+
+    for got_row, want_row in zip(got, want):
+        assert {k: bits(v) for k, v in got_row.items()} == {
+            k: bits(v) for k, v in want_row.items()}
+    return got, got_warnings
 
 
 class TestBucketTable:
@@ -261,6 +348,55 @@ class TestBucketTable:
             assert row["median_m"] == float(np.median(model[idx]))
             for metric, value in accuracy_metrics(alone).items():
                 assert row[f"{metric}_m"] == value
+
+    def test_cells_match_per_bucket_accuracy_metrics_bitwise(self):
+        # Four buckets interleaved across rows: "a" plain, "b" with zero
+        # actuals inside its trimmed rows (MAPE None), "c" with one date per
+        # firm (MASE None) and "d" too small to trim (skipped).
+        rng = np.random.default_rng(11)
+        n = 90
+        keys = np.array(["a", "b", "c"])[np.arange(n) % 3].tolist()
+        keys[4] = keys[40] = keys[77] = "d"
+        firms = [f"F{i}" for i in rng.integers(0, 6, n)]
+        dates = [f"2016-{i // 28 + 1:02d}-{i % 28 + 1:02d}" for i in rng.permutation(n)]
+        for i in range(n):
+            if keys[i] == "c":
+                firms[i] = f"C{i}"
+        actual = rng.uniform(20.0, 400.0, n)
+        actual[[i for i in range(n) if keys[i] == "b"][10:14]] = 0.0
+        models = {"e2c": actual * 1.3 + rng.normal(0, 9, n),
+                  "forest": actual + rng.normal(0, 3, n)}
+        table, caught = assert_tables_bitwise(keys, firms, dates, actual, models)
+        assert [row["bucket"] for row in table] == ["a", "b", "c"]
+        assert caught == [
+            "MAPE unavailable: MAPE undefined: actual series contains zeros"] * 2 + [
+            "MASE unavailable: MASE undefined: no firm has two or more dates"] * 2 + [
+            "bucket 'd' has 3 rows (< 10), skipped"]
+
+    def test_zero_naive_error_matches_reference(self):
+        # One firm whose actual never changes: the MASE scale is zero.
+        n = 12
+        actual = np.full(n, 55.0)
+        dates = [f"2016-01-{i + 1:02d}" for i in range(n)]
+        _, caught = assert_tables_bitwise(["x"] * n, ["F"] * n, dates, actual,
+                                          {"m": actual + 1.0})
+        assert caught == ["MASE unavailable: MASE undefined: naive forecast error is zero"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_random_tables_match_reference_bitwise(self, data):
+        n = data.draw(st.integers(0, 80))
+
+        def draw(elements):
+            return data.draw(st.lists(elements, min_size=n, max_size=n))
+
+        keys = draw(st.sampled_from(["lo", "mid", "hi"]))
+        firms = draw(st.sampled_from([f"F{i}" for i in range(6)]))
+        dates = draw(st.sampled_from([f"2016-01-{i:02d}" for i in range(1, 11)]))
+        actual = np.array(draw(st.integers(0, 30)), dtype=float)
+        models = {"m": np.array(draw(st.floats(-50, 50)), dtype=float), "k": actual * 0.5}
+        trim_frac = data.draw(st.sampled_from([0.0, 0.10, 0.25]))
+        assert_tables_bitwise(keys, firms, dates, actual, models, trim_frac)
 
 
 class TestPairedSeriesTake:
