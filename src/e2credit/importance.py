@@ -7,9 +7,12 @@ Two views of the same question:
   the node's training rows), average over trees, normalize to sum one;
 * out-of-bag permutation importance: per tree b and feature A, compare the
   tree's R^2 on its OOB rows before and after permuting column A there,
-  VI(A) = mean over trees of (R2_b - R2_b_permuted) / R2_b. The OOB rows
-  are redrawn from the forest's seed, so the matrix must be the forest's
-  training set; its SHA-256 is checked first.
+  VI(A) = mean over trees of (R2_b - R2_b_permuted) / R2_b. A tree's p
+  permutations come from one call on its (seed, tree) stream, one row per
+  feature in feature order: the same draws as p successive
+  rng.permutation calls. The OOB rows are redrawn from the forest's seed,
+  so the matrix must be the forest's training set; its SHA-256 is checked
+  first.
 """
 from __future__ import annotations
 
@@ -53,7 +56,9 @@ def mdi_importance(forest: Forest, train: FeatureMatrix) -> np.ndarray:
     p = train.n_features
     nodes = forest.nodes
     nodes.check_columns(p)
-    totals = np.bincount(nodes.feature[nodes.feature != LEAF], nodes.improvement, minlength=p)
+    # With no split at all, bincount returns int64 zeros.
+    totals = np.bincount(nodes.feature[nodes.feature != LEAF], nodes.improvement,
+                         minlength=p).astype(np.float64)
     totals /= forest.n_trees
     total = totals.sum()
     if total > 0.0:
@@ -61,9 +66,12 @@ def mdi_importance(forest: Forest, train: FeatureMatrix) -> np.ndarray:
     return totals
 
 
-def _permutation(rng: np.random.Generator, n: int) -> np.ndarray:
-    # Module-level so tests can substitute an identity permutation.
-    return rng.permutation(n)
+def _permutations(rng: np.random.Generator, p: int, n: int) -> np.ndarray:
+    # A tree's p permutations of range(n), one row per feature in feature
+    # order, from one call: Fisher-Yates row after row on the same stream,
+    # so the same draws as p successive rng.permutation(n) calls.
+    # Module-level so tests can substitute identity permutations.
+    return rng.permuted(np.broadcast_to(np.arange(n), (p, n)), axis=1)
 
 
 # Trees are scored together, in tree order, until their OOB sets hold this
@@ -77,14 +85,15 @@ _CHUNK_ROWS = 2**12
 def permutation_importance(forest: Forest, train: FeatureMatrix, seed: int) -> np.ndarray:
     """Out-of-bag permutation importance VI per feature.
 
-    Permutations are drawn per (tree, feature) from streams derived from
-    (seed, tree index), so repeated calls agree bitwise and worker scheduling
-    cannot matter. Each tree's OOB rows are redrawn from the forest's seed
-    and train's row count, so train must be the forest's training set:
-    CompatibilityError otherwise. Trees whose OOB set is too small, has
-    constant labels, or scores exactly zero R^2 are skipped with a warning;
-    the average runs over the remaining trees. The stored matrix is never
-    modified.
+    Each tree's p permutations are drawn in one call, in feature order, from
+    the stream derived from (seed, tree index), so repeated calls agree
+    bitwise and worker scheduling cannot matter; they are the draws of p
+    successive rng.permutation calls on that stream. Each tree's OOB rows
+    are redrawn from the forest's seed and train's row count, so train must
+    be the forest's training set: CompatibilityError otherwise. Trees whose
+    OOB set is too small, has constant labels, or scores exactly zero R^2
+    are skipped with a warning; the average runs over the remaining trees.
+    The stored matrix is never modified.
 
     Only rows whose path tests a feature are re-scored when that feature is
     permuted, each from the first node on its path that tests it; every
@@ -120,7 +129,8 @@ def permutation_importance(forest: Forest, train: FeatureMatrix, seed: int) -> n
 def _chunks(forest: Forest, train: FeatureMatrix, seed: int, skipped: list):
     """Lists of (tree, OOB rows, OOB labels, one permutation per feature),
     _CHUNK_ROWS OOB rows or a little more each; trees that cannot be scored
-    go to skipped instead."""
+    go to skipped instead. A tree's permutations are one _permutations call
+    on its (seed, tree) stream, a row per feature in feature order."""
     chunk, rows = [], 0
     for b, oob in enumerate(forest.out_of_bag(train.n_rows)):
         if oob.size < 2:
@@ -131,7 +141,7 @@ def _chunks(forest: Forest, train: FeatureMatrix, seed: int, skipped: list):
             skipped.append((b, f"tree {b}: constant OOB labels, R^2 undefined, skipped"))
             continue
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))
-        perms = np.stack([_permutation(rng, oob.size) for _ in range(train.n_features)])
+        perms = _permutations(rng, train.n_features, oob.size)
         chunk.append((b, oob, y_oob, perms))
         rows += oob.size
         if rows >= _CHUNK_ROWS:
@@ -169,9 +179,9 @@ def _score_chunk(nodes, X, chunk):
         seen[tests[at], at] = True
         entering.append((tests[at], at, node[at]))
         node = nodes.step(Xf, node, base)
-    leaf_value = nodes.key[node]
-
-    permuted = np.repeat(leaf_value[None], p, axis=0)
+    # Row 0 holds the unpermuted leaf values and row 1 + a those with
+    # feature a permuted, so one R^2 call scores a tree's base and all p.
+    permuted = np.repeat(nodes.key[node][None], p + 1, axis=0)
     if entering:
         # Pairs are laid out by starting depth, so those under way at a
         # depth form a prefix; each reads its feature from its permuted
@@ -184,17 +194,12 @@ def _score_chunk(nodes, X, chunk):
         row_base, source_base = base[row], base[source]
         for n in np.cumsum([part[0].shape[0] for part in entering]):
             node[:n] = nodes.step(Xf, node[:n], row_base[:n], (feature[:n], source_base[:n]))
-        permuted[feature, row] = nodes.key[node]
+        permuted[feature + 1, row] = nodes.key[node]
 
     out = []
     for (b, _, y_oob, _), end, size in zip(chunk, ends, sizes):
-        rows = slice(end - size, end)
-        base_r2 = r_squared_arrays(y_oob, leaf_value[rows])
-        if base_r2 == 0.0:
-            out.append((b, None))
-            continue
-        perm_r2 = r_squared_arrays(y_oob, permuted[:, rows])
-        out.append((b, (base_r2 - perm_r2) / base_r2))
+        r2 = r_squared_arrays(y_oob, permuted[:, end - size:end])
+        out.append((b, None if r2[0] == 0.0 else (r2[0] - r2[1:]) / r2[0]))
     return out
 
 

@@ -106,14 +106,14 @@ def stacked_permutation_importance(forest, train, seed, stacked_rows=2**14):
     """Reference OOB permutation VI: every permuted copy of a tree's OOB
     block is built in full and scored by the reference tree prediction.
 
-    Reads each tree's OOB rows from forest.out_of_bag and draws the
-    permutations through the module's _permutation hook, in the same order
-    as the program, and warns about skipped trees the same way. Returns the
-    VI vector.
+    Reads each tree's OOB rows from forest.out_of_bag and draws each
+    tree's permutations itself, as p successive rng.permutation calls on
+    the (seed, tree) stream, one per feature in feature order; the program
+    draws them in one call, which must give the same rows. Warns about
+    skipped trees the same way as the program. Returns the VI vector.
     """
     import warnings
 
-    import e2credit.importance as importance_mod
     from e2credit.metrics import r_squared_arrays
 
     p = train.n_features
@@ -132,7 +132,7 @@ def stacked_permutation_importance(forest, train, seed, stacked_rows=2**14):
             continue
         X_oob = train.X[oob]
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))
-        perms = [importance_mod._permutation(rng, oob.size) for _ in range(p)]
+        perms = [rng.permutation(oob.size) for _ in range(p)]
         pred = np.empty((p + 1, oob.size))
         per_call = max(1, stacked_rows // oob.size)
         for first in range(0, p + 1, per_call):

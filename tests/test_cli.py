@@ -687,6 +687,25 @@ class TestImportanceCommand:
                      "--recovery", "0.6", "--out-dir", str(tmp_path / "o")])
         assert code == 4
 
+    def test_no_split_in_any_tree_exit_3(self, tmp_path, capsys):
+        # Two in-sample rows: all three trees are single leaves, so no
+        # feature has MDI and no tree has a usable out-of-bag sample.
+        code = main(["synth", "--firms", "2", "--dates", "5", "--missing-rate", "0.3",
+                     "--seed", "2", "--out-dir", str(tmp_path / "s")])
+        assert code == 0
+        csv_path = str(tmp_path / "s" / "snapshots.csv")
+        code = main(["train", csv_path, "--trees", "3", "--features-per-split", "1",
+                     "--out-dir", str(tmp_path / "t")])
+        assert code == 0
+        capsys.readouterr()
+        with pytest.warns(UserWarning, match="OOB set too small"):
+            code = main(["importance", str(tmp_path / "t" / "forest.e2cf"), csv_path,
+                         "--out-dir", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "pipeline error: no tree had a usable out-of-bag sample\n" in err
+        assert "Traceback" not in err
+
 
 def corrupt_forest(trained_dir, tmp_path, case):
     """A copy of the trained forest file, truncated, with a header key

@@ -14,6 +14,7 @@ from e2credit.dataset import FeatureEncoder, FeatureMatrix, drop_incomplete
 from e2credit.structural import ModelParams
 from e2credit.synth import generate_snapshots
 from e2credit.errors import InputFormatError, PipelineError
+from e2credit.importance import permutation_importance
 
 from conftest import build_from_rows, edit_header
 from e2credit.forest import (
@@ -581,6 +582,12 @@ class TestSerialization:
                 assert np.array_equal(getattr(ta, name), getattr(tb, name))
             for name in ("key", "improvement"):
                 assert getattr(ta, name).tobytes() == getattr(tb, name).tobytes()
+        # The descents read the loaded <i2 feature view as they read int64.
+        assert loaded.nodes.feature.dtype == np.dtype("<i2")
+        assert not loaded.nodes.feature.flags.writeable
+        assert loaded.predict(small_matrix.X).tobytes() == forest.predict(small_matrix.X).tobytes()
+        assert (permutation_importance(loaded, small_matrix, seed=3).tobytes()
+                == permutation_importance(forest, small_matrix, seed=3).tobytes())
         save_forest(loaded, tmp_path / "again.e2cf")
         assert (tmp_path / "again.e2cf").read_bytes() == path.read_bytes()
 

@@ -55,6 +55,15 @@ class TestMDI:
         forest = hand_forest([tree], [np.arange(0)], matrix)
         assert mdi_importance(forest, matrix).tolist() == [0.25, 0.75]
 
+    def test_no_split_anywhere_is_zero(self):
+        # With no split node, bincount has nothing to count and returns
+        # int64 zeros; the result is still float64.
+        matrix = FeatureMatrix.from_arrays(np.zeros((6, 3)), np.arange(6.0))
+        forest = hand_forest([leaf_tree(1.0), leaf_tree(2.0)], (np.arange(0),) * 2, matrix)
+        mdi = mdi_importance(forest, matrix)
+        assert mdi.dtype == np.float64
+        assert mdi.tolist() == [0.0, 0.0, 0.0]
+
     def test_normalization(self):
         matrix = single_factor_matrix(seed=5)
         forest = fit_forest(matrix, n_trees=10, m=2, max_depth=5, master_seed=1)
@@ -91,8 +100,8 @@ class TestPermutationVI:
         matrix = single_factor_matrix(seed=6)
         forest = fit_forest(matrix, n_trees=8, m=3, max_depth=6, master_seed=3)
         monkeypatch.setattr(
-            importance_mod, "_permutation",
-            lambda rng, n: np.arange(n, dtype=np.int64),
+            importance_mod, "_permutations",
+            lambda rng, p, n: np.tile(np.arange(n, dtype=np.int64), (p, 1)),
         )
         assert np.all(permutation_importance(forest, matrix, seed=9) == 0.0)
 
@@ -252,26 +261,29 @@ class TestPermutationMatchesOracle:
         ]
 
     def test_permutation_draws(self, monkeypatch):
-        # p draws, in feature order and of the OOB size, from the (seed, tree)
-        # stream of every tree with two or more OOB rows and unequal OOB
-        # labels; the zero-R^2 tree draws too.
+        # One draw per tree, in tree order, from the (seed, tree) stream of
+        # every tree with two or more OOB rows and unequal OOB labels; the
+        # zero-R^2 tree draws too. It holds p rows of the OOB size, the
+        # draws of p successive rng.permutation calls in feature order.
         _, forest, matrix = vi_cases()[-1]
         calls = []
+        one_call = importance_mod._permutations
 
-        def draw(rng, n):
-            perm = rng.permutation(n)
-            calls.append((n, perm.tobytes()))
-            return perm
+        def draw(rng, p, n):
+            perms = one_call(rng, p, n)
+            calls.append((perms.shape, perms.tobytes()))
+            return perms
 
-        monkeypatch.setattr(importance_mod, "_permutation", draw)
+        monkeypatch.setattr(importance_mod, "_permutations", draw)
         with pytest.warns(UserWarning):
             permutation_importance(forest, matrix, seed=5)
+        p = matrix.n_features
         expected = []
         for b, oob in enumerate(forest.out_of_bag(matrix.n_rows)):
             if b in (1, 5):
                 continue
             rng = np.random.default_rng(np.random.SeedSequence(5, spawn_key=(b,)))
-            expected += [(oob.size, rng.permutation(oob.size).tobytes())
-                         for _ in range(matrix.n_features)]
+            draws = np.stack([rng.permutation(oob.size) for _ in range(p)])
+            expected.append(((p, oob.size), draws.tobytes()))
         assert calls == expected
 
