@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import numpy as np
 
-LEAF = -1
+from .forest import LEAF
 
 # Two features inducing the same row partition have identical SSE in exact
 # arithmetic but differ by summation-order noise in floats; a candidate must

@@ -25,14 +25,7 @@ from .dataset import FeatureEncoder, drop_incomplete, rating_bucket, split_in_ou
 from .errors import CompatibilityError, InputFormatError, PipelineError
 from .forest import fit_forest, load_forest, save_forest
 from .importance import importance_report
-from .metrics import (
-    PairedSeries,
-    avg_correlation,
-    bucket_comparison,
-    accuracy_metrics,
-    group_pairs,
-    r_squared_arrays,
-)
+from .metrics import bucket_comparison, overall_comparison, r_squared_arrays
 from .snapshots import (
     build_records,
     read_snapshots,
@@ -191,19 +184,7 @@ def cmd_evaluate(args, config: RunConfig, out_dir: Path) -> None:
     actual = matrix.y
     firm_ids, dates = matrix.firm_ids, matrix.dates
 
-    overall = []
-    for name, values in models.items():
-        series = PairedSeries(
-            firm_ids=firm_ids, dates=dates, actual=actual, predicted=values
-        )
-        acc = accuracy_metrics(series, trim_frac=0.10)
-        overall.append({
-            "model": name,
-            "r2": r_squared_arrays(actual, values),
-            **acc,
-            "corr_by_firm": avg_correlation(group_pairs(series, "by_firm")),
-            "corr_by_date": avg_correlation(group_pairs(series, "by_date")),
-        })
+    overall = overall_comparison(firm_ids, dates, actual, models, trim_frac=0.10)
     _write_table(out_dir / "overall_metrics.csv", overall)
 
     rating_keys = [rating_bucket(code) for code in complete.rating.tolist()]

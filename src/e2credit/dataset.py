@@ -7,7 +7,6 @@ holdout split.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import warnings
@@ -287,6 +286,8 @@ class FeatureMatrix:
     def sha256(self) -> str:
         """Hex SHA-256 over the X bytes, the y bytes and the column names: a
         forest records its training set's, and importance checks it."""
+        import hashlib
+
         digest = hashlib.sha256(self.X.tobytes())
         digest.update(self.y.tobytes())
         digest.update(json.dumps(self.column_names()).encode("utf-8"))

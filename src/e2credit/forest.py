@@ -17,16 +17,17 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
 
-from . import _kernels
 from .dataset import FeatureColumn, FeatureMatrix
 from .errors import InputFormatError, PipelineError
 
-LEAF = _kernels.LEAF
+# The feature of a leaf node. The tree kernel (_kernels, imported only where
+# trees grow, as reading or scoring a forest never runs it) writes it too.
+LEAF = -1
 
 DEFAULT_N_TREES = 50
 DEFAULT_FEATURES_PER_SPLIT = 15
@@ -64,6 +65,8 @@ def best_split(
     feats = np.asarray(feature_subset, dtype=np.int64)
     if feats.size == 0:
         raise ValueError("best_split requires a non-empty feature subset")
+    from . import _kernels
+
     X = np.ascontiguousarray(X, dtype=np.float64)
     y = np.ascontiguousarray(y, dtype=np.float64)
     f, s, sse_after = _kernels.scan_best_split(X, y, rows, feats)
@@ -113,8 +116,8 @@ class Nodes:
 
     @staticmethod
     def join(stores) -> "Nodes":
-        return Nodes(*(np.concatenate([getattr(s, name) for s in stores])
-                       for name in _kernels._NODE_FIELDS + ("sizes",)))
+        return Nodes(*(np.concatenate([getattr(s, f.name) for s in stores])
+                       for f in fields(Nodes)))
 
     @property
     def n_nodes(self) -> int:
@@ -253,6 +256,8 @@ def grow_tree(
     split, or max_depth levels below the root (None = no depth cap). Leaves
     predict the mean label of their rows.
     """
+    from . import _kernels
+
     y = np.ascontiguousarray(y, dtype=np.float64)
     pre = _kernels.Presorted(X)
     return Nodes(**_kernels.build_trees(pre, y, [bootstrap_rows], m, max_depth, [rng])).tree(0)
@@ -348,6 +353,8 @@ def fit_forest(
         raise ValueError("cannot fit a forest on an empty training set")
     if n_trees < 1:
         raise ValueError(f"n_trees must be >= 1, got {n_trees}")
+    from . import _kernels
+
     presorted = _kernels.Presorted(train.X)
     y = np.ascontiguousarray(train.y, dtype=np.float64)
     n = train.n_rows
@@ -472,11 +479,11 @@ def load_forest(path) -> Forest:
     widths = [count * np.dtype(disk).itemsize for (_, disk), count in zip(_FILE_FIELDS, counts)]
     if len(payload) != 8 * n_trees + sum(widths):
         raise InputFormatError(f"{path}: payload is not {n_trees} trees of {n} nodes")
-    fields, at = {}, 8 * n_trees
+    stored, at = {}, 8 * n_trees
     for (name, disk), count, width in zip(_FILE_FIELDS, counts, widths):
-        fields[name] = np.frombuffer(payload, disk, count, at)
+        stored[name] = np.frombuffer(payload, disk, count, at)
         at += width
-    nodes = Nodes(sizes=sizes, **fields)
+    nodes = Nodes(sizes=sizes, **stored)
     _check_nodes(path, nodes, len(columns))
     header["columns"] = tuple(FeatureColumn(name, kind) for name, kind in columns)
     return Forest(nodes=nodes, **{key: header[key] for key in _HEADER})

@@ -1,5 +1,8 @@
 """Evaluation statistics, each computed once per table: R^2, RMSE, MAPE,
-MASE, truncated means, averaged per-group correlations and bucket tables."""
+MASE, truncated means, averaged per-group correlations, and the overall and
+bucket tables. Each table trims the actuals and finds their MASE scale once
+for all models (the bucket tables once per bucket); the overall table also
+groups the rows by firm and by date once."""
 from __future__ import annotations
 
 import math
@@ -90,22 +93,37 @@ def _mase(series: PairedSeries, scale: float | None) -> float:
     return float(np.mean(np.abs(series.actual - series.predicted))) / scale
 
 
-def _groups(codes: np.ndarray, *columns: np.ndarray) -> list[list[np.ndarray]]:
-    """Each column split into per-code runs, codes ascending and rows in
-    their given order within a code."""
+def _splitter(codes: np.ndarray):
+    """A function that splits a column into per-code runs, codes ascending
+    and rows in their given order within a code."""
     order = np.argsort(codes, kind="stable")
     bounds = np.flatnonzero(np.diff(codes[order])) + 1
-    return [np.split(col[order], bounds) for col in columns]
+    return lambda column: np.split(column[order], bounds)
 
 
 def _naive_scale(series: PairedSeries) -> float | None:
-    # Firms in order of first appearance, each one's rows by date.
+    # Firms in order of first appearance, each one's rows by date: one step
+    # array over them all, each firm's mean over its own slice of it.
     by_date = np.argsort(sorted_codes(series.dates)[1], kind="stable")
-    (values,) = _groups(factorize(series.firm_ids)[1][by_date], series.actual[by_date])
-    firm_errors = [float(np.mean(np.abs(np.diff(v)))) for v in values if v.size >= 2]
+    firms = factorize(series.firm_ids)[1][by_date]
+    steps = np.abs(np.diff(series.actual[by_date[np.argsort(firms, kind="stable")]]))
+    stops = np.cumsum(np.bincount(firms)).tolist()
+    firm_errors = [float(np.mean(steps[start : stop - 1]))
+                   for start, stop in zip([0, *stops], stops) if stop - start >= 2]
     if not firm_errors:
         return None
     return float(np.mean(firm_errors))
+
+
+def _median(values: np.ndarray) -> float:
+    """np.median of a non-empty 1-D array, bit for bit: the np.mean of the
+    middle one or two values of the same np.partition, NaN if the array
+    holds one. np.median's own NaN check imports numpy.ma."""
+    n = values.shape[0]
+    part = np.partition(values, [(n - 1) // 2, n // 2, -1] if n % 2 == 0 else [n // 2, -1])
+    if np.isnan(part[-1]):
+        return float(part[-1])
+    return float(np.mean(part[(n - 1) // 2 : n // 2 + 1]))
 
 
 def truncated_mean(values, trim_frac: float) -> float:
@@ -156,9 +174,16 @@ def group_pairs(series: PairedSeries, mode: str) -> dict:
     keys = {"by_firm": series.firm_ids, "by_date": series.dates}.get(mode)
     if keys is None:
         raise ValueError(f"mode must be 'by_firm' or 'by_date', got {mode!r}")
+    return _pairs_by(keys, series.actual)(series.predicted)
+
+
+def _pairs_by(keys, actual: np.ndarray):
+    """group_pairs by the given keys with the grouping and the actual's
+    groups found once: a function of the predicted values."""
     names, codes = sorted_codes(keys)
-    actual, predicted = _groups(codes, series.actual, series.predicted)
-    return dict(zip(names, zip(actual, predicted)))
+    split = _splitter(codes)
+    actual_groups = split(actual)
+    return lambda predicted: dict(zip(names, zip(actual_groups, split(predicted))))
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +225,46 @@ def accuracy_metrics(
     return _accuracy(trimmed, _naive_scale(trimmed))
 
 
+def _scores(rows: np.ndarray, firm_ids, dates, actual: np.ndarray, models: dict,
+            trim_frac: float):
+    """Each model's accuracy_metrics on the given rows, one model at a time,
+    in model order: the rows are trimmed by the actual and the MASE scale
+    found once for all models. A warning names the line that draws them."""
+    keep = rows[_trim_rows_by_actual(actual[rows], trim_frac)]
+    trimmed = PairedSeries(firm_ids, dates, actual, actual).take(keep)
+    scale = _naive_scale(trimmed)
+    for values in models.values():
+        yield _accuracy(replace(trimmed, predicted=values[keep]), scale)
+
+
+def overall_comparison(
+    firm_ids,
+    dates,
+    actual: np.ndarray,
+    models: dict[str, np.ndarray],
+    trim_frac: float = 0.10,
+) -> list[dict]:
+    """One table row per model: R^2 on every row, accuracy_metrics, and the
+    avg_correlation of its group_pairs by firm and by date. The actuals are
+    trimmed, MASE-scaled and grouped by firm and by date once for all
+    models; each cell and warning is the one the per-model calls give.
+    """
+    by_firm, by_date = _pairs_by(firm_ids, actual), _pairs_by(dates, actual)
+    scores = _scores(np.arange(actual.shape[0]), firm_ids, dates, actual, models, trim_frac)
+    rows = []
+    for name, values in models.items():
+        PairedSeries(firm_ids, dates, actual, values)  # every value must be finite
+        scored = next(scores)
+        rows.append({
+            "model": name,
+            "r2": r_squared_arrays(actual, values),
+            **scored,
+            "corr_by_firm": avg_correlation(by_firm(values)),
+            "corr_by_date": avg_correlation(by_date(values)),
+        })
+    return rows
+
+
 def bucket_comparison(
     bucket_keys,
     firm_ids,
@@ -217,7 +282,7 @@ def bucket_comparison(
     """
     rows = []
     names, codes = sorted_codes(bucket_keys)
-    (buckets,) = _groups(codes, np.arange(codes.shape[0]))
+    buckets = _splitter(codes)(np.arange(codes.shape[0]))
     min_rows = math.ceil(1.0 / trim_frac) if trim_frac > 0 else 1
     for bucket, idx in zip(names, buckets):
         if idx.size < min_rows:
@@ -227,15 +292,12 @@ def bucket_comparison(
             )
             continue
         row: dict = {"bucket": bucket, "obs": int(idx.size)}
-        row["median_actual"] = float(np.median(actual[idx]))
+        row["median_actual"] = _median(actual[idx])
         row["tmean_actual"] = truncated_mean(actual[idx], trim_frac)
-        keep = idx[_trim_rows_by_actual(actual[idx], trim_frac)]
-        trimmed = PairedSeries(firm_ids, dates, actual, actual).take(keep)
-        scale = _naive_scale(trimmed)
+        scores = _scores(idx, firm_ids, dates, actual, models, trim_frac)
         for name, values in models.items():
-            row[f"median_{name}"] = float(np.median(values[idx]))
+            row[f"median_{name}"] = _median(values[idx])
             row[f"tmean_{name}"] = truncated_mean(values[idx], trim_frac)
-            scored = _accuracy(replace(trimmed, predicted=values[keep]), scale)
-            row.update((f"{metric}_{name}", value) for metric, value in scored.items())
+            row.update((f"{metric}_{name}", value) for metric, value in next(scores).items())
         rows.append(row)
     return rows

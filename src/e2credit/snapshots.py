@@ -163,9 +163,11 @@ def _duplicate(keys, seen: set):
 def _numbers(col: str, cells: tuple):
     """A number column as float64, NaN for a blank, and its first bad cell."""
     bad = None
+    blanks = cells.count("")
     try:
-        values = np.array([float(t) if t else math.nan for t in cells], dtype=np.float64)
-        if np.isinf(values).any() or np.count_nonzero(np.isnan(values)) != cells.count(""):
+        texts = [t or "nan" for t in cells] if blanks else cells
+        values = np.fromiter(map(float, texts), np.float64, len(cells))
+        if np.isinf(values).any() or np.count_nonzero(np.isnan(values)) != blanks:
             raise ValueError
     except ValueError:
         # Padding, text or a non-finite number: cell by cell to the first bad one.

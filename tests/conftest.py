@@ -177,6 +177,22 @@ def per_group_corrcoef(series_by_group):
     return float(np.mean(correlations))
 
 
+def per_firm_naive_scale(series):
+    """Reference MASE scale: firm by firm in order of first appearance, each
+    one's actuals in date order (rows in their given order on a date), the
+    mean absolute one-step change; the mean over the firms with two or more
+    rows, None when there is none."""
+    rows_of = {}
+    for row, firm in enumerate(series.firm_ids):
+        rows_of.setdefault(firm, []).append(row)
+    errors = []
+    for rows in rows_of.values():
+        rows = sorted(rows, key=series.dates.__getitem__)
+        if len(rows) >= 2:
+            errors.append(float(np.mean(np.abs(np.diff(series.actual[rows])))))
+    return float(np.mean(errors)) if errors else None
+
+
 def edit_header(path, edit):
     """Replace the header of the forest file at path with edit(header)."""
     raw = path.read_bytes()

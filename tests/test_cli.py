@@ -1,7 +1,11 @@
 import csv
 import hashlib
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -730,6 +734,43 @@ def test_corrupt_forest_exit_2(synth_dir, trained_dir, tmp_path, capsys, command
     assert code == 2
     assert err.startswith("input error: ") and str(path) in err
     assert "Traceback" not in err
+
+
+# Runs one command in a fresh interpreter; its last line is the exit code and
+# which of the modules a command may not need it has loaded.
+_LOADED = """
+import sys
+from e2credit.cli import main
+code = main(sys.argv[1:])
+print(code, *[m for m in ("numpy.ma", "e2credit._kernels") if m in sys.modules])
+"""
+
+
+def modules_loaded(argv):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", _LOADED, *argv], env=env,
+                          capture_output=True, text=True, check=True)
+    code, *modules = proc.stdout.splitlines()[-1].split()
+    return int(code), modules
+
+
+class TestImports:
+    """Commands that never grow a tree do not load the tree kernel, and no
+    command loads numpy.ma (np.median's NaN check imports it)."""
+
+    @pytest.mark.parametrize("command", ["spread", "evaluate", "importance"])
+    def test_commands_that_grow_no_tree(self, synth_dir, trained_dir, tmp_path, command):
+        inputs = [str(synth_dir / "snapshots.csv")]
+        if command != "spread":
+            inputs.insert(0, str(trained_dir / "forest.e2cf"))
+        assert modules_loaded([command, *inputs, "--out-dir", str(tmp_path)]) == (0, [])
+
+    def test_train_loads_the_tree_kernel(self, synth_dir, tmp_path):
+        argv = ["train", str(synth_dir / "snapshots.csv"), "--trees", "2",
+                "--out-dir", str(tmp_path)]
+        assert modules_loaded(argv) == (0, ["e2credit._kernels"])
 
 
 class TestDerivedFlags:

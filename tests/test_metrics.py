@@ -6,16 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import per_group_corrcoef
+from conftest import per_firm_naive_scale, per_group_corrcoef
 
 from e2credit.metrics import (
     PairedSeries,
+    _median,
+    _naive_scale,
+    _trim_rows_by_actual,
     accuracy_metrics,
     avg_correlation,
     bucket_comparison,
     group_pairs,
     mape,
     mase,
+    overall_comparison,
     r_squared,
     r_squared_arrays,
     rmse,
@@ -248,26 +252,43 @@ def reference_bucket_table(keys, firm_ids, dates, actual, models, trim_frac=0.10
     return rows
 
 
-def assert_tables_bitwise(keys, firm_ids, dates, actual, models, trim_frac=0.10):
-    """bucket_comparison equals the reference in every cell, bit for bit,
-    with the same warnings in the same order. Returns the table."""
-    tables = []
-    for build in (bucket_comparison, reference_bucket_table):
+def bits(value):
+    return value if value is None or isinstance(value, str) else np.float64(value).tobytes()
+
+
+def assert_same_table(build, reference, *args, errors=False):
+    """build and reference give the same table, every cell bit for bit, with
+    the same warnings in the same order; with errors=True they may instead
+    raise the same ValueError after the same warnings. Returns the table
+    (None on an error) and the warnings."""
+    outcomes = []
+    for fn in (build, reference):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            table = build(keys, firm_ids, dates, actual, models, trim_frac)
-        tables.append((table, [str(w.message) for w in caught]))
-    (got, got_warnings), (want, want_warnings) = tables
+            try:
+                table = fn(*args)
+            except ValueError as exc:
+                if not errors:
+                    raise
+                table = repr(exc)
+        outcomes.append((table, [str(w.message) for w in caught]))
+    (got, got_warnings), (want, want_warnings) = outcomes
     assert got_warnings == want_warnings
+    if isinstance(want, str):
+        assert got == want
+        return None, got_warnings
     assert [list(row) for row in got] == [list(row) for row in want]
-
-    def bits(value):
-        return value if value is None or isinstance(value, str) else np.float64(value).tobytes()
-
     for got_row, want_row in zip(got, want):
         assert {k: bits(v) for k, v in got_row.items()} == {
             k: bits(v) for k, v in want_row.items()}
     return got, got_warnings
+
+
+def assert_tables_bitwise(keys, firm_ids, dates, actual, models, trim_frac=0.10):
+    """bucket_comparison equals the reference in every cell, bit for bit,
+    with the same warnings in the same order. Returns the table."""
+    return assert_same_table(bucket_comparison, reference_bucket_table,
+                             keys, firm_ids, dates, actual, models, trim_frac)
 
 
 class TestBucketTable:
@@ -397,6 +418,151 @@ class TestBucketTable:
         models = {"m": np.array(draw(st.floats(-50, 50)), dtype=float), "k": actual * 0.5}
         trim_frac = data.draw(st.sampled_from([0.0, 0.10, 0.25]))
         assert_tables_bitwise(keys, firms, dates, actual, models, trim_frac)
+
+
+def reference_overall_table(firm_ids, dates, actual, models, trim_frac=0.10):
+    """overall_comparison model by model, from the per-model calls: each
+    model's accuracy_metrics, then its R^2, then avg_correlation of its
+    group_pairs by firm and by date."""
+    rows = []
+    for name, values in models.items():
+        s = PairedSeries(tuple(firm_ids), tuple(dates), actual, values)
+        acc = accuracy_metrics(s, trim_frac)
+        rows.append({
+            "model": name,
+            "r2": r_squared_arrays(actual, values),
+            **acc,
+            "corr_by_firm": avg_correlation(group_pairs(s, "by_firm")),
+            "corr_by_date": avg_correlation(group_pairs(s, "by_date")),
+        })
+    return rows
+
+
+class TestOverallTable:
+    def test_cells_and_warnings_match_per_model_calls(self):
+        # Six firms with a zero actual among the kept rows (MAPE None for
+        # every model), a model constant on every firm and date (no defined
+        # correlation) and one that is constant on some firms only.
+        rng = np.random.default_rng(5)
+        n = 120
+        firms = [f"F{i}" for i in rng.integers(0, 6, n)]
+        dates = [f"2016-{i // 28 + 1:02d}-{i % 28 + 1:02d}" for i in rng.integers(0, 40, n)]
+        actual = rng.uniform(20.0, 400.0, n)
+        actual[rng.choice(n, 14, replace=False)] = 0.0  # 12 are trimmed away
+        models = {
+            "e2c": actual * 1.2 + rng.normal(0, 9, n),
+            "creditgrades": np.zeros(n),
+            "forest": np.where(np.array(firms) == "F2", 7.0, actual + rng.normal(0, 3, n)),
+        }
+        table, caught = assert_same_table(overall_comparison, reference_overall_table,
+                                          firms, dates, actual, models)
+        assert [row["model"] for row in table] == ["e2c", "creditgrades", "forest"]
+        assert table[1]["corr_by_firm"] is None and table[1]["corr_by_date"] is None
+        assert all(row["mape"] is None for row in table)
+        mape_none = "MAPE unavailable: MAPE undefined: actual series contains zeros"
+        assert caught.count(mape_none) == 3
+        assert caught.count("correlation unavailable: no group had a defined correlation") == 2
+        assert caught[0] == mape_none
+
+    def test_single_date_firms_leave_mase_none(self):
+        n = 30
+        actual = np.linspace(10.0, 90.0, n)
+        firms = [f"F{i}" for i in range(n)]
+        dates = [f"2016-01-{i % 5 + 1:02d}" for i in range(n)]
+        table, caught = assert_same_table(overall_comparison, reference_overall_table,
+                                          firms, dates, actual, {"m": actual + 1.0})
+        assert table[0]["mase"] is None
+        assert "MASE unavailable: MASE undefined: no firm has two or more dates" in caught
+
+    def test_non_finite_value_in_trimmed_row_raises_as_before(self):
+        # The row with the largest actual is trimmed away, yet a NaN there
+        # still fails the model's whole series, after the earlier model's
+        # warnings.
+        n = 20
+        actual = np.arange(1.0, n + 1.0)
+        actual[0] = 0.0  # kept: MAPE None for the first model
+        actual[1] = 0.5
+        bad = actual.copy()
+        bad[-1] = np.nan
+        firms = ["A"] * n
+        dates = [f"2016-01-{i + 1:02d}" for i in range(n)]
+        table, caught = assert_same_table(
+            overall_comparison, reference_overall_table,
+            firms, dates, actual, {"ok": actual + 1.0, "bad": bad}, errors=True)
+        assert table is None and caught
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_random_tables_match_per_model_calls(self, data):
+        n = data.draw(st.integers(1, 80))
+
+        def draw(elements):
+            return data.draw(st.lists(elements, min_size=n, max_size=n))
+
+        firms = draw(st.sampled_from([f"F{i}" for i in range(6)]))
+        dates = draw(st.sampled_from([f"2016-01-{i:02d}" for i in range(1, 11)]))
+        actual = np.array(draw(st.integers(0, 30)), dtype=float)
+        models = {"m": np.array(draw(st.floats(-50, 50)), dtype=float),
+                  "k": actual * 0.5, "c": np.full(n, 3.0)}
+        trim_frac = data.draw(st.sampled_from([0.0, 0.10, 0.25]))
+        assert_same_table(overall_comparison, reference_overall_table,
+                          firms, dates, actual, models, trim_frac, errors=True)
+
+
+class TestMedian:
+    @pytest.mark.parametrize("values", [
+        [5.0], [2.0, 1.0], [3.0, 1.0, 2.0], [4.0, 1.0, 3.0, 2.0],
+        [1.0, 1.0, 2.0, 2.0, 2.0], [7.0, 7.0, 7.0, 7.0],
+        [-0.0], [-0.0, -0.0], [0.0, -0.0, -0.0], [-0.0, 0.0],
+        [1.0, np.nan, 2.0], [np.nan], [np.nan, 1.0],
+        [-3.5, 2.25, 0.1, 9.0, -1e-300, 4.0],
+    ])
+    def test_matches_np_median_bitwise(self, values):
+        a = np.array(values, dtype=np.float64)
+        assert np.float64(_median(a)).tobytes() == np.float64(np.median(a)).tobytes()
+
+    def test_lone_negative_zero_gives_positive_zero(self):
+        assert np.float64(_median(np.array([-0.0]))).tobytes() == np.float64(0.0).tobytes()
+
+    def test_leaves_its_input_alone(self):
+        a = np.array([3.0, 1.0, 2.0])
+        _median(a)
+        assert a.tolist() == [3.0, 1.0, 2.0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(st.sampled_from([-0.0, 0.0, 1.0, -2.5, 3.0, 1e-9, 1e9]),
+                           min_size=1, max_size=40))
+    def test_random_ties_and_signed_zeros(self, values):
+        a = np.array(values, dtype=np.float64)
+        assert np.float64(_median(a)).tobytes() == np.float64(np.median(a)).tobytes()
+
+
+class TestNaiveScale:
+    def test_random_row_subsets_match_per_firm_loop(self):
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            n = int(rng.integers(1, 60))
+            s = series(rng.normal(100.0, 30.0, n), np.zeros(n),
+                       firms=[f"F{i}" for i in rng.integers(0, 7, n)],
+                       dates=[f"2016-01-{i:02d}" for i in rng.integers(1, 15, n)])
+            sub = s.take(rng.choice(n, int(rng.integers(1, n + 1)), replace=False))
+            assert bits(_naive_scale(sub)) == bits(per_firm_naive_scale(sub))
+
+    def test_firm_whose_first_row_is_trimmed_away(self):
+        # Firm A comes first, but its first row holds the largest actual and
+        # is trimmed: in the trimmed rows B comes first, and A's steps are
+        # taken over its remaining dates only.
+        firms = ["A", "B", "A", "B", "A", "B", "A", "B", "A", "B"]
+        dates = [f"2016-01-{d:02d}" for d in (5, 1, 2, 2, 3, 3, 4, 4, 1, 5)]
+        actual = np.array([900.0, 10.0, 12.0, 15.0, 11.0, 19.0, 30.0, 14.0, 8.0, 1.0])
+        s = series(actual, actual, firms=firms, dates=dates)
+        trimmed = s.take(_trim_rows_by_actual(actual, 0.10))
+        assert trimmed.firm_ids[0] == "B" and 900.0 not in trimmed.actual
+        assert bits(_naive_scale(trimmed)) == bits(per_firm_naive_scale(trimmed))
+
+    def test_no_firm_with_two_rows(self):
+        s = series([1.0, 2.0], [0.0, 0.0], firms=["A", "B"], dates=["d1", "d1"])
+        assert _naive_scale(s) is None and per_firm_naive_scale(s) is None
 
 
 class TestPairedSeriesTake:
