@@ -90,7 +90,7 @@ def load_config(path) -> RunConfig:
     kinds = {f.name: type(f.default) for f in fields(RunConfig)}
     values: dict[str, float | int] = {}
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except UnicodeDecodeError as exc:
         raise not_utf8(path, exc) from None

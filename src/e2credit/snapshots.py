@@ -2,8 +2,11 @@
 
 One row per (firm, date) with market quotes, balance-sheet items, vol
 quotes, ratings, sector/country and the observed spreads. Empty cells are
-missing values. The file is read once into columns (Snapshots), and rows
-are priced with masks over them. Parsing is strict: a missing required
+missing values. The file is read once into columns (Snapshots): chunks of
+plain lines, with no quote and one cell per header name, are split at
+commas, and the rest of the file from the first other line goes through
+csv.reader, with the same columns, errors and line numbers. Rows are
+priced with masks over the columns. Parsing is strict: a missing required
 column or an unparseable cell raises InputFormatError with line
 diagnostics, while rows that merely lack the inputs needed for a spread get
 a per-row reason instead of failing the file.
@@ -16,7 +19,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from datetime import date as _date
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
 from operator import itemgetter
 
 import numpy as np
@@ -211,17 +214,54 @@ def _column(col: str, cells: tuple):
     return _numbers(col, cells)
 
 
-def _chunks(reader):
-    """The non-blank rows in chunks of _CHUNK_ROWS, each with its last line.
-    The rows read before a line the reader fails on come first, so a bad
-    cell among them is reported before that line."""
+def _line_chunks(fh):
+    """The file's lines in lists of _CHUNK_ROWS, the last list shorter or
+    empty. The lines read before one that is not UTF-8 come first, so a bad
+    cell among them is reported before it."""
+    lines = []
+    try:
+        for line in fh:
+            lines.append(line)
+            if len(lines) == _CHUNK_ROWS:
+                yield lines
+                lines = []
+    except UnicodeDecodeError:
+        yield lines
+        raise
+    yield lines
+
+
+def _plain_cells(lines: list[str], width: int) -> list[str] | None:
+    """The cells of lines that csv.reader would split at every comma and
+    line end, row after row; None when it might not, that is when a line
+    holds a double quote, a NUL or other than width - 1 commas, does not end
+    in LF or CRLF, or is longer than the csv module's field size limit.
+    Read with newline="", a CR not followed by LF ends its line, so once
+    each CRLF is LF, a line that holds a CR does not end in LF."""
+    text = "".join(lines)
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+    if ('"' in text or "\0" in text or text.count("\n") != len(lines)
+            or not set(map(str.count, lines, repeat(","))) <= {width - 1}
+            or max(map(len, lines), default=0) > csv.field_size_limit()):
+        return None
+    cells = text.replace("\n", ",").split(",")
+    cells.pop()  # each line now ends in a comma: nothing follows the last one
+    return cells
+
+
+def _chunks(reader, offset: int):
+    """The non-blank rows in chunks of _CHUNK_ROWS, each with its last line,
+    counted from line offset + 1. The rows read before a line the reader
+    fails on come first, so a bad cell among them is reported before that
+    line."""
     rows, lines = [], []
     try:
         for row in reader:
             if not row:
                 continue
             rows.append(row)
-            lines.append(reader.line_num)
+            lines.append(offset + reader.line_num)
             if len(rows) == _CHUNK_ROWS:
                 yield rows, lines
                 rows, lines = [], []
@@ -231,15 +271,11 @@ def _chunks(reader):
     yield rows, lines
 
 
-def _parse_rows(path, rows: list, lines: list, positions: list, seen: set) -> dict:
-    """A chunk of rows as one entry per SNAPSHOT_COLUMNS, read from the
-    given cell positions; raises at the first bad cell in row order, then
-    column order. A short row's missing cells are blank."""
-    width = max(positions) + 1
-    if rows and min(map(len, rows)) < width:
-        rows = [row + [""] * (width - len(row)) for row in rows]
-    cells = dict(zip(SNAPSHOT_COLUMNS, zip(*map(itemgetter(*positions), rows))))
-    del rows
+def _parse_cells(path, cells, lines, seen: set) -> dict:
+    """A chunk of rows, given as each of SNAPSHOT_COLUMNS' raw cells in
+    that order, as one entry per column; raises at the first bad cell in
+    row order, then column order, naming lines[row]."""
+    cells = dict(zip(SNAPSHOT_COLUMNS, cells))
     firm_id = _stripped(cells.pop("firm_id", ()))
     dates = _stripped(cells.pop("date", ()))
     found = [
@@ -257,32 +293,79 @@ def _parse_rows(path, rows: list, lines: list, positions: list, seen: set) -> di
     return columns
 
 
-def read_snapshots(path) -> Snapshots:
-    """Parse a snapshot CSV into columns; extra columns are ignored. The
-    first bad cell, in row order and then column order, raises
-    InputFormatError naming its line, as do bytes that are not UTF-8 and a
-    cell past the csv module's field size limit."""
+def _parse_rows(path, rows: list, lines: list, positions: list, seen: set) -> dict:
+    """A chunk of csv.reader rows as _parse_cells parses them, read from the
+    given cell positions. A short row's missing cells are blank."""
+    width = max(positions) + 1
+    if rows and min(map(len, rows)) < width:
+        rows = [row + [""] * (width - len(row)) for row in rows]
+    return _parse_cells(path, zip(*map(itemgetter(*positions), rows)), lines, seen)
+
+
+def _positions(path, header: list[str]) -> list[int]:
+    """Where each of SNAPSHOT_COLUMNS is in the header. As with
+    csv.DictReader, a repeated column name is read from its last occurrence
+    and extra cells are ignored."""
+    missing = [c for c in SNAPSHOT_COLUMNS if c not in header]
+    if missing:
+        raise InputFormatError(f"{path}: missing required column(s): {', '.join(missing)}")
+    where = {name: j for j, name in enumerate(header)}
+    return [where[c] for c in SNAPSHOT_COLUMNS]
+
+
+def _csv_parts(path, lines, offset: int, positions=None, seen=None) -> list[dict]:
+    """The rows csv.reader reads from the given lines, the first of them
+    line offset + 1 of the file, parsed _CHUNK_ROWS at a time; without
+    positions the first row is the header."""
+    reader = csv.reader(lines)
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise InputFormatError(f"{path}: empty file, header row required")
-            missing = [c for c in SNAPSHOT_COLUMNS if c not in header]
-            if missing:
-                raise InputFormatError(
-                    f"{path}: missing required column(s): {', '.join(missing)}"
-                )
-            # As with csv.DictReader, a repeated column name is read from its
-            # last occurrence and extra cells are ignored.
-            where = {name: j for j, name in enumerate(header)}
-            positions, seen = [where[c] for c in SNAPSHOT_COLUMNS], set()
-            parts = [_parse_rows(path, rows, lines, positions, seen)
-                     for rows, lines in _chunks(reader)]
+        if positions is None:
+            positions, seen = _positions(path, next(reader)), set()
+        return [_parse_rows(path, rows, nums, positions, seen)
+                for rows, nums in _chunks(reader, offset)]
+    except csv.Error as exc:
+        raise InputFormatError(f"{path}:{offset + reader.line_num}: {exc}") from None
+
+
+def _parts(path, fh) -> list[dict]:
+    """The file's rows as chunks of columns. The header and then each chunk
+    of _CHUNK_ROWS lines are split at commas while _plain_cells can split
+    them; from the first line or chunk it cannot, the rest of the file goes
+    through csv.reader. Only plain lines come before that, so no quoted
+    cell spans it."""
+    first = next(fh, None)
+    if first is None:
+        raise InputFormatError(f"{path}: empty file, header row required")
+    chunks = _line_chunks(fh)
+    header = _plain_cells([first], first.count(",") + 1)
+    if header is None:
+        return _csv_parts(path, chain([first], chain.from_iterable(chunks)), 0)
+    positions, seen = _positions(path, header), set()
+    width, parts, done = len(header), [], 1
+    for lines in chunks:
+        cells = _plain_cells(lines, width)
+        if cells is None:
+            rest = chain(lines, chain.from_iterable(chunks))
+            return parts + _csv_parts(path, rest, done, positions, seen)
+        rows = range(done + 1, done + 1 + len(lines))
+        parts.append(_parse_cells(path, [cells[j::width] for j in positions], rows, seen))
+        done += len(lines)
+    return parts
+
+
+def read_snapshots(path) -> Snapshots:
+    """Parse a snapshot CSV into columns; extra columns are ignored and a
+    leading UTF-8 byte-order mark is skipped. Chunks of lines with no quote
+    and exactly one cell per header name are split at commas, the rest of
+    the file from the first other line through csv.reader, with the same
+    columns, errors and line numbers. The first bad cell, in row order and
+    then column order, raises InputFormatError naming its line, as do bytes
+    that are not UTF-8 and a cell past the csv module's field size limit."""
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            parts = _parts(path, fh)
     except UnicodeDecodeError as exc:
         raise not_utf8(path, exc) from None
-    except csv.Error as exc:
-        raise InputFormatError(f"{path}:{reader.line_num}: {exc}") from None
     columns = {}
     for col in SNAPSHOT_COLUMNS:
         pieces = [part[col] for part in parts]

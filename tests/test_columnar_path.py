@@ -5,15 +5,18 @@ import csv
 import dataclasses
 import hashlib
 import io
+import itertools
 
 import numpy as np
 import pytest
 
+from e2credit import snapshots
 from e2credit.cli import main
 from e2credit.dataset import FeatureEncoder, drop_incomplete, rating_label
 from e2credit.errors import InputFormatError
 from e2credit.fundamentals import QUOTE_COLUMNS
-from e2credit.snapshots import SNAPSHOT_COLUMNS, build_records, read_snapshots
+from e2credit.snapshots import (
+    SNAPSHOT_COLUMNS, build_records, read_snapshots, write_snapshot_csv)
 from e2credit.structural import ModelParams
 from e2credit.synth import generate_snapshots
 
@@ -248,3 +251,206 @@ def _outcome(read, path) -> str:
         return repr([(s.firm_id, s.date, s.values) for s in read(path)])
     except InputFormatError as exc:
         return str(exc)
+
+
+# The reader splits chunks of plain lines at commas and hands the rest of the
+# file to csv.reader at the first chunk that is not plain. Each case below
+# puts what forces the hand-off in the second chunk, after the first
+# _CHUNK_ROWS lines, and compares the read with the oracle's: every value in
+# bits, or the error text with its line number.
+HANDOFF_ROW = 700
+SECOND_CHUNK = 1 + snapshots._CHUNK_ROWS  # index of its first line; the header is 0
+
+
+@pytest.fixture(scope="module")
+def plain_lines(tmp_path_factory):
+    """The lines of a quote-free synth CSV of 1,200 rows, in three chunks."""
+    path = tmp_path_factory.mktemp("plain") / "snapshots.csv"
+    rows, _ = generate_snapshots(n_firms=30, n_dates=40, seed=5, missing_rate=0.05)
+    write_snapshot_csv(rows, path)
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(fh)
+
+
+def _edit(lines, row, edit):
+    """The lines with a data row's line passed through edit."""
+    lines = list(lines)
+    lines[row + 1] = edit(lines[row + 1])
+    return lines
+
+
+def _set(lines, row, col, text):
+    """The lines with one cell of a data row replaced; the row must be plain."""
+    header = lines[0].rstrip("\n").split(",")
+
+    def edit(line):
+        cells = line.rstrip("\n").split(",")
+        cells[header.index(col)] = text
+        return ",".join(cells) + "\n"
+
+    return _edit(lines, row, edit)
+
+
+TRIGGERS = {
+    # A quoted cell with a comma, a doubled quote and a line break in it.
+    "quoted": lambda lines, row: _set(lines, row, "sector", '"Energy, ""Oil""\nand Gas"'),
+    "lone_cr": lambda lines, row: _edit(lines, row, lambda line: line[:-1] + "\r"),
+    # No ig_cdx_bps and cds_5y_bps cells, then two cells too many.
+    "short": lambda lines, row: _edit(lines, row, lambda line: line.rsplit(",", 2)[0] + "\n"),
+    "long": lambda lines, row: _edit(lines, row, lambda line: line[:-1] + ",x,y\n"),
+    "blank": lambda lines, row: lines[: row + 1] + ["\n", "\r\n"] + lines[row + 1:],
+    "nul": lambda lines, row: _set(lines, row, "sector", "Ener\0gy"),
+    # Longer than the field size limit, though each cell is shorter.
+    "long_line": lambda lines, row: _set(lines, row, "country",
+                                         "x" * (csv.field_size_limit() - 10)),
+    "over_limit": lambda lines, row: _set(lines, row, "sector",
+                                          "x" * (csv.field_size_limit() + 1)),
+}
+
+
+def _write(path, lines):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.writelines(lines)
+    return path
+
+
+def _spy_reader(monkeypatch):
+    """Patch csv.reader to record the first line each call is given."""
+    firsts, real = [], csv.reader
+
+    def reader(lines, *args, **kwargs):
+        lines = iter(lines)
+        first = next(lines)
+        firsts.append(first)
+        return real(itertools.chain([first], lines), *args, **kwargs)
+
+    monkeypatch.setattr(csv, "reader", reader)
+    return firsts
+
+
+@pytest.mark.parametrize("bad_row", [None, 100, HANDOFF_ROW - 50, HANDOFF_ROW + 50],
+                         ids=["clean", "bad-in-plain-chunk", "bad-before-trigger",
+                              "bad-after-trigger"])
+@pytest.mark.parametrize("trigger", TRIGGERS)
+def test_handoff_reads_as_the_oracle(plain_lines, tmp_path, monkeypatch, trigger, bad_row):
+    lines = plain_lines
+    if bad_row is not None:
+        lines = _set(lines, bad_row, "stock_price", "oops")
+    path = _write(tmp_path / "handoff.csv", TRIGGERS[trigger](lines, HANDOFF_ROW))
+    if trigger == "over_limit" and bad_row in (None, HANDOFF_ROW + 50):
+        # The oracle lets the csv module's error escape; the reader names
+        # the line of the over-long cell.
+        with pytest.raises(csv.Error, match="field larger than field limit"):
+            oracle_read_snapshots(path)
+        expected = (f"{path}:{HANDOFF_ROW + 2}: field larger than field limit "
+                    f"({csv.field_size_limit()})")
+    else:
+        expected = _outcome(oracle_read_snapshots, path)
+    if bad_row is not None and trigger != "over_limit":
+        assert "stock_price: not a number: 'oops'" in expected
+    firsts = _spy_reader(monkeypatch)
+    assert _outcome(read_snapshots, path) == expected
+    if bad_row == 100:
+        assert firsts == []  # raised in the first chunk, before any hand-off
+    else:
+        assert firsts == [plain_lines[SECOND_CHUNK]]
+
+
+@pytest.mark.parametrize("first, again", [(100, 300), (100, 800), (750, 800)],
+                         ids=["both-plain", "across", "both-after"])
+def test_duplicate_key_across_the_handoff(plain_lines, tmp_path, first, again):
+    header = plain_lines[0].rstrip("\n").split(",")
+    key = plain_lines[first + 1].split(",")
+    lines = plain_lines
+    for col in ("firm_id", "date"):
+        lines = _set(lines, again, col, key[header.index(col)])
+    path = _write(tmp_path / "dup.csv", TRIGGERS["quoted"](lines, HANDOFF_ROW))
+    expected = _outcome(oracle_read_snapshots, path)
+    assert "duplicate (firm_id, date) pair" in expected
+    assert _outcome(read_snapshots, path) == expected
+
+
+def _bad_byte(lines, row):
+    """The lines as bytes, with one that is not UTF-8 starting a data row."""
+    return ("".join(lines[: row + 1]).encode("utf-8") + b"\xff"
+            + "".join(lines[row + 1:]).encode("utf-8"))
+
+
+@pytest.mark.parametrize("quoted", [None, 1080], ids=["plain", "quoted-before-bad-cell"])
+@pytest.mark.parametrize("bad_row", [100, 1090])
+def test_bad_cell_before_a_non_utf8_byte(plain_lines, tmp_path, bad_row, quoted):
+    # The byte sits 100 rows (about 30 kB) after the bad cell, so the lines
+    # up to that cell decode first; the last chunk is a partial one.
+    base = plain_lines if quoted is None else TRIGGERS["quoted"](plain_lines, quoted)
+    path = tmp_path / "bad_byte.csv"
+    path.write_bytes(_bad_byte(_set(base, bad_row, "stock_price", "oops"), 1190))
+    expected = _outcome(oracle_read_snapshots, path)
+    assert "stock_price: not a number: 'oops'" in expected
+    assert _outcome(read_snapshots, path) == expected
+    path.write_bytes(_bad_byte(base, 1190))
+    with pytest.raises(InputFormatError, match="not UTF-8 text"):
+        read_snapshots(path)
+
+
+@pytest.mark.parametrize("every", [1, 2], ids=["crlf", "mixed"])
+@pytest.mark.parametrize("change", [None, "bad", "quoted"])
+def test_crlf_reads_as_the_oracle(plain_lines, tmp_path, monkeypatch, every, change):
+    lines = plain_lines
+    if change == "bad":
+        lines = _set(lines, 800, "stock_price", "oops")
+    elif change == "quoted":
+        lines = TRIGGERS["quoted"](lines, HANDOFF_ROW)
+    lines = [line[:-1] + "\r\n" if i % every == 0 else line for i, line in enumerate(lines)]
+    path = _write(tmp_path / "crlf.csv", lines)
+    expected = _outcome(oracle_read_snapshots, path)
+    firsts = _spy_reader(monkeypatch)
+    assert _outcome(read_snapshots, path) == expected
+    assert len(firsts) == (change == "quoted")
+
+
+@pytest.mark.parametrize("bad", [False, True])
+def test_last_line_without_line_end(plain_lines, tmp_path, monkeypatch, bad):
+    lines = _set(plain_lines, 1199, "stock_price", "oops") if bad else plain_lines
+    path = _write(tmp_path / "no_end.csv", lines[:-1] + [lines[-1].removesuffix("\n")])
+    expected = _outcome(oracle_read_snapshots, path)
+    firsts = _spy_reader(monkeypatch)
+    assert _outcome(read_snapshots, path) == expected
+    assert firsts == [plain_lines[2 * snapshots._CHUNK_ROWS + 1]]
+
+
+def test_quoted_header_hands_over_at_once(plain_lines, tmp_path, monkeypatch):
+    lines = _set(plain_lines, 800, "stock_price", "oops")
+    lines[0] = lines[0].replace("firm_id", '"firm_id"')
+    path = _write(tmp_path / "quoted_header.csv", lines)
+    expected = _outcome(oracle_read_snapshots, path)
+    firsts = _spy_reader(monkeypatch)
+    assert _outcome(read_snapshots, path) == expected
+    assert firsts == [lines[0]]
+
+
+def test_quote_free_file_never_reaches_csv_reader(plain_lines, tmp_path, monkeypatch):
+    # Without the split path the gain would vanish silently: a synth file
+    # has no quote, so csv.reader must never see it, in LF or CRLF.
+    def refuse(*args, **kwargs):
+        raise AssertionError("csv.reader called on a quote-free file")
+
+    lf = _write(tmp_path / "lf.csv", plain_lines)
+    crlf = _write(tmp_path / "crlf.csv", [line[:-1] + "\r\n" for line in plain_lines])
+    monkeypatch.setattr(snapshots.csv, "reader", refuse)
+    assert len(read_snapshots(lf)) == len(read_snapshots(crlf)) == len(plain_lines) - 1
+
+
+@pytest.mark.parametrize("quoted_header", [False, True])
+def test_byte_order_mark_skipped(plain_lines, tmp_path, quoted_header):
+    # Excel's "CSV UTF-8" export starts the file with one. With the header's
+    # first name quoted, the whole file goes through csv.reader.
+    lines = list(plain_lines)
+    if quoted_header:
+        lines[0] = lines[0].replace("firm_id", '"firm_id"')
+    raw = "".join(lines).encode("utf-8")
+    for name, data in (("without", raw), ("with", b"\xef\xbb\xbf" + raw)):
+        (tmp_path / f"{name}.csv").write_bytes(data)
+        assert main(["spread", str(tmp_path / f"{name}.csv"),
+                     "--out-dir", str(tmp_path / name)]) == 0
+    assert ((tmp_path / "with" / "spreads.csv").read_bytes()
+            == (tmp_path / "without" / "spreads.csv").read_bytes())

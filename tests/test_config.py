@@ -89,6 +89,13 @@ class TestConfigFile:
         config = load_config(path)
         assert config.seed == 3 and config.trees == 10
 
+    def test_byte_order_mark_skipped(self, tmp_path):
+        # As Windows editors and Excel write UTF-8: the mark is not part of
+        # the first key.
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"\xef\xbb\xbftrees = 10\nseed = 3\n")
+        assert load_config(path) == RunConfig(trees=10, seed=3)
+
     def test_unknown_key(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("mystery = 1\n")
