@@ -15,6 +15,7 @@ import argparse
 import sys
 from dataclasses import fields
 from datetime import datetime, timezone
+from inspect import signature
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +48,11 @@ _CONFIG_FLAGS = {
     "importance": (*_COMMON, "firm_frac", "date_frac"),
     "synth": _COMMON,
 }
+# synth's flag defaults are generate_snapshots's. As with the trees bound,
+# 200 times the default panel's rows is a typo, not a run: generating that
+# many allocates gigabytes.
+_SYNTH = {name: p.default for name, p in signature(generate_snapshots).parameters.items()}
+_MAX_SYNTH_ROWS = 200 * _SYNTH["n_firms"] * _SYNTH["n_dates"]
 
 
 def _write_manifest(out_dir: Path, args, config: RunConfig) -> None:
@@ -69,6 +75,8 @@ def _check_synth_flags(args) -> None:
     for flag, value, ok, rule in (
         ("--firms", args.firms, args.firms >= 1, ">= 1"),
         ("--dates", args.dates, args.dates >= 1, ">= 1"),
+        ("--firms x --dates", args.firms * args.dates,
+         args.firms * args.dates <= _MAX_SYNTH_ROWS, f"<= {_MAX_SYNTH_ROWS:,}"),
         ("--missing-rate", args.missing_rate, 0.0 <= args.missing_rate < 1.0, "in [0, 1)"),
         ("--bayes-r2", args.bayes_r2, 0.0 < args.bayes_r2 <= 1.0, "in (0, 1]"),
     ):
@@ -78,7 +86,7 @@ def _check_synth_flags(args) -> None:
 
 def _build_dataset(input_csv, config: RunConfig):
     """Snapshot CSV -> (complete records, matrix, per-row spreads)."""
-    records, spreads = build_records(read_snapshots(input_csv), config.model_params())
+    records, spreads = build_records(read_snapshots(input_csv), config)
     complete = drop_incomplete(records)
     if not len(complete):
         raise PipelineError("no complete records after dropping missing data")
@@ -110,7 +118,7 @@ def _write_table(path: Path, rows: list[dict], header=("bucket", "obs")) -> None
 
 
 def cmd_spread(args, config: RunConfig, out_dir: Path) -> None:
-    _, spreads = build_records(read_snapshots(args.input), config.model_params())
+    _, spreads = build_records(read_snapshots(args.input), config)
     spreads.creditgrades_bps  # priced here, so the writer only formats
     write_spread_csv(spreads, out_dir / "spreads.csv")
     print(f"spread: {np.count_nonzero(spreads.ok)}/{len(spreads)} rows priced "
@@ -178,18 +186,18 @@ def cmd_evaluate(args, config: RunConfig, out_dir: Path) -> None:
         raise PipelineError(f"labels do not vary (rows: {matrix.n_rows}); R^2 undefined")
     models = {
         "e2c": matrix.X[:, 0],
-        "creditgrades": spreads.creditgrades_at(complete.index),
+        "creditgrades": spreads.creditgrades_bps[complete.index],
         "forest": forest.predict(matrix.X),
     }
     actual = matrix.y
     firm_ids, dates = matrix.firm_ids, matrix.dates
 
-    overall = overall_comparison(firm_ids, dates, actual, models, trim_frac=0.10)
+    overall = overall_comparison(firm_ids, dates, actual, models)
     _write_table(out_dir / "overall_metrics.csv", overall)
 
     rating_keys = [rating_bucket(code) for code in complete.rating.tolist()]
     for keys, filename in ((rating_keys, "by_rating.csv"), (complete.sector, "by_sector.csv")):
-        table = bucket_comparison(keys, firm_ids, dates, actual, models, trim_frac=0.10)
+        table = bucket_comparison(keys, firm_ids, dates, actual, models)
         _write_table(out_dir / filename, table)
 
     # Rows by (firm, date); a key appears once, so the row number never decides.
@@ -230,7 +238,7 @@ def cmd_synth(args, config: RunConfig, out_dir: Path) -> None:
         seed=config.seed,
         missing_rate=args.missing_rate,
         bayes_r2=args.bayes_r2,
-        params=config.model_params(),
+        params=config,
     )
     write_snapshot_csv(rows, out_dir / "snapshots.csv")
     write_csv(out_dir / "synth_meta.csv", {"key": list(meta), "value": list(meta.values())})
@@ -275,11 +283,11 @@ def build_parser() -> argparse.ArgumentParser:
                                help=f.metadata["help"])
 
     p = sub.choices["synth"]
-    p.add_argument("--firms", type=int, default=300, help="number of firms")
-    p.add_argument("--dates", type=int, default=150, help="number of weekly dates")
-    p.add_argument("--missing-rate", type=float, default=0.0,
+    p.add_argument("--firms", type=int, default=_SYNTH["n_firms"], help="number of firms")
+    p.add_argument("--dates", type=int, default=_SYNTH["n_dates"], help="number of weekly dates")
+    p.add_argument("--missing-rate", type=float, default=_SYNTH["missing_rate"],
                    help="fraction of rows with blanked ratings")
-    p.add_argument("--bayes-r2", type=float, default=0.90,
+    p.add_argument("--bayes-r2", type=float, default=_SYNTH["bayes_r2"],
                    help="best achievable R2 on the labels (1.0 = noiseless)")
     return parser
 

@@ -9,10 +9,10 @@ field's metadata.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 from .errors import InputFormatError, not_utf8
-from .structural import ModelParams
+from .structural import ModelParams, _setting
 
 _MODEL_FIELDS = {f.name for f in fields(ModelParams)}
 # Inclusive (low, high) of each integer field, None where unbounded. 10,000
@@ -42,16 +42,11 @@ def _check_value(name: str, value) -> None:
         raise InputFormatError(f"{name} must be in [0, 1), got {value}")
 
 
-def _setting(default, help: str):
-    return field(default=default, metadata={"help": help})
-
-
 @dataclass(frozen=True)
-class RunConfig:
-    recovery: float = _setting(0.3, "asset recovery rate R")
-    debt_recovery: float = _setting(0.5, "average recovery on the debt")
-    debt_recovery_vol: float = _setting(0.3, "std of the global recovery rate")
-    maturity: float = _setting(5.0, "spread maturity in years")
+class RunConfig(ModelParams):
+    """The calibration fields come first, inherited from ModelParams, so a
+    RunConfig is passed wherever a ModelParams is taken."""
+
     trees: int = _setting(50, "number of bagged trees")
     features_per_split: int = _setting(15, "features drawn at each node")
     max_depth: int = _setting(15, "tree depth cap")
@@ -63,14 +58,6 @@ class RunConfig:
     def __post_init__(self) -> None:
         for name, value in self.items():
             _check_value(name, value)
-
-    def model_params(self) -> ModelParams:
-        return ModelParams(
-            recovery=self.recovery,
-            debt_recovery=self.debt_recovery,
-            debt_recovery_vol=self.debt_recovery_vol,
-            maturity=self.maturity,
-        )
 
     def items(self) -> list[tuple[str, float | int]]:
         return [(f.name, getattr(self, f.name)) for f in fields(self)]

@@ -120,7 +120,8 @@ class RawRecord:
 
 
 _NUMBER_FIELDS = ("e2c_bps", "cds5y_bps", "ig_cdx_bps", "market_cap")
-_TEXT_FIELDS = ("sp_rating", "moody_rating", "sector", "country")
+# The label columns, shared with the snapshot table.
+TEXT_COLUMNS = ("sp_rating", "moody_rating", "sector", "country")
 _UNRATED = BEST_RATING_CODE + 1
 
 
@@ -178,7 +179,7 @@ class Records:
         return RawRecord(
             self.firm_id[i], self.date[i],
             **{name: None if v != v else float(v) for name, v in numbers.items()},
-            **{name: getattr(self, name)[i] or None for name in _TEXT_FIELDS},
+            **{name: getattr(self, name)[i] or None for name in TEXT_COLUMNS},
         )
 
     def __iter__(self):

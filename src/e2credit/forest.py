@@ -22,16 +22,13 @@ from functools import cached_property
 
 import numpy as np
 
+from .config import RunConfig
 from .dataset import FeatureColumn, FeatureMatrix
 from .errors import InputFormatError, PipelineError
 
 # The feature of a leaf node. The tree kernel (_kernels, imported only where
 # trees grow, as reading or scoring a forest never runs it) writes it too.
 LEAF = -1
-
-DEFAULT_N_TREES = 50
-DEFAULT_FEATURES_PER_SPLIT = 15
-DEFAULT_MAX_DEPTH = 15
 
 
 @dataclass(frozen=True)
@@ -336,11 +333,11 @@ _BATCH_ROWS = 2**15
 
 def fit_forest(
     train: FeatureMatrix,
-    n_trees: int = DEFAULT_N_TREES,
-    m: int = DEFAULT_FEATURES_PER_SPLIT,
-    max_depth: int | None = DEFAULT_MAX_DEPTH,
-    master_seed: int = 0,
-    workers: int = 1,
+    n_trees: int = RunConfig.trees,
+    m: int = RunConfig.features_per_split,
+    max_depth: int | None = RunConfig.max_depth,
+    master_seed: int = RunConfig.seed,
+    workers: int = RunConfig.workers,
 ) -> Forest:
     """Train a forest of n_trees bagged CARTs on the encoded matrix.
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .dataset import FeatureMatrix
 from .errors import CompatibilityError, PipelineError
-from .forest import LEAF, Forest
+from .forest import LEAF, Forest, _tree_rng
 from .metrics import r_squared_arrays
 
 
@@ -140,7 +140,7 @@ def _chunks(forest: Forest, train: FeatureMatrix, seed: int, skipped: list):
         if np.all(y_oob == y_oob[0]):
             skipped.append((b, f"tree {b}: constant OOB labels, R^2 undefined, skipped"))
             continue
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))
+        rng = _tree_rng(seed, b)
         perms = _permutations(rng, train.n_features, oob.size)
         chunk.append((b, oob, y_oob, perms))
         rows += oob.size

@@ -13,6 +13,10 @@ import numpy as np
 
 from .dataset import _pick, factorize, sorted_codes
 
+#: Share of rows dropped from each tail of the actuals before the accuracy
+#: metrics and truncated means: the evaluation's fixed 10%, not a setting.
+TRIM_FRAC = 0.10
+
 
 @dataclass(frozen=True)
 class PairedSeries:
@@ -213,7 +217,7 @@ def _accuracy(trimmed: PairedSeries, scale: float | None) -> dict[str, float | N
 
 
 def accuracy_metrics(
-    series: PairedSeries, trim_frac: float = 0.10
+    series: PairedSeries, trim_frac: float = TRIM_FRAC
 ) -> dict[str, float | None]:
     """RMSE / MAPE / MASE after trimming rows by the actual value.
 
@@ -242,7 +246,7 @@ def overall_comparison(
     dates,
     actual: np.ndarray,
     models: dict[str, np.ndarray],
-    trim_frac: float = 0.10,
+    trim_frac: float = TRIM_FRAC,
 ) -> list[dict]:
     """One table row per model: R^2 on every row, accuracy_metrics, and the
     avg_correlation of its group_pairs by firm and by date. The actuals are
@@ -271,7 +275,7 @@ def bucket_comparison(
     dates,
     actual: np.ndarray,
     models: dict[str, np.ndarray],
-    trim_frac: float = 0.10,
+    trim_frac: float = TRIM_FRAC,
 ) -> list[dict]:
     """One table row per bucket: observation count, median and truncated mean
     of the actual and of each model, and accuracy_metrics of each model on

@@ -24,7 +24,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .dataset import Records, rating_code
+from .dataset import TEXT_COLUMNS, Records, rating_code
 from .errors import InputFormatError, not_utf8
 from .fundamentals import (
     AMOUNT_PROBLEM,
@@ -57,15 +57,11 @@ SNAPSHOT_COLUMNS = (
     "minority_interest",
     "preferred_equity",
     *QUOTE_COLUMNS,
-    "sp_rating",
-    "moody_rating",
-    "sector",
-    "country",
+    *TEXT_COLUMNS,
     "ig_cdx_bps",
     "cds_5y_bps",
 )
 
-_TEXT_COLUMNS = ("sp_rating", "moody_rating", "sector", "country")
 # Observed spreads, in [0, MAX_SPREAD_BPS] like the model spreads: the tree
 # kernel squares the labels.
 _OBSERVED_SPREAD_COLUMNS = ("ig_cdx_bps", "cds_5y_bps")
@@ -110,7 +106,7 @@ class Snapshots:
         values = {}
         for col, cells in self.columns.items():
             v = cells[i]
-            if col in _TEXT_COLUMNS:
+            if col in TEXT_COLUMNS:
                 values[col] = v or None
             else:
                 values[col] = None if v != v else bool(v) if col == "is_banking" else float(v)
@@ -206,7 +202,7 @@ def _column(col: str, cells: tuple):
         if bad is not None:
             return None, bad
         return np.fromiter(map(flag.__getitem__, cells), np.float64, len(cells)), None
-    if col in _TEXT_COLUMNS:
+    if col in TEXT_COLUMNS:
         texts = _stripped(cells)
         if col in ("sp_rating", "moody_rating"):
             return texts, _first_bad(texts, lambda t: t and _rating_problem(col, t))
@@ -402,8 +398,8 @@ class SpreadRow:
 class Spreads(Mapping):
     """Spread outputs of a Snapshots table as columns in its row order, NaN
     where a row is not priced, with each row's reason; also a mapping from
-    (firm_id, date) to SpreadRow. CreditGrades is priced on first use, of
-    all rows or of the rows asked for."""
+    (firm_id, date) to SpreadRow. CreditGrades is priced on first use, every
+    priced row in one call."""
 
     snaps: Snapshots
     reason: list[str]
@@ -415,19 +411,13 @@ class Spreads(Mapping):
 
     @cached_property
     def creditgrades_bps(self) -> np.ndarray:
-        """The CreditGrades spread of every priced row."""
-        return self.creditgrades_at(np.arange(len(self.reason)))
-
-    def creditgrades_at(self, rows: np.ndarray) -> np.ndarray:
-        """The CreditGrades spread of the given rows, NaN where a row is not
-        priced; only these rows are priced, in one call."""
-        rows = np.asarray(rows, dtype=np.int64)
-        out = np.full(rows.shape[0], np.nan)
-        ok = self.ok[rows]
-        priced = rows[ok]
-        out[ok] = creditgrades_spread(self.snaps.columns["stock_price"][priced],
-                                      self.selected_vol[priced],
-                                      self.debt_per_share[priced], self.params)
+        """The CreditGrades spread of every priced row, NaN where a row is
+        not priced."""
+        ok = self.ok
+        out = np.full(len(self.reason), np.nan)
+        out[ok] = creditgrades_spread(self.snaps.columns["stock_price"][ok],
+                                      self.selected_vol[ok], self.debt_per_share[ok],
+                                      self.params)
         return out
 
     @cached_property
@@ -511,7 +501,7 @@ def build_records(snaps: Snapshots, params: ModelParams) -> tuple[Records, Sprea
         ig_cdx_bps=col["ig_cdx_bps"],
         market_cap=col["market_cap"],
         index=np.arange(len(snaps)),
-        **{c: col[c] for c in _TEXT_COLUMNS},
+        **{c: col[c] for c in TEXT_COLUMNS},
     )
     return records, spreads
 

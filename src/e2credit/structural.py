@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -62,6 +62,11 @@ def _require_finite(name: str, value: float) -> float:
     return value
 
 
+def _setting(default, help: str):
+    """A run setting's dataclass field: its default, and its CLI help text."""
+    return field(default=default, metadata={"help": help})
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Calibration shared by both spread models.
@@ -75,13 +80,14 @@ class ModelParams:
     maturity: horizon in years used to convert survival to a spread; > 0.
 
     Defaults are the conservative market-standard calibration
-    (0.3, 0.5, 0.3, 5y).
+    (0.3, 0.5, 0.3, 5y), declared here only: RunConfig inherits these
+    fields, their defaults, rules and CLI help texts.
     """
 
-    recovery: float = 0.3
-    debt_recovery: float = 0.5
-    debt_recovery_vol: float = 0.3
-    maturity: float = 5.0
+    recovery: float = _setting(0.3, "asset recovery rate R")
+    debt_recovery: float = _setting(0.5, "average recovery on the debt")
+    debt_recovery_vol: float = _setting(0.3, "std of the global recovery rate")
+    maturity: float = _setting(5.0, "spread maturity in years")
 
     def __post_init__(self) -> None:
         r = _require_finite("recovery", self.recovery)

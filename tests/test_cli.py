@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -68,6 +69,20 @@ class TestSynthCommand:
         assert code == 2
         assert err.startswith(f"input error: {flag} must be {rule}")
         assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("sizes, rows", [
+        (["--firms", "3000000"], 450_000_000),  # the default 150 dates
+        (["--firms", "100000", "--dates", "100000"], 10_000_000_000),
+    ])
+    def test_panel_too_large_exit_2(self, tmp_path, capsys, monkeypatch, sizes, rows):
+        # Far above the 9,000,000-row bound, and refused before anything is
+        # generated: a panel near the bound allocates gigabytes.
+        monkeypatch.setattr(cli, "generate_snapshots", None)
+        code = main(["synth", *sizes, "--out-dir", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"input error: --firms x --dates must be <= 9,000,000, got {rows}\n"
         assert not (tmp_path / "o").exists()
 
     def test_one_row_panel_leaves_realized_r2_blank(self, tmp_path, capsys):
@@ -598,25 +613,39 @@ class TestEvaluateCommand:
         assert not (out / "overall_metrics.csv").exists()
 
     @pytest.mark.filterwarnings("ignore::UserWarning")
-    def test_prices_creditgrades_for_evaluated_rows_only(self, tmp_path, monkeypatch):
-        # Blanked ratings drop priced rows from the dataset: CreditGrades is
-        # priced in one call, for the evaluated rows only.
+    def test_one_creditgrades_price_per_row_across_commands(self, tmp_path, monkeypatch):
+        # Blanked ratings drop priced rows from the dataset. evaluate prices
+        # CreditGrades in one call, of every priced row, and each evaluated
+        # row gets the spreads that spread writes for its (firm, date),
+        # under a calibration other than the default.
         synth = tmp_path / "synth"
         assert main(["synth", "--firms", "30", "--dates", "20", "--seed", "4",
                      "--missing-rate", "0.2", "--out-dir", str(synth)]) == 0
         snapshots_csv = str(synth / "snapshots.csv")
-        assert main(["train", snapshots_csv, "--trees", "2", "--features-per-split", "4",
-                     "--max-depth", "3", "--out-dir", str(tmp_path / "t")]) == 0
+        calibration = ["--recovery", "0.4", "--maturity", "7"]
+        assert main(["train", snapshots_csv, *calibration, "--trees", "2",
+                     "--features-per-split", "4", "--max-depth", "3",
+                     "--out-dir", str(tmp_path / "t")]) == 0
+        assert main(["spread", snapshots_csv, *calibration,
+                     "--out-dir", str(tmp_path / "s")]) == 0
         calls = []
         pricing = snapshots_mod.creditgrades_spread
         monkeypatch.setattr(snapshots_mod, "creditgrades_spread",
                             lambda *args: calls.append(args) or pricing(*args))
         out = tmp_path / "eval"
         assert main(["evaluate", str(tmp_path / "t" / "forest.e2cf"), snapshots_csv,
-                     "--out-dir", str(out)]) == 0
+                     *calibration, "--out-dir", str(out)]) == 0
         evaluated = read_table(out / "timeseries.csv")
+        spreads = {(row["firm_id"], row["date"]): row
+                   for row in read_table(tmp_path / "s" / "spreads.csv")}
+        priced = sum(row["creditgrades_bps"] != "" for row in spreads.values())
         assert len(calls) == 1
-        assert len(calls[0][0]) == len(evaluated) < 600
+        assert len(calls[0][0]) == priced > len(evaluated) > 0
+        columns = ("creditgrades_bps", "e2c_bps")
+        mismatched = [row for row in evaluated
+                      if [row[c] for c in columns]
+                      != [spreads[row["firm_id"], row["date"]][c] for c in columns]]
+        assert mismatched == []
 
     def test_column_mismatch_exit_4(self, trained_dir, tmp_path):
         other = tmp_path / "other"
@@ -809,3 +838,25 @@ class TestDerivedFlags:
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_readme_flag_table_matches_the_parser(self):
+        # README's table of the config flags each command takes: its header
+        # names each column's flags, and a row marks a command's columns.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        after = readme[readme.index("Every command takes `--config FILE`"):].splitlines()
+        start = next(i for i, line in enumerate(after) if line.startswith("|"))
+        end = next(i for i in range(start, len(after)) if not after[i].startswith("|"))
+        header, _, *rows = [[cell.strip() for cell in line.strip("|").split("|")]
+                            for line in after[start:end]]
+        columns = [re.findall(r"`(--[a-z-]+)`", cell) for cell in header[1:]]
+        table = {row[0].strip("`"): {flag for mark, flags in zip(row[1:], columns)
+                                     if mark == "yes" for flag in flags}
+                 for row in rows}
+        inputs = {"spread": ["in.csv"], "train": ["in.csv"],
+                  "evaluate": ["forest.e2cf", "in.csv"],
+                  "importance": ["forest.e2cf", "in.csv"], "synth": []}
+        parsed = {command: vars(build_parser().parse_args([command, *args]))
+                  for command, args in inputs.items()}
+        assert table == {command: {"--" + f.name.replace("_", "-")
+                                   for f in fields(RunConfig) if f.name in names}
+                         for command, names in parsed.items()}

@@ -1,9 +1,11 @@
 import re
+from dataclasses import fields
 
 import pytest
 
 from e2credit.config import RunConfig, load_config, save_config
 from e2credit.errors import InputFormatError
+from e2credit.structural import ModelParams
 
 
 class TestRunConfig:
@@ -75,11 +77,18 @@ class TestRunConfig:
         config = RunConfig(recovery=1.0, debt_recovery=1.0, debt_recovery_vol=26.6,
                            trees=1, features_per_split=1, max_depth=1, seed=0,
                            firm_frac=0.0, date_frac=0.0)
-        assert config.model_params().debt_recovery_vol == 26.6
+        assert config.debt_recovery_vol == 26.6
 
     def test_model_params_view(self):
-        params = RunConfig().model_params()
-        assert params.recovery == 0.3 and params.maturity == 5.0
+        # A RunConfig is the ModelParams of its run: the calibration fields
+        # are inherited, come first and keep ModelParams's defaults.
+        config = RunConfig()
+        assert isinstance(config, ModelParams)
+        calibration = [f.name for f in fields(ModelParams)]
+        assert [f.name for f in fields(RunConfig)][:len(calibration)] == calibration
+        assert [getattr(config, name) for name in calibration] == [
+            getattr(ModelParams(), name) for name in calibration]
+        assert config.recovery == 0.3 and config.maturity == 5.0
 
 
 class TestConfigFile:

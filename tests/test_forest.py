@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import inspect
 import json
 import math
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 import e2credit.forest as forest_mod
 from e2credit import _kernels
+from e2credit.config import RunConfig
 from e2credit.dataset import FeatureEncoder, FeatureMatrix, drop_incomplete
 from e2credit.structural import ModelParams
 from e2credit.synth import generate_snapshots
@@ -331,9 +333,15 @@ class TestFitForest:
             assert np.union1d(boot, oob).size == small_matrix.n_rows
 
     def test_default_hyperparameters(self):
-        assert forest_mod.DEFAULT_N_TREES == 50
-        assert forest_mod.DEFAULT_FEATURES_PER_SPLIT == 15
-        assert forest_mod.DEFAULT_MAX_DEPTH == 15
+        # The paper's 50 trees, 15 features per split and depth 15: each of
+        # fit_forest's defaults is RunConfig's.
+        params = inspect.signature(fit_forest).parameters
+        defaults = [params[name].default
+                    for name in ("n_trees", "m", "max_depth", "master_seed", "workers")]
+        config = RunConfig()
+        assert defaults[:3] == [50, 15, 15]
+        assert defaults == [config.trees, config.features_per_split, config.max_depth,
+                            config.seed, config.workers]
 
     def test_m_guidance_covers_default(self):
         # For p=27 features the usual guidance 2-3x int(log2(p) + 1)
