@@ -40,7 +40,7 @@ from .synth import generate_snapshots
 FOREST_FILENAME = "forest.e2cf"
 
 # The RunConfig fields each command takes as flags (--name-with-dashes).
-_COMMON = ("seed", "workers", *(f.name for f in fields(ModelParams)))
+_COMMON = ("seed", *(f.name for f in fields(ModelParams)))
 _CONFIG_FLAGS = {
     "spread": _COMMON,
     "train": tuple(f.name for f in fields(RunConfig)),

@@ -1,11 +1,12 @@
 """Run configuration: model calibration, forest hyperparameters, split
 fractions and the master seed.
 
-Stored as a flat ``key = value`` text file ('#' starts a comment). Values
-round-trip exactly: floats are written with their shortest repr. CLI flags
-override file values, which override the defaults. Each field is also the
-command-line flag of the same name with dashes, its help text in the
-field's metadata.
+Stored as a flat ``key = value`` text file ('#' starts a comment), each key
+at most once. Values round-trip exactly: floats are written with their
+shortest repr. CLI flags override file values, which override the
+defaults. Each field is also the command-line flag of the same name with
+dashes, its help text in the field's metadata; cli._CONFIG_FLAGS lists the
+commands that take it.
 """
 from __future__ import annotations
 
@@ -76,6 +77,7 @@ def save_config(config: RunConfig, path) -> None:
 def load_config(path) -> RunConfig:
     kinds = {f.name: type(f.default) for f in fields(RunConfig)}
     values: dict[str, float | int] = {}
+    set_on: dict[str, int] = {}
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.readlines()
@@ -92,6 +94,10 @@ def load_config(path) -> RunConfig:
         text = text.strip()
         if key not in kinds:
             raise InputFormatError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in set_on:
+            raise InputFormatError(
+                f"{path}:{lineno}: config key {key!r} already set on line {set_on[key]}")
+        set_on[key] = lineno
         try:
             values[key] = kinds[key](text)
         except ValueError:

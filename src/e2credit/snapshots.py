@@ -2,10 +2,11 @@
 
 One row per (firm, date) with market quotes, balance-sheet items, vol
 quotes, ratings, sector/country and the observed spreads. Empty cells are
-missing values. The file is read once into columns (Snapshots): chunks of
-plain lines, with no quote and one cell per header name, are split at
-commas, and the rest of the file from the first other line goes through
-csv.reader, with the same columns, errors and line numbers. Rows are
+missing values. The file is read once into columns (Snapshots), in chunks
+of _CHUNK_ROWS lines or rows: chunks of plain lines, with no quote and one
+cell per header name, are split at commas, and the rest of the file from
+the first other line goes through csv.reader, with the same columns,
+errors and line numbers. Rows are
 priced with masks over the columns. Parsing is strict: a missing required
 column or an unparseable cell raises InputFormatError with line
 diagnostics, while rows that merely lack the inputs needed for a spread get
@@ -210,21 +211,20 @@ def _column(col: str, cells: tuple):
     return _numbers(col, cells)
 
 
-def _line_chunks(fh):
-    """The file's lines in lists of _CHUNK_ROWS, the last list shorter or
-    empty. The lines read before one that is not UTF-8 come first, so a bad
-    cell among them is reported before it."""
-    lines = []
+def _batches(items, errors):
+    """The items in lists of _CHUNK_ROWS, the last shorter or empty. On one of
+    errors the items read before it come first, so their bad cells come first."""
+    batch = []
     try:
-        for line in fh:
-            lines.append(line)
-            if len(lines) == _CHUNK_ROWS:
-                yield lines
-                lines = []
-    except UnicodeDecodeError:
-        yield lines
+        for item in items:
+            batch.append(item)
+            if len(batch) == _CHUNK_ROWS:
+                yield batch
+                batch = []
+    except errors:
+        yield batch
         raise
-    yield lines
+    yield batch
 
 
 def _plain_cells(lines: list[str], width: int) -> list[str] | None:
@@ -244,27 +244,6 @@ def _plain_cells(lines: list[str], width: int) -> list[str] | None:
     cells = text.replace("\n", ",").split(",")
     cells.pop()  # each line now ends in a comma: nothing follows the last one
     return cells
-
-
-def _chunks(reader, offset: int):
-    """The non-blank rows in chunks of _CHUNK_ROWS, each with its last line,
-    counted from line offset + 1. The rows read before a line the reader
-    fails on come first, so a bad cell among them is reported before that
-    line."""
-    rows, lines = [], []
-    try:
-        for row in reader:
-            if not row:
-                continue
-            rows.append(row)
-            lines.append(offset + reader.line_num)
-            if len(rows) == _CHUNK_ROWS:
-                yield rows, lines
-                rows, lines = [], []
-    except (csv.Error, UnicodeDecodeError):
-        yield rows, lines
-        raise
-    yield rows, lines
 
 
 def _parse_cells(path, cells, lines, seen: set) -> dict:
@@ -289,13 +268,13 @@ def _parse_cells(path, cells, lines, seen: set) -> dict:
     return columns
 
 
-def _parse_rows(path, rows: list, lines: list, positions: list, seen: set) -> dict:
-    """A chunk of csv.reader rows as _parse_cells parses them, read from the
-    given cell positions. A short row's missing cells are blank."""
+def _parse_rows(path, batch: list, positions: list, seen: set) -> dict:
+    """A chunk of (csv.reader row, line number) pairs as _parse_cells parses
+    the rows, read from the given cell positions. A short row's missing cells
+    are blank."""
     width = max(positions) + 1
-    if rows and min(map(len, rows)) < width:
-        rows = [row + [""] * (width - len(row)) for row in rows]
-    return _parse_cells(path, zip(*map(itemgetter(*positions), rows)), lines, seen)
+    rows = [row if len(row) >= width else row + [""] * (width - len(row)) for row, _ in batch]
+    return _parse_cells(path, zip(*map(itemgetter(*positions), rows)), [n for _, n in batch], seen)
 
 
 def _positions(path, header: list[str]) -> list[int]:
@@ -309,43 +288,40 @@ def _positions(path, header: list[str]) -> list[int]:
     return [where[c] for c in SNAPSHOT_COLUMNS]
 
 
-def _csv_parts(path, lines, offset: int, positions=None, seen=None) -> list[dict]:
-    """The rows csv.reader reads from the given lines, the first of them
-    line offset + 1 of the file, parsed _CHUNK_ROWS at a time; without
-    positions the first row is the header."""
-    reader = csv.reader(lines)
-    try:
-        if positions is None:
-            positions, seen = _positions(path, next(reader)), set()
-        return [_parse_rows(path, rows, nums, positions, seen)
-                for rows, nums in _chunks(reader, offset)]
-    except csv.Error as exc:
-        raise InputFormatError(f"{path}:{offset + reader.line_num}: {exc}") from None
-
-
 def _parts(path, fh) -> list[dict]:
     """The file's rows as chunks of columns. The header and then each chunk
     of _CHUNK_ROWS lines are split at commas while _plain_cells can split
     them; from the first line or chunk it cannot, the rest of the file goes
-    through csv.reader. Only plain lines come before that, so no quoted
-    cell spans it."""
+    through csv.reader, its non-blank rows _CHUNK_ROWS at a time. Only plain
+    lines come before that, so no quoted cell spans it."""
     first = next(fh, None)
     if first is None:
         raise InputFormatError(f"{path}: empty file, header row required")
-    chunks = _line_chunks(fh)
-    header = _plain_cells([first], first.count(",") + 1)
-    if header is None:
-        return _csv_parts(path, chain([first], chain.from_iterable(chunks)), 0)
-    positions, seen = _positions(path, header), set()
-    width, parts, done = len(header), [], 1
-    for lines in chunks:
-        cells = _plain_cells(lines, width)
-        if cells is None:
-            rest = chain(lines, chain.from_iterable(chunks))
-            return parts + _csv_parts(path, rest, done, positions, seen)
-        rows = range(done + 1, done + 1 + len(lines))
-        parts.append(_parse_cells(path, [cells[j::width] for j in positions], rows, seen))
-        done += len(lines)
+    chunks = _batches(fh, UnicodeDecodeError)
+    width = first.count(",") + 1
+    header = _plain_cells([first], width)
+    # The done lines before rest are parsed; csv.reader reads from rest on.
+    parts, done, rest, seen = [], 0, [first], set()
+    if header is not None:
+        positions, done = _positions(path, header), 1
+        for rest in chunks:
+            cells = _plain_cells(rest, width)
+            if cells is None:
+                break
+            rows = range(done + 1, done + 1 + len(rest))
+            parts.append(_parse_cells(path, [cells[j::width] for j in positions], rows, seen))
+            done += len(rest)
+        else:
+            return parts
+    reader = csv.reader(chain(rest, chain.from_iterable(chunks)))
+    try:
+        if header is None:
+            positions = _positions(path, next(reader))
+        numbered = ((row, done + reader.line_num) for row in reader if row)
+        for batch in _batches(numbered, (csv.Error, UnicodeDecodeError)):
+            parts.append(_parse_rows(path, batch, positions, seen))
+    except csv.Error as exc:
+        raise InputFormatError(f"{path}:{done + reader.line_num}: {exc}") from None
     return parts
 
 

@@ -839,6 +839,17 @@ class TestDerivedFlags:
         assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", [["spread", "in.csv"],
+                                         ["evaluate", "forest.e2cf", "in.csv"],
+                                         ["importance", "forest.e2cf", "in.csv"], ["synth"]])
+    def test_workers_flag_is_train_only(self, tmp_path, capsys, command):
+        # Only the forest fit runs threads; no other command reads workers.
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--workers", "2", "--out-dir", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+        assert build_parser().parse_args(["train", "in.csv", "--workers", "2"]).workers == 2
+
     def test_readme_flag_table_matches_the_parser(self):
         # README's table of the config flags each command takes: its header
         # names each column's flags, and a row marks a command's columns.

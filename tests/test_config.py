@@ -3,6 +3,7 @@ from dataclasses import fields
 
 import pytest
 
+from e2credit.cli import main
 from e2credit.config import RunConfig, load_config, save_config
 from e2credit.errors import InputFormatError
 from e2credit.structural import ModelParams
@@ -143,3 +144,16 @@ class TestConfigFile:
         path.write_text("seed 3\n")
         with pytest.raises(InputFormatError, match="key = value"):
             load_config(path)
+
+    def test_repeated_key_names_both_lines(self, tmp_path, capsys):
+        # The last value would otherwise win silently: 20 trees, not 10.
+        path = tmp_path / "run.cfg"
+        path.write_text("trees = 10\nseed = 3\n# comment\ntrees = 20\n")
+        message = f"{path}:4: config key 'trees' already set on line 1"
+        with pytest.raises(InputFormatError, match=re.escape(message)):
+            load_config(path)
+        # Exit 2 before the CSV is opened.
+        code = main(["spread", str(tmp_path / "absent.csv"), "--config", str(path),
+                     "--out-dir", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err == f"input error: {message}\n"
