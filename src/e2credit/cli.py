@@ -6,12 +6,14 @@ plot-ready files), importance (both feature-importance reports) and synth
 (generate the synthetic validation panel).
 
 Every output is a deterministic function of (inputs, config, seed); wall
-clock only appears in the out-dir's manifest.txt. Exit codes: 0 success,
-2 input format, 3 pipeline precondition, 4 forest/dataset compatibility.
+clock and the process's memory use only appear in the out-dir's
+manifest.txt. Exit codes: 0 success, 2 input format, 3 pipeline
+precondition, 4 forest/dataset compatibility.
 """
 from __future__ import annotations
 
 import argparse
+import ctypes
 import sys
 from dataclasses import fields
 from datetime import datetime, timezone
@@ -37,12 +39,30 @@ from .snapshots import (
 from .structural import ModelParams
 from .synth import generate_snapshots
 
+try:  # Unix only; the manifest then leaves out the memory figures
+    import resource
+except ImportError:
+    resource = None
+
 FOREST_FILENAME = "forest.e2cf"
 
+# glibc's malloc parameters (the M_* number in <malloc.h>, value), set at
+# the top of main. glibc raises its mmap and trim thresholds only after the
+# process frees a large mmapped block; a mid-sized run whose CSV read frees
+# none returns the fit's few-MB temporaries to the kernel at every tree
+# level and faults them in again. Both thresholds are fixed, since setting
+# either one switches that adjustment off for both, and one arena stops each
+# --workers thread from keeping a heap of its own.
+_MMAP_THRESHOLD = (-3, 32 << 20)
+_TRIM_THRESHOLD = (-1, 64 << 20)
+_ARENA_MAX = (-8, 1)
+
 # The RunConfig fields each command takes as flags (--name-with-dashes).
-_COMMON = ("seed", *(f.name for f in fields(ModelParams)))
+# spread prices without drawing, so it takes no seed.
+_MODEL = tuple(f.name for f in fields(ModelParams))
+_COMMON = ("seed", *_MODEL)
 _CONFIG_FLAGS = {
-    "spread": _COMMON,
+    "spread": _MODEL,
     "train": tuple(f.name for f in fields(RunConfig)),
     "evaluate": _COMMON,
     "importance": (*_COMMON, "firm_frac", "date_frac"),
@@ -55,6 +75,28 @@ _SYNTH = {name: p.default for name, p in signature(generate_snapshots).parameter
 _MAX_SYNTH_ROWS = 200 * _SYNTH["n_firms"] * _SYNTH["n_dates"]
 
 
+def _set_malloc_policy() -> None:
+    """Apply the parameters above where the C library has glibc's mallopt."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):  # no C library by that handle, or no mallopt
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    for param, value in (_MMAP_THRESHOLD, _TRIM_THRESHOLD, _ARENA_MAX):
+        mallopt(param, value)
+
+
+def _memory_used() -> list[str]:
+    """This process's peak RSS and minor page faults so far, as manifest lines."""
+    if resource is None:
+        return []
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    # ru_maxrss is in kB on Linux and in bytes on macOS.
+    kib = usage.ru_maxrss / (1024 if sys.platform == "darwin" else 1)
+    return [f"max_rss_mb = {kib / 1024:.1f}", f"minor_page_faults = {usage.ru_minflt}"]
+
+
 def _write_manifest(out_dir: Path, args, config: RunConfig) -> None:
     inputs = {"snapshots": getattr(args, "input", None), "forest": getattr(args, "forest", None)}
     if args.command == "evaluate":
@@ -63,6 +105,7 @@ def _write_manifest(out_dir: Path, args, config: RunConfig) -> None:
     lines = [
         "# e2credit run manifest",
         f"generated_at = {datetime.now(timezone.utc).isoformat()}",
+        *_memory_used(),
         f"package_version = {__version__}",
         f"command = {args.command}",
     ]
@@ -293,6 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    _set_malloc_policy()
     args = build_parser().parse_args(argv)
     try:
         config = load_config(args.config) if args.config else RunConfig()

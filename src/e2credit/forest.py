@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from functools import cached_property
 
@@ -368,6 +367,8 @@ def fit_forest(
     # 50-tree forests) from 63 to 73 MB, as glibc gives each thread a malloc
     # arena of its own.
     if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             batches = list(pool.map(fit_batch, groups))
     else:

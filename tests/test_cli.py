@@ -1,4 +1,5 @@
 import csv
+import ctypes
 import hashlib
 import os
 import re
@@ -18,6 +19,7 @@ from e2credit.config import RunConfig, save_config
 from e2credit.forest import load_forest
 from e2credit.snapshots import SNAPSHOT_COLUMNS, read_snapshots
 
+import test_golden_digests
 from conftest import edit_header
 
 
@@ -158,6 +160,23 @@ class TestSpreadCommand:
         assert capsys.readouterr().err == (
             f"input error: {empty}: empty file, header row required\n"
         )
+
+    def test_seed_flag_rejected(self, tmp_path, capsys):
+        # spread prices without drawing, so it takes no --seed.
+        with pytest.raises(SystemExit) as exc:
+            main(["spread", "in.csv", "--seed", "5", "--out-dir", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_config_file_with_seed_loads(self, synth_dir, tmp_path):
+        # A run_config.txt written by train holds seed; spread still takes it.
+        save_config(RunConfig(seed=5), tmp_path / "run.cfg")
+        for out, extra in (("plain", []), ("config", ["--config", str(tmp_path / "run.cfg")])):
+            assert main(["spread", str(synth_dir / "snapshots.csv"), *extra,
+                         "--out-dir", str(tmp_path / out)]) == 0
+        assert ((tmp_path / "plain" / "spreads.csv").read_bytes()
+                == (tmp_path / "config" / "spreads.csv").read_bytes())
 
     def test_missing_file_exit_2(self, tmp_path):
         code = main(["spread", str(tmp_path / "nope.csv"),
@@ -771,7 +790,8 @@ _LOADED = """
 import sys
 from e2credit.cli import main
 code = main(sys.argv[1:])
-print(code, *[m for m in ("numpy.ma", "e2credit._kernels") if m in sys.modules])
+print(code, *[m for m in ("numpy.ma", "e2credit._kernels", "concurrent.futures")
+              if m in sys.modules])
 """
 
 
@@ -787,7 +807,8 @@ def modules_loaded(argv):
 
 class TestImports:
     """Commands that never grow a tree do not load the tree kernel, and no
-    command loads numpy.ma (np.median's NaN check imports it)."""
+    command loads numpy.ma (np.median's NaN check imports it) or, with one
+    worker, the thread pool's concurrent.futures."""
 
     @pytest.mark.parametrize("command", ["spread", "evaluate", "importance"])
     def test_commands_that_grow_no_tree(self, synth_dir, trained_dir, tmp_path, command):
@@ -800,6 +821,57 @@ class TestImports:
         argv = ["train", str(synth_dir / "snapshots.csv"), "--trees", "2",
                 "--out-dir", str(tmp_path)]
         assert modules_loaded(argv) == (0, ["e2credit._kernels"])
+
+
+class TestMallocPolicy:
+    """main sets glibc's malloc parameters once, before it parses, and runs
+    alike where the C library has no mallopt."""
+
+    def test_three_mallopt_calls_before_parsing(self, tmp_path, monkeypatch):
+        events = []
+
+        class FakeLibrary:
+            @staticmethod
+            def mallopt(param, value):
+                events.append((param, value))
+                return 1
+
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: FakeLibrary())
+        parser = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: events.append("parse") or parser())
+        monkeypatch.setattr(cli, "cmd_spread", lambda args, config, out_dir: None)
+        assert main(["spread", "in.csv", "--out-dir", str(tmp_path)]) == 0
+        assert events == [cli._MMAP_THRESHOLD, cli._TRIM_THRESHOLD, cli._ARENA_MAX, "parse"]
+        assert cli._MMAP_THRESHOLD == (-3, 32 << 20)
+        assert cli._TRIM_THRESHOLD == (-1, 64 << 20)
+        assert cli._ARENA_MAX == (-8, 1)
+
+    @pytest.mark.parametrize("library", ["no C library", "no mallopt"])
+    def test_commands_give_the_golden_outputs_without_mallopt(self, tmp_path, monkeypatch,
+                                                               library):
+        def cdll(name):
+            if library == "no C library":
+                raise OSError("no such library")
+            return object()
+
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        test_golden_digests.test_every_output_matches_its_golden_digest(tmp_path)
+
+
+class TestManifest:
+    @pytest.mark.parametrize("command", ["synth", "spread", "train", "evaluate", "importance"])
+    def test_memory_figures(self, synth_dir, trained_dir, tmp_path, command):
+        # The run's own peak RSS and minor page faults sit next to generated_at.
+        out = {"synth": synth_dir, "train": trained_dir}.get(command, tmp_path)
+        if out is tmp_path:
+            inputs = [str(synth_dir / "snapshots.csv")]
+            if command != "spread":
+                inputs.insert(0, str(trained_dir / "forest.e2cf"))
+            assert main([command, *inputs, "--out-dir", str(out)]) == 0
+        lines = (out / "manifest.txt").read_text(encoding="utf-8").splitlines()
+        values = dict(line.split(" = ", 1) for line in lines[1:])
+        assert float(values["max_rss_mb"]) >= 0
+        assert int(values["minor_page_faults"]) >= 0
 
 
 class TestDerivedFlags:

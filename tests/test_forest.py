@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import hashlib
 import inspect
@@ -427,14 +428,15 @@ class TestFitForest:
         # the same forest as with one worker.
         started = []
 
-        class Recording(forest_mod.ThreadPoolExecutor):
+        class Recording(concurrent.futures.ThreadPoolExecutor):
             def __init__(self, max_workers):
                 started.append(max_workers)
                 super().__init__(max_workers)
 
         reference = fit_forest(small_matrix, n_trees=4, m=3, max_depth=4, master_seed=3)
         monkeypatch.setattr(forest_mod.os, "cpu_count", lambda: cpus)
-        monkeypatch.setattr(forest_mod, "ThreadPoolExecutor", Recording)
+        # fit_forest imports the pool class from here when it starts threads.
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
         monkeypatch.setattr(forest_mod, "_BATCH_ROWS", small_matrix.n_rows)
         forest = fit_forest(small_matrix, n_trees=4, m=3, max_depth=4, master_seed=3,
                             workers=4)
