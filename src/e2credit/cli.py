@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import ctypes
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields, replace
 from datetime import datetime, timezone
 from inspect import signature
 from pathlib import Path
@@ -58,15 +58,15 @@ _TRIM_THRESHOLD = (-1, 64 << 20)
 _ARENA_MAX = (-8, 1)
 
 # The RunConfig fields each command takes as flags (--name-with-dashes).
-# spread prices without drawing, so it takes no seed.
+# spread prices without drawing, so it takes no seed; evaluate and
+# importance read the calibration and holdout from the forest file.
 _MODEL = tuple(f.name for f in fields(ModelParams))
-_COMMON = ("seed", *_MODEL)
 _CONFIG_FLAGS = {
     "spread": _MODEL,
     "train": tuple(f.name for f in fields(RunConfig)),
-    "evaluate": _COMMON,
-    "importance": (*_COMMON, "firm_frac", "date_frac"),
-    "synth": _COMMON,
+    "evaluate": ("seed",),
+    "importance": ("seed",),
+    "synth": ("seed", *_MODEL),
 }
 # synth's flag defaults are generate_snapshots's. As with the trees bound,
 # 200 times the default panel's rows is a typo, not a run: generating that
@@ -97,7 +97,7 @@ def _memory_used() -> list[str]:
     return [f"max_rss_mb = {kib / 1024:.1f}", f"minor_page_faults = {usage.ru_minflt}"]
 
 
-def _write_manifest(out_dir: Path, args, config: RunConfig) -> None:
+def _write_manifest(out_dir: Path, args, config: RunConfig, recorded: dict) -> None:
     inputs = {"snapshots": getattr(args, "input", None), "forest": getattr(args, "forest", None)}
     if args.command == "evaluate":
         # Panel convention, not in the metric's usual time-series form.
@@ -110,7 +110,8 @@ def _write_manifest(out_dir: Path, args, config: RunConfig) -> None:
         f"command = {args.command}",
     ]
     lines += [f"input_{k} = {v}" for k, v in inputs.items() if v is not None]
-    lines += [f"{name} = {value!r}" for name, value in config.items()]
+    lines += [f"{name} = {getattr(config, name)!r}" for name in _CONFIG_FLAGS[args.command]]
+    lines += [f"{name} = {value!r}" for name, value in recorded.items()]
     (out_dir / "manifest.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -127,20 +128,20 @@ def _check_synth_flags(args) -> None:
             raise InputFormatError(f"{flag} must be {rule}, got {value}")
 
 
-def _build_dataset(input_csv, config: RunConfig):
+def _build_dataset(input_csv, params: ModelParams):
     """Snapshot CSV -> (complete records, matrix, per-row spreads)."""
-    records, spreads = build_records(read_snapshots(input_csv), config)
+    records, spreads = build_records(read_snapshots(input_csv), params)
     complete = drop_incomplete(records)
     if not len(complete):
         raise PipelineError("no complete records after dropping missing data")
     return complete, FeatureEncoder.fit(complete).transform(complete), spreads
 
 
-def _forest_and_dataset(args, config: RunConfig):
-    """The forest file and the dataset of the CSV, which must have the
-    forest's feature columns."""
+def _forest_and_dataset(args):
+    """The forest file and the dataset of the CSV priced under the forest's
+    calibration, which must have the forest's feature columns."""
     forest = load_forest(args.forest)
-    complete, matrix, spreads = _build_dataset(args.input, config)
+    complete, matrix, spreads = _build_dataset(args.input, forest.calibration)
     if forest.column_names() != matrix.column_names():
         raise CompatibilityError(
             "forest and dataset feature columns differ: "
@@ -199,6 +200,7 @@ def cmd_train(args, config: RunConfig, out_dir: Path) -> None:
     oos_r2 = r_squared_arrays(
         split.out_of_sample.y, forest.predict(split.out_of_sample.X)
     )
+    forest = replace(forest, calibration=config, holdout=(config.firm_frac, config.date_frac))
     save_forest(forest, out_dir / FOREST_FILENAME)
     removed = {"removed_firm": split.removed_firms, "removed_date": split.removed_dates}
     write_csv(out_dir / "split_manifest.csv", {
@@ -223,8 +225,8 @@ def cmd_train(args, config: RunConfig, out_dir: Path) -> None:
     )
 
 
-def cmd_evaluate(args, config: RunConfig, out_dir: Path) -> None:
-    forest, complete, matrix, spreads = _forest_and_dataset(args, config)
+def cmd_evaluate(args, config: RunConfig, out_dir: Path) -> dict:
+    forest, complete, matrix, spreads = _forest_and_dataset(args)
     if np.ptp(matrix.y) == 0:
         raise PipelineError(f"labels do not vary (rows: {matrix.n_rows}); R^2 undefined")
     models = {
@@ -251,11 +253,12 @@ def cmd_evaluate(args, config: RunConfig, out_dir: Path) -> None:
         **{f"{name}_bps": values[order] for name, values in models.items()},
     })
     print(f"evaluate: {matrix.n_rows} rows -> {out_dir}")
+    return asdict(forest.calibration)
 
 
-def cmd_importance(args, config: RunConfig, out_dir: Path) -> None:
-    forest, _, matrix, _ = _forest_and_dataset(args, config)
-    split = split_in_out(matrix, config.firm_frac, config.date_frac, forest.master_seed)
+def cmd_importance(args, config: RunConfig, out_dir: Path) -> dict:
+    forest, _, matrix, _ = _forest_and_dataset(args)
+    split = split_in_out(matrix, *forest.holdout, forest.master_seed)
     report = importance_report(forest, split.in_sample, seed=config.seed)
     names = report.feature_names
     scores = {"mdi": report.mdi, "permutation_vi": report.permutation_vi}
@@ -272,6 +275,7 @@ def cmd_importance(args, config: RunConfig, out_dir: Path) -> None:
     top_mdi = names[report.mdi_ranking()[0]]
     top_vi = names[report.vi_ranking()[0]]
     print(f"importance: top feature by MDI = {top_mdi}, by permutation = {top_vi}")
+    return {**asdict(forest.calibration), **dict(zip(("firm_frac", "date_frac"), forest.holdout))}
 
 
 def cmd_synth(args, config: RunConfig, out_dir: Path) -> None:
@@ -346,9 +350,10 @@ def main(argv=None) -> int:
             _check_synth_flags(args)
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        # Looked up at call time, so a wrapper set on the module is the one run.
-        globals()[f"cmd_{args.command}"](args, config, out_dir)
-        _write_manifest(out_dir, args, config)
+        # Looked up at call time, so a wrapper set on the module is the one
+        # run. A command that reads settings from the forest returns them.
+        recorded = globals()[f"cmd_{args.command}"](args, config, out_dir)
+        _write_manifest(out_dir, args, config, recorded or {})
         return 0
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

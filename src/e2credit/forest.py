@@ -11,6 +11,8 @@ improvement that MDI importance reads. Nothing the seed gives back is kept:
 a tree's bootstrap and out-of-bag rows are redrawn from (master_seed, tree,
 training row count) where they are needed. Prediction moves every (tree,
 row) pair down a level at a time, all pairs in the same few array operations.
+
+A forest also keeps the calibration and holdout it was trained under.
 """
 from __future__ import annotations
 
@@ -24,6 +26,7 @@ import numpy as np
 from .config import RunConfig
 from .dataset import FeatureColumn, FeatureMatrix
 from .errors import InputFormatError, PipelineError
+from .structural import ModelParams
 
 # The feature of a leaf node. The tree kernel (_kernels, imported only where
 # trees grow, as reading or scoring a forest never runs it) writes it too.
@@ -270,6 +273,10 @@ class Forest:
     master_seed: int
     columns: tuple[FeatureColumn, ...]
     train_sha256: str  # FeatureMatrix.sha256() of the training set
+    # The calibration that priced the training rows' E2C feature, and the
+    # (firm_frac, date_frac) of the split that held rows out of them.
+    calibration: ModelParams = ModelParams()
+    holdout: tuple[float, float] = (RunConfig.firm_frac, RunConfig.date_frac)
 
     @cached_property
     def trees(self) -> tuple[RegressionTree, ...]:
@@ -388,7 +395,7 @@ def fit_forest(
 # Serialization
 # ---------------------------------------------------------------------------
 
-_MAGIC = b"E2CFOR05"
+_MAGIC = b"E2CFOR06"
 
 # Node fields in file order with their types on disk, which are also their
 # types once loaded: key for every node, improvement for split nodes only,
@@ -403,8 +410,12 @@ def _at_least(low: int):
     return lambda v: type(v) is int and v >= low
 
 
+_CALIBRATION = sorted(f.name for f in fields(ModelParams))
+
+
 # Each header key, which is also the Forest field it holds, and the test
-# its value must pass.
+# its value must pass. The calibration and holdout values must also be in
+# their RunConfig ranges.
 _HEADER = {
     "n_trees": _at_least(1),
     "m": _at_least(1),
@@ -414,27 +425,32 @@ _HEADER = {
         type(c) is list and len(c) == 2 and all(type(s) is str for s in c) for c in v
     ),
     "train_sha256": lambda v: type(v) is str and len(v) == 64,
+    "calibration": lambda v: (type(v) is dict and sorted(v) == _CALIBRATION
+                              and all(type(x) is float for x in v.values())),
+    "holdout": lambda v: type(v) is list and len(v) == 2 and all(type(x) is float for x in v),
 }
 
 
 def save_forest(forest: Forest, path) -> None:
     """Write the forest to a binary file; identical forests give identical bytes.
 
-    Layout: the magic "E2CFOR05" (the only version marker), a little-endian
+    Layout: the magic "E2CFOR06" (the only version marker), a little-endian
     uint32 header length, a JSON header (sorted keys, no spaces) with the
-    _HEADER keys, padded with trailing spaces so that the payload starts on
-    a multiple of 8 bytes, then the trees' node counts as <i8 and each of the
-    _FILE_FIELDS concatenated over the trees in tree order: 10 bytes a node
-    and 8 more a split node. Children are not stored: they follow from the
-    breadth-first numbering. Neither are bootstrap or out-of-bag rows: they
-    follow from master_seed and the training set (Forest.out_of_bag). A
-    forest of more columns than an <i2 feature can number raises
-    PipelineError.
+    _HEADER keys, the calibration's and holdout's values written as floats,
+    padded with spaces so that the payload starts on a multiple of 8 bytes,
+    then the trees' node counts as <i8 and each of the _FILE_FIELDS
+    concatenated over the trees in tree order: 10 bytes a node and 8 more a
+    split node. Children are not stored: they follow from the breadth-first
+    numbering. Neither are bootstrap or out-of-bag rows: they follow from
+    master_seed and the training set (Forest.out_of_bag). A forest of more
+    columns than an <i2 feature can number raises PipelineError.
     """
     if len(forest.columns) > 2**15 - 1:
         raise PipelineError(f"a forest file holds at most 32767 columns, got {len(forest.columns)}")
     header = {key: getattr(forest, key) for key in _HEADER}
     header["columns"] = [[c.name, c.kind] for c in forest.columns]
+    header["calibration"] = {k: float(getattr(forest.calibration, k)) for k in _CALIBRATION}
+    header["holdout"] = [float(frac) for frac in forest.holdout]
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     blob += b" " * (-(12 + len(blob)) % 8)
     sizes = forest.nodes.sizes.astype("<i8")
@@ -451,7 +467,7 @@ def load_forest(path) -> Forest:
     value sizes an allocation before the payload's length confirms it."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    if raw[:8] in (b"E2CFOR01", b"E2CFOR02", b"E2CFOR03", b"E2CFOR04"):
+    if raw[:8] in [b"E2CFOR0%d" % version for version in range(1, 6)]:
         raise InputFormatError(f"{path}: {raw[:8].decode()} is an earlier forest format; retrain")
     if raw[:8] != _MAGIC:
         raise InputFormatError(f"{path}: not a forest file (bad magic {raw[:8]!r})")
@@ -463,6 +479,11 @@ def load_forest(path) -> Forest:
     for key, valid in _HEADER.items():
         if not (type(header) is dict and key in header and valid(header[key])):
             raise InputFormatError(f"{path}: forest header key {key!r} missing or malformed")
+    firm_frac, date_frac = header["holdout"]
+    try:
+        RunConfig(**header["calibration"], firm_frac=firm_frac, date_frac=date_frac)
+    except InputFormatError as exc:
+        raise InputFormatError(f"{path}: forest header setting out of range: {exc}") from None
     n_trees, columns = header["n_trees"], header["columns"]
     payload = memoryview(raw)[12 + size :]
     if len(payload) < 8 * n_trees:
@@ -484,6 +505,8 @@ def load_forest(path) -> Forest:
     nodes = Nodes(sizes=sizes, **stored)
     _check_nodes(path, nodes, len(columns))
     header["columns"] = tuple(FeatureColumn(name, kind) for name, kind in columns)
+    header["calibration"] = ModelParams(**header["calibration"])
+    header["holdout"] = (firm_frac, date_frac)
     return Forest(nodes=nodes, **{key: header[key] for key in _HEADER})
 
 

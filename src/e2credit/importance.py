@@ -104,7 +104,7 @@ def permutation_importance(forest: Forest, train: FeatureMatrix, seed: int) -> n
     if train.sha256() != forest.train_sha256:
         raise CompatibilityError(
             f"the {train.n_rows}-row matrix is not the one the forest was trained on; "
-            "pass the training set (the snapshot CSV and config used for training)"
+            "pass the training set (the snapshot CSV used for training)"
         )
     p = train.n_features
     X = np.ascontiguousarray(train.X, dtype=np.float64)

@@ -44,6 +44,30 @@ def trained_dir(synth_dir, tmp_path_factory):
     return out
 
 
+# A calibration and a holdout other than the defaults, and a seed.
+CALIBRATION = ["--recovery", "0.4", "--maturity", "7"]
+RECORDED = ["--seed", "5", *CALIBRATION, "--firm-frac", "0.3", "--date-frac", "0.1"]
+
+
+@pytest.fixture(scope="module")
+def recorded_dir(synth_dir, tmp_path_factory):
+    out = tmp_path_factory.mktemp("recorded")
+    assert main(["train", str(synth_dir / "snapshots.csv"), *RECORDED, "--trees", "4",
+                 "--features-per-split", "8", "--max-depth", "6", "--out-dir", str(out)]) == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def flat_creditgrades_dir(synth_dir, tmp_path_factory):
+    # At the largest debt-recovery vol every CreditGrades spread is 0.0; the
+    # vol prices no feature, so its trees are trained_dir's.
+    out = tmp_path_factory.mktemp("flat")
+    assert main(["train", str(synth_dir / "snapshots.csv"), "--debt-recovery-vol", "26.64",
+                 "--seed", "3", "--trees", "10", "--features-per-split", "8",
+                 "--max-depth", "8", "--out-dir", str(out)]) == 0
+    return out
+
+
 def read_table(path):
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.DictReader(fh))
@@ -441,7 +465,7 @@ class TestTrainCommand:
         assert main(["train", str(synth / "snapshots.csv"), "--seed", "1", "--trees", "5",
                      "--out-dir", str(out)]) == 0
         digest = hashlib.sha256((out / "forest.e2cf").read_bytes()).hexdigest()
-        assert digest == "d6f760896f6a07e16b30829e06038fd3a8818bda4e24c89c32b530f21365bee5"
+        assert digest == "14bc7d00b71cbc428cc23901e2a0fc625d0edbca39842839f9a91e96f96bce1b"
 
     def test_no_complete_records_exit_3(self, synth_dir, tmp_path, capsys):
         # Every label blank: each row is read and priced, none is complete.
@@ -554,16 +578,15 @@ class TestEvaluateCommand:
             "forest_bps",
         ]
 
-    def test_no_defined_correlation_leaves_blank_cells(self, synth_dir, trained_dir,
+    def test_no_defined_correlation_leaves_blank_cells(self, synth_dir, flat_creditgrades_dir,
                                                         tmp_path):
-        # At the largest debt-recovery vol every CreditGrades spread is 0.0,
-        # constant within every firm and every date: its correlations are
-        # undefined, blank cells as an undefined MASE is.
+        # Every CreditGrades spread is 0.0, constant within every firm and
+        # every date: its correlations are undefined, blank cells as an
+        # undefined MASE is.
         out = tmp_path / "eval"
         with pytest.warns(UserWarning, match="no group had a defined correlation"):
-            code = main(["evaluate", str(trained_dir / "forest.e2cf"),
-                         str(synth_dir / "snapshots.csv"), "--debt-recovery-vol", "26.64",
-                         "--out-dir", str(out)])
+            code = main(["evaluate", str(flat_creditgrades_dir / "forest.e2cf"),
+                         str(synth_dir / "snapshots.csv"), "--out-dir", str(out)])
         assert code == 0
         assert {r["creditgrades_bps"] for r in read_table(out / "timeseries.csv")} == {"0.0"}
         overall = {r["model"]: r for r in read_table(out / "overall_metrics.csv")}
@@ -571,14 +594,15 @@ class TestEvaluateCommand:
             for key in ("corr_by_firm", "corr_by_date"):
                 assert (overall[model][key] == "") == (model == "creditgrades")
 
-    def test_one_correlation_warning_per_call(self, synth_dir, trained_dir, tmp_path):
+    def test_one_correlation_warning_per_call(self, synth_dir, flat_creditgrades_dir,
+                                              tmp_path):
         # Every firm and every date is a degenerate group for CreditGrades:
         # one counting warning per correlation, then one saying it is
         # unavailable, not one warning per group.
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert main(["evaluate", str(trained_dir / "forest.e2cf"),
-                         str(synth_dir / "snapshots.csv"), "--debt-recovery-vol", "26.64",
+            assert main(["evaluate", str(flat_creditgrades_dir / "forest.e2cf"),
+                         str(synth_dir / "snapshots.csv"),
                          "--out-dir", str(tmp_path / "eval")]) == 0
         messages = [str(w.message) for w in caught if "correlation" in str(w.message)]
         unavailable = "correlation unavailable: no group had a defined correlation"
@@ -635,17 +659,17 @@ class TestEvaluateCommand:
     def test_one_creditgrades_price_per_row_across_commands(self, tmp_path, monkeypatch):
         # Blanked ratings drop priced rows from the dataset. evaluate prices
         # CreditGrades in one call, of every priced row, and each evaluated
-        # row gets the spreads that spread writes for its (firm, date),
-        # under a calibration other than the default.
+        # row gets the spreads that spread writes for its (firm, date) under
+        # the calibration the forest was trained with, which evaluate reads
+        # from the forest file.
         synth = tmp_path / "synth"
         assert main(["synth", "--firms", "30", "--dates", "20", "--seed", "4",
                      "--missing-rate", "0.2", "--out-dir", str(synth)]) == 0
         snapshots_csv = str(synth / "snapshots.csv")
-        calibration = ["--recovery", "0.4", "--maturity", "7"]
-        assert main(["train", snapshots_csv, *calibration, "--trees", "2",
+        assert main(["train", snapshots_csv, *RECORDED, "--trees", "2",
                      "--features-per-split", "4", "--max-depth", "3",
                      "--out-dir", str(tmp_path / "t")]) == 0
-        assert main(["spread", snapshots_csv, *calibration,
+        assert main(["spread", snapshots_csv, *CALIBRATION,
                      "--out-dir", str(tmp_path / "s")]) == 0
         calls = []
         pricing = snapshots_mod.creditgrades_spread
@@ -653,7 +677,7 @@ class TestEvaluateCommand:
                             lambda *args: calls.append(args) or pricing(*args))
         out = tmp_path / "eval"
         assert main(["evaluate", str(tmp_path / "t" / "forest.e2cf"), snapshots_csv,
-                     *calibration, "--out-dir", str(out)]) == 0
+                     "--out-dir", str(out)]) == 0
         evaluated = read_table(out / "timeseries.csv")
         spreads = {(row["firm_id"], row["date"]): row
                    for row in read_table(tmp_path / "s" / "spreads.csv")}
@@ -709,14 +733,6 @@ class TestImportanceCommand:
         assert mdi_ranked[0]["feature"] == "e2c_bps"
         assert vi_ranked[0]["feature"] == "e2c_bps"
 
-    def test_wrong_split_exit_4(self, synth_dir, trained_dir, tmp_path):
-        code = main([
-            "importance", str(trained_dir / "forest.e2cf"),
-            str(synth_dir / "snapshots.csv"), "--seed", "3",
-            "--firm-frac", "0.4", "--out-dir", str(tmp_path / "o"),
-        ])
-        assert code == 4
-
     def test_same_size_other_labels_exit_4(self, synth_dir, trained_dir, tmp_path, capsys):
         # Same rows and columns as at training, but every label tripled.
         lines = (synth_dir / "snapshots.csv").read_text().splitlines()
@@ -731,13 +747,6 @@ class TestImportanceCommand:
                      "--seed", "3", "--out-dir", str(tmp_path / "o")])
         assert code == 4
         assert "not the one the forest was trained on" in capsys.readouterr().err
-
-    def test_other_model_params_exit_4(self, synth_dir, trained_dir, tmp_path):
-        # A different recovery rate changes the E2C feature column only.
-        code = main(["importance", str(trained_dir / "forest.e2cf"),
-                     str(synth_dir / "snapshots.csv"), "--seed", "3",
-                     "--recovery", "0.6", "--out-dir", str(tmp_path / "o")])
-        assert code == 4
 
     def test_no_split_in_any_tree_exit_3(self, tmp_path, capsys):
         # Two in-sample rows: all three trees are single leaves, so no
@@ -874,6 +883,37 @@ class TestManifest:
         assert int(values["minor_page_faults"]) >= 0
 
 
+    @pytest.mark.parametrize("command", ["synth", "spread", "train", "evaluate", "importance"])
+    def test_lists_the_settings_its_command_used(self, synth_dir, recorded_dir, tmp_path,
+                                                 command):
+        # Its flags' settings, and those evaluate and importance read from
+        # the forest instead of from a config that says otherwise.
+        config = tmp_path / "run.cfg"
+        config.write_text("recovery = 0.6\nfirm_frac = 0.4\ntrees = 20\nworkers = 2\n")
+        csv_path = str(synth_dir / "snapshots.csv")
+        inputs = {"synth": ["--firms", "5", "--dates", "4"], "spread": [csv_path],
+                  "train": [csv_path], "evaluate": [str(recorded_dir / "forest.e2cf"), csv_path]}
+        inputs["importance"] = inputs["evaluate"]
+        seed = [] if command == "spread" else ["--seed", "2"]
+        assert main([command, *inputs[command], "--config", str(config), *seed,
+                     "--out-dir", str(tmp_path / "o")]) == 0
+        lines = (tmp_path / "o" / "manifest.txt").read_text(encoding="utf-8").splitlines()
+        settings = {key: value for key, value in (line.split(" = ", 1) for line in lines[1:])
+                    if key in {f.name for f in fields(RunConfig)}}
+        calibration = {"recovery": "0.6", "debt_recovery": "0.5", "debt_recovery_vol": "0.3",
+                       "maturity": "5.0"}
+        recorded = {**calibration, "recovery": "0.4", "maturity": "7.0"}
+        assert settings == {
+            "synth": {**calibration, "seed": "2"},
+            "spread": calibration,
+            "train": {**calibration, "trees": "20", "features_per_split": "15",
+                      "max_depth": "15", "firm_frac": "0.4", "date_frac": "0.2", "seed": "2",
+                      "workers": "2"},
+            "evaluate": {"seed": "2", **recorded},
+            "importance": {"seed": "2", **recorded, "firm_frac": "0.3", "date_frac": "0.1"},
+        }[command]
+
+
 class TestDerivedFlags:
     """Each config flag is a RunConfig field with dashes."""
 
@@ -896,20 +936,49 @@ class TestDerivedFlags:
         assert main(argv) == 0
         assert seen == [replace(file_config, **{name: flag_value})]
 
-    def test_importance_takes_the_split_fractions(self):
-        args = build_parser().parse_args(["importance", "forest.e2cf", "in.csv",
-                                          "--firm-frac", "0.3", "--date-frac", "0.1"])
-        assert (args.firm_frac, args.date_frac) == (0.3, 0.1)
-
     @pytest.mark.parametrize("flag", ["--trees", "--firm-frac"])
     @pytest.mark.parametrize("command", [["spread", "in.csv"],
-                                         ["evaluate", "forest.e2cf", "in.csv"], ["synth"]])
+                                         ["evaluate", "forest.e2cf", "in.csv"], ["synth"],
+                                         ["importance", "forest.e2cf", "in.csv"]])
     def test_forest_flags_rejected_elsewhere(self, tmp_path, capsys, command, flag):
         with pytest.raises(SystemExit) as exc:
             main([*command, flag, "2", "--out-dir", str(tmp_path / "o")])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flag", ["--recovery", "--debt-recovery", "--debt-recovery-vol",
+                                      "--maturity"])
+    @pytest.mark.parametrize("command", ["evaluate", "importance"])
+    def test_calibration_flags_rejected_by_forest_readers(self, tmp_path, capsys, command,
+                                                          flag):
+        # The forest file records the calibration its rows were priced with.
+        with pytest.raises(SystemExit) as exc:
+            main([command, "forest.e2cf", "in.csv", flag, "0.6",
+                  "--out-dir", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 0.6" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "importance"])
+    def test_forest_readers_replay_the_training_run(self, synth_dir, recorded_dir, tmp_path,
+                                                    command):
+        # With --seed alone, with the training run's config, and with a
+        # config whose other keys differ from it, each gives the same bytes:
+        # the calibration, holdout and forest seed come from the forest.
+        other = tmp_path / "other.cfg"
+        other.write_text("seed = 5\nrecovery = 0.6\nmaturity = 2.0\nfirm_frac = 0.4\n"
+                         "date_frac = 0.0\ntrees = 20\nworkers = 2\n")
+        outputs = []
+        for flags in (["--seed", "5"], ["--config", str(recorded_dir / "run_config.txt")],
+                      ["--config", str(other)]):
+            out = tmp_path / str(len(outputs))
+            assert main([command, str(recorded_dir / "forest.e2cf"),
+                         str(synth_dir / "snapshots.csv"), *flags, "--out-dir", str(out)]) == 0
+            outputs.append({path.name: path.read_bytes() for path in sorted(out.iterdir())
+                            if path.name != "manifest.txt"})
+        assert len(outputs[0]) >= 3
+        assert outputs[0] == outputs[1] == outputs[2]
 
     @pytest.mark.parametrize("command", [["spread", "in.csv"],
                                          ["evaluate", "forest.e2cf", "in.csv"],

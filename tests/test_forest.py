@@ -585,6 +585,7 @@ class TestSerialization:
         assert loaded.master_seed == forest.master_seed
         assert loaded.columns == forest.columns
         assert loaded.train_sha256 == forest.train_sha256
+        assert (loaded.calibration, loaded.holdout) == (forest.calibration, forest.holdout)
         for ta, tb in zip(forest.trees, loaded.trees):
             # A fitted forest holds feature as int64, a loaded one as the
             # file's <i2.
@@ -636,6 +637,25 @@ class TestSerialization:
                 save_forest(forest, path)
             assert not path.exists()
 
+    def test_calibration_and_holdout_saved_as_floats(self, small_matrix, tmp_path):
+        # A library forest may hold integers there; the file holds floats,
+        # and the forest read back equals the one saved.
+        forest = dataclasses.replace(
+            fit_forest(small_matrix, n_trees=2, m=2, max_depth=3, master_seed=1),
+            calibration=ModelParams(maturity=5), holdout=(0.3, 0))
+        path = tmp_path / "model.e2cf"
+        save_forest(forest, path)
+        raw = path.read_bytes()
+        header = json.loads(raw[12 : 12 + int.from_bytes(raw[8:12], "little")])
+        assert [type(v) for v in header["calibration"].values()] == [float] * 4
+        assert header["holdout"] == [0.3, 0.0] and type(header["holdout"][1]) is float
+        loaded = load_forest(path)
+        assert loaded.calibration == ModelParams(maturity=5.0)
+        assert type(loaded.calibration.maturity) is float
+        assert loaded.holdout == (0.3, 0.0)
+        save_forest(loaded, tmp_path / "again.e2cf")
+        assert (tmp_path / "again.e2cf").read_bytes() == raw
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.e2cf"
         path.write_bytes(b"NOTAFOREST")
@@ -653,12 +673,16 @@ class TestSerialization:
         raw = path.read_bytes()
         size = int.from_bytes(raw[8:12], "little")
         header = json.loads(raw[12 : 12 + size])
-        assert raw[:8] == b"E2CFOR05"
+        assert raw[:8] == b"E2CFOR06"
         assert (12 + size) % 8 == 0
         assert len(raw[12 : 12 + size]) - len(raw[12 : 12 + size].rstrip(b" ")) < 8
-        assert sorted(header) == ["columns", "m", "master_seed", "max_depth", "n_trees",
-                                  "train_sha256"]
+        assert sorted(header) == ["calibration", "columns", "holdout", "m", "master_seed",
+                                  "max_depth", "n_trees", "train_sha256"]
         assert header["train_sha256"] == small_matrix.sha256()
+        # fit_forest's defaults are RunConfig's.
+        assert header["calibration"] == {"debt_recovery": 0.5, "debt_recovery_vol": 0.3,
+                                         "maturity": 5.0, "recovery": 0.3}
+        assert header["holdout"] == [0.2, 0.2]
         payload = raw[12 + size :]
         counts = [tree.n_nodes for tree in forest.trees]
         assert np.frombuffer(payload, "<i8", count=3).tolist() == counts
@@ -704,7 +728,7 @@ def corrupt_file(forest, path, case):
         return with_tree0(forest, **{name: arr})
 
     raw = path.read_bytes()
-    if case in ("format_1", "format_2", "format_3", "format_4"):
+    if case in ("format_1", "format_2", "format_3", "format_4", "format_5"):
         path.write_bytes(b"E2CFOR0" + case[-1].encode() + raw[8:])
     elif case == "truncated":
         path.write_bytes(raw[:-1])
@@ -724,6 +748,8 @@ def corrupt_file(forest, path, case):
         edit_header(path, lambda h: {**h, case.removesuffix("_null"): None})
     elif case == "not_an_object":
         edit_header(path, lambda h: list(h))
+    elif case in SETTING_EDITS:
+        edit_header(path, SETTING_EDITS[case][0])
     elif case == "huge_tree_count":
         # Fails before reading node counts, which would take 8e15 bytes.
         edit_header(path, lambda h: {**h, "n_trees": 10**15})
@@ -749,12 +775,44 @@ def corrupt_file(forest, path, case):
         raise AssertionError(case)
 
 
+def _calibration_with(**values):
+    return lambda h: {**h, "calibration": {**h["calibration"], **values}}
+
+
+# Malformed calibration and holdout header values, and what load_forest says.
+_SHAPE = "header key '{}' missing or malformed"
+_RANGE = "header setting out of range: "
+SETTING_EDITS = {
+    "calibration_missing": (lambda h: {k: v for k, v in h.items() if k != "calibration"},
+                            _SHAPE.format("calibration")),
+    "calibration_not_an_object": (
+        lambda h: {**h, "calibration": list(h["calibration"].values())},
+        _SHAPE.format("calibration")),
+    "calibration_field_missing": (lambda h: {**h, "calibration": {
+        k: v for k, v in h["calibration"].items() if k != "maturity"}},
+        _SHAPE.format("calibration")),
+    "calibration_integer": (_calibration_with(maturity=5), _SHAPE.format("calibration")),
+    "calibration_string": (_calibration_with(recovery="0.3"), _SHAPE.format("calibration")),
+    "calibration_nan": (_calibration_with(recovery=math.nan),
+                        _RANGE + "recovery must be finite, got nan"),
+    "calibration_recovery_2": (_calibration_with(recovery=2.0),
+                               _RANGE + r"recovery must be in \[0, 1\], got 2.0"),
+    "holdout_missing": (lambda h: {k: v for k, v in h.items() if k != "holdout"},
+                        _SHAPE.format("holdout")),
+    "holdout_length_1": (lambda h: {**h, "holdout": [0.2]}, _SHAPE.format("holdout")),
+    "holdout_string": (lambda h: {**h, "holdout": "0.2,0.2"}, _SHAPE.format("holdout")),
+    "holdout_one": (lambda h: {**h, "holdout": [1.0, 0.2]},
+                    _RANGE + r"firm_frac must be in \[0, 1\), got 1.0"),
+    "holdout_negative": (lambda h: {**h, "holdout": [0.2, -0.1]},
+                         _RANGE + r"date_frac must be in \[0, 1\), got -0.1"),
+}
+
 CORRUPT_CASES = [
-    "format_1", "format_2", "format_3", "format_4", "truncated", "cut_after_header",
-    "trailing_byte", "missing_key", "float_key", "bool_key", "bad_columns", "columns_null",
-    "train_sha256_null", "not_an_object", "huge_tree_count", "empty_tree",
+    "format_1", "format_2", "format_3", "format_4", "format_5", "truncated",
+    "cut_after_header", "trailing_byte", "missing_key", "float_key", "bool_key", "bad_columns",
+    "columns_null", "train_sha256_null", "not_an_object", "huge_tree_count", "empty_tree",
     "feature_too_large", "feature_below_leaf", "leaf_made_split",
-    "split_made_leaf", "split_after_children",
+    "split_made_leaf", "split_after_children", *SETTING_EDITS,
 ]
 
 
@@ -788,6 +846,20 @@ class TestCorruptFile:
         forest, path = forest_file(tmp_path)
         corrupt_file(forest, path, "format_4")
         with pytest.raises(InputFormatError, match="E2CFOR04 is an earlier forest format; retrain"):
+            load_forest(path)
+
+    def test_format_5_says_retrain(self, tmp_path):
+        # E2CFOR05 held neither the calibration nor the holdout.
+        forest, path = forest_file(tmp_path)
+        corrupt_file(forest, path, "format_5")
+        with pytest.raises(InputFormatError, match="E2CFOR05 is an earlier forest format; retrain"):
+            load_forest(path)
+
+    @pytest.mark.parametrize("case", SETTING_EDITS)
+    def test_malformed_setting_named(self, case, tmp_path):
+        forest, path = forest_file(tmp_path)
+        corrupt_file(forest, path, case)
+        with pytest.raises(InputFormatError, match=SETTING_EDITS[case][1]):
             load_forest(path)
 
     @pytest.mark.parametrize("case, message", [

@@ -18,7 +18,7 @@ GOLDEN = {
     "spread/spreads.csv":
         "54a8216aa0b70dd3f4608723da4bc0ba19111260fb6a0071c23c79984cca0847",
     "train/forest.e2cf":
-        "21898676a585b47836b734b460092aa78fcf68e91200941f1fd62ac4dcf04fbc",
+        "9fa4c8b2afd9572955e3100f176e014f6d1f2584a4c777a25a2eeedc4067e5e1",
     "train/run_config.txt":
         "ee51c4615f4cec1fbb8ddbdc0d89b2c74616400f9ed006858b677803257c4bdc",
     "train/split_manifest.csv":
