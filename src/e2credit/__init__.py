@@ -22,7 +22,6 @@ from .dataset import (
 from .forest import (
     Forest,
     RegressionTree,
-    best_split,
     fit_forest,
     grow_tree,
     load_forest,
@@ -68,7 +67,6 @@ __all__ = [
     "RunConfig",
     "Split",
     "avg_correlation",
-    "best_split",
     "creditgrades_spread",
     "creditgrades_survival",
     "debt_per_share",

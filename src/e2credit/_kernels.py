@@ -374,15 +374,3 @@ def build_trees(pre, y, samples, m, max_depth, rngs):
     nodes["sizes"] = np.bincount(node_tree, minlength=n_trees)
     return nodes
 
-
-def scan_best_split(X, y, row_indices, feats):
-    """Best (feature, threshold, sse_after) over explicit features and rows,
-    scored as a one-node level of the tree kernel; feature is -1 when no
-    feature has two distinct values."""
-    batch = _Batch(Presorted(X), y, [np.asarray(row_indices, dtype=np.int64)])
-    O, counts = batch.root_layout()
-    sel = np.zeros((1, batch.pre.p), dtype=bool)
-    sel[0, np.asarray(feats, dtype=np.int64)] = True
-    mean = np.array([batch.y.sum() / batch.n])
-    f, thr, sse, _ = _scan_level(batch, O, counts, mean, sel)
-    return int(f[0]), float(thr[0]), float(sse[0])

@@ -275,10 +275,11 @@ def cmd_importance(args, config: RunConfig, out_dir: Path) -> dict:
     top_mdi = names[report.mdi_ranking()[0]]
     top_vi = names[report.vi_ranking()[0]]
     print(f"importance: top feature by MDI = {top_mdi}, by permutation = {top_vi}")
-    return {**asdict(forest.calibration), **dict(zip(("firm_frac", "date_frac"), forest.holdout))}
+    return {**asdict(forest.calibration), **dict(zip(("firm_frac", "date_frac"), forest.holdout)),
+            "master_seed": forest.master_seed}
 
 
-def cmd_synth(args, config: RunConfig, out_dir: Path) -> None:
+def cmd_synth(args, config: RunConfig, out_dir: Path) -> dict:
     rows, meta = generate_snapshots(
         n_firms=args.firms,
         n_dates=args.dates,
@@ -293,6 +294,7 @@ def cmd_synth(args, config: RunConfig, out_dir: Path) -> None:
         f"synth: {len(rows)} rows ({args.firms} firms x {args.dates} dates) "
         f"-> {out_dir / 'snapshots.csv'}"
     )
+    return {name: getattr(args, name) for name in ("firms", "dates", "missing_rate", "bayes_r2")}
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +353,8 @@ def main(argv=None) -> int:
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         # Looked up at call time, so a wrapper set on the module is the one
-        # run. A command that reads settings from the forest returns them.
+        # run. A command returns the settings it used beyond its config
+        # flags: those it read from the forest, or synth's panel flags.
         recorded = globals()[f"cmd_{args.command}"](args, config, out_dir)
         _write_manifest(out_dir, args, config, recorded or {})
         return 0

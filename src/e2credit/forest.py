@@ -33,56 +33,6 @@ from .structural import ModelParams
 LEAF = -1
 
 
-@dataclass(frozen=True)
-class SplitDecision:
-    """Winning split of a greedy SSE search."""
-
-    feature: int
-    threshold: float
-    sse_after: float
-    left_mean: float
-    right_mean: float
-
-
-def best_split(
-    X: np.ndarray,
-    y: np.ndarray,
-    row_indices: np.ndarray,
-    feature_subset: np.ndarray,
-) -> SplitDecision | None:
-    """Greedy SSE-minimizing split over the given rows and features.
-
-    Candidate thresholds are midpoints between consecutive distinct sorted
-    values of each feature; the objective is the summed within-region SSE
-    around the region means. Ties break toward the lower SSE, then lower
-    feature index, then lower threshold. Returns None when no candidate
-    feature has two distinct values.
-    """
-    rows = np.asarray(row_indices, dtype=np.int64)
-    if rows.size == 0:
-        raise ValueError("best_split requires a non-empty sample")
-    feats = np.asarray(feature_subset, dtype=np.int64)
-    if feats.size == 0:
-        raise ValueError("best_split requires a non-empty feature subset")
-    from . import _kernels
-
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    y = np.ascontiguousarray(y, dtype=np.float64)
-    f, s, sse_after = _kernels.scan_best_split(X, y, rows, feats)
-    if f < 0:
-        return None
-    mask = X[rows, f] <= s
-    left_rows = rows[mask]
-    right_rows = rows[~mask]
-    return SplitDecision(
-        feature=int(f),
-        threshold=float(s),
-        sse_after=float(sse_after),
-        left_mean=float(np.cumsum(y[left_rows])[-1] / left_rows.size),
-        right_mean=float(np.cumsum(y[right_rows])[-1] / right_rows.size),
-    )
-
-
 # Forest.predict descends at most this many (tree, row) pairs at a time, so
 # its scratch arrays stay about 2 MB whatever the number of rows.
 _PREDICT_PAIRS = 2**15

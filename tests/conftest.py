@@ -42,6 +42,29 @@ def brute_force_best_split(X, y, rows, feats, tie_tol=1e-10):
     return best
 
 
+def kernel_root_split(X, y, rows, feats):
+    """The root split the tree kernel grows on the given rows and features,
+    as (feature, threshold, sse_after) in the terms of
+    brute_force_best_split, or None when the root stays a leaf.
+
+    Grows a depth-1 tree on the columns feats of X, ascending, with all of
+    them drawn. Dropping the other columns changes no candidate: each
+    column's scan route depends only on its own distinct values over all
+    rows, packing a two-valued column into another block changes none of
+    its counts or sums, and ascending columns keep the tie order.
+    """
+    from e2credit.forest import grow_tree
+
+    feats = np.sort(np.asarray(feats, dtype=np.int64))
+    tree = grow_tree(X[:, feats], y, rows, m=feats.shape[0], max_depth=1,
+                     rng=np.random.default_rng(0))
+    if tree.feature[0] == -1:
+        return None
+    y_node = y[rows]
+    node_sse = float(np.sum((y_node - y_node.mean()) ** 2))
+    return int(feats[tree.feature[0]]), float(tree.threshold[0]), node_sse - tree.improvement[0]
+
+
 @pytest.fixture
 def brute_best_split():
     return brute_force_best_split

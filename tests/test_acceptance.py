@@ -20,7 +20,7 @@ from e2credit.dataset import (
     encode_features,
     split_in_out,
 )
-from e2credit.forest import best_split, fit_forest, grow_tree, save_forest
+from e2credit.forest import fit_forest, grow_tree, save_forest
 from e2credit.importance import importance_report
 from e2credit.metrics import (
     PairedSeries,
@@ -36,7 +36,8 @@ from e2credit.structural import ModelParams, creditgrades_survival, e2c_spread
 from e2credit.synth import generate_snapshots
 
 from conftest import (
-    brute_force_best_split, build_from_rows, col, oracle_survival, records_table)
+    brute_force_best_split, build_from_rows, col, kernel_root_split, oracle_survival,
+    records_table)
 
 PARAMS = ModelParams()
 
@@ -125,13 +126,12 @@ def test_criterion_3_split_search_oracle():
         rows = np.arange(n)
         feats = np.arange(p)
         expected = brute_force_best_split(X, y, rows, feats)
-        got = best_split(X, y, rows, feats)
+        got = kernel_root_split(X, y, rows, feats)
         if expected is None:
             assert got is None
             continue
-        assert got.feature == expected[0]
-        assert got.threshold == expected[1]
-        assert got.sse_after == pytest.approx(expected[2], rel=1e-9, abs=1e-9)
+        assert got[:2] == expected[:2]
+        assert got[2] == pytest.approx(expected[2], rel=1e-9, abs=1e-9)
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
     print(f"ACCEPTANCE 3: PASS - 500 random instances match exhaustive brute "

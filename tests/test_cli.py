@@ -886,8 +886,9 @@ class TestManifest:
     @pytest.mark.parametrize("command", ["synth", "spread", "train", "evaluate", "importance"])
     def test_lists_the_settings_its_command_used(self, synth_dir, recorded_dir, tmp_path,
                                                  command):
-        # Its flags' settings, and those evaluate and importance read from
-        # the forest instead of from a config that says otherwise.
+        # Its flags' settings, those evaluate and importance read from the
+        # forest instead of from a config that says otherwise, synth's panel
+        # flags and the forest's master_seed that importance splits with.
         config = tmp_path / "run.cfg"
         config.write_text("recovery = 0.6\nfirm_frac = 0.4\ntrees = 20\nworkers = 2\n")
         csv_path = str(synth_dir / "snapshots.csv")
@@ -898,19 +899,22 @@ class TestManifest:
         assert main([command, *inputs[command], "--config", str(config), *seed,
                      "--out-dir", str(tmp_path / "o")]) == 0
         lines = (tmp_path / "o" / "manifest.txt").read_text(encoding="utf-8").splitlines()
+        extra = {"firms", "dates", "missing_rate", "bayes_r2", "master_seed"}
         settings = {key: value for key, value in (line.split(" = ", 1) for line in lines[1:])
-                    if key in {f.name for f in fields(RunConfig)}}
+                    if key in {f.name for f in fields(RunConfig)} | extra}
         calibration = {"recovery": "0.6", "debt_recovery": "0.5", "debt_recovery_vol": "0.3",
                        "maturity": "5.0"}
         recorded = {**calibration, "recovery": "0.4", "maturity": "7.0"}
         assert settings == {
-            "synth": {**calibration, "seed": "2"},
+            "synth": {**calibration, "seed": "2", "firms": "5", "dates": "4",
+                      "missing_rate": "0.0", "bayes_r2": "0.9"},
             "spread": calibration,
             "train": {**calibration, "trees": "20", "features_per_split": "15",
                       "max_depth": "15", "firm_frac": "0.4", "date_frac": "0.2", "seed": "2",
                       "workers": "2"},
             "evaluate": {"seed": "2", **recorded},
-            "importance": {"seed": "2", **recorded, "firm_frac": "0.3", "date_frac": "0.1"},
+            "importance": {"seed": "2", **recorded, "firm_frac": "0.3", "date_frac": "0.1",
+                           "master_seed": "5"},
         }[command]
 
 

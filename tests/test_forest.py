@@ -19,11 +19,10 @@ from e2credit.synth import generate_snapshots
 from e2credit.errors import InputFormatError, PipelineError
 from e2credit.importance import permutation_importance
 
-from conftest import build_from_rows, edit_header
+from conftest import build_from_rows, edit_header, kernel_root_split
 from e2credit.forest import (
     Forest,
     Nodes,
-    best_split,
     fit_forest,
     grow_tree,
     load_forest,
@@ -34,36 +33,34 @@ FOUR_X = np.array([[1.0], [2.0], [3.0], [4.0]])
 FOUR_Y = np.array([1.0, 1.0, 5.0, 5.0])
 
 
-class TestBestSplit:
+class TestRootSplit:
     def test_four_point_example(self):
-        decision = best_split(FOUR_X, FOUR_Y, np.arange(4), np.array([0]))
-        assert decision.feature == 0
-        assert decision.threshold == 2.5
-        assert decision.sse_after == 0.0
-        assert decision.left_mean == 1.0
-        assert decision.right_mean == 5.0
+        assert kernel_root_split(FOUR_X, FOUR_Y, np.arange(4), np.array([0])) == (0, 2.5, 0.0)
+        tree = grow_tree(FOUR_X, FOUR_Y, np.arange(4), m=1, max_depth=1,
+                         rng=np.random.default_rng(0))
+        assert (tree.value[1], tree.value[2]) == (1.0, 5.0)
 
-    def test_constant_target_tie_break(self):
-        decision = best_split(FOUR_X, np.ones(4), np.arange(4), np.array([0]))
-        assert decision.threshold == 1.5
+    def test_tie_break_takes_the_lower_threshold(self):
+        # Thresholds 1.5 and 3.5 both leave an SSE of 2/3.
+        y = np.array([0.0, 1.0, 1.0, 0.0])
+        assert kernel_root_split(FOUR_X, y, np.arange(4), np.array([0]))[1] == 1.5
+        # The same tie on a column counted per value (V * V <= N): 0.5 and
+        # 1.5 both leave an SSE of 1.5.
+        X = np.repeat([0.0, 1.0, 2.0], 3)[:, None]
+        assert _kernels.Presorted(X).few_feats.tolist() == [0]
+        y = np.repeat([0.0, 1.0, 0.0], 3)
+        assert kernel_root_split(X, y, np.arange(9), np.array([0]))[1] == 0.5
 
     def test_informative_feature_beats_noise(self):
         rng = np.random.default_rng(0)
         X = np.column_stack([np.repeat([0.0, 1.0], 10), rng.normal(size=20)])
         y = np.repeat([0.0, 10.0], 10)
-        decision = best_split(X, y, np.arange(20), np.array([0, 1]))
-        assert decision.feature == 0
+        assert kernel_root_split(X, y, np.arange(20), np.array([0, 1]))[0] == 0
 
     def test_no_valid_split(self):
         X = np.ones((5, 2))
         y = np.arange(5.0)
-        assert best_split(X, y, np.arange(5), np.array([0, 1])) is None
-
-    def test_empty_errors(self):
-        with pytest.raises(ValueError):
-            best_split(FOUR_X, FOUR_Y, np.array([], dtype=np.int64), np.array([0]))
-        with pytest.raises(ValueError):
-            best_split(FOUR_X, FOUR_Y, np.arange(4), np.array([], dtype=np.int64))
+        assert kernel_root_split(X, y, np.arange(5), np.array([0, 1])) is None
 
     def test_matches_brute_force(self, brute_best_split):
         rng = np.random.default_rng(123)
@@ -78,13 +75,12 @@ class TestBestSplit:
             rows = np.arange(n)
             feats = np.arange(p)
             expected = brute_best_split(X, y, rows, feats)
-            got = best_split(X, y, rows, feats)
+            got = kernel_root_split(X, y, rows, feats)
             if expected is None:
                 assert got is None
                 continue
-            assert got.feature == expected[0]
-            assert got.threshold == expected[1]
-            assert got.sse_after == pytest.approx(expected[2], rel=1e-9, abs=1e-9)
+            assert got[:2] == expected[:2]
+            assert got[2] == pytest.approx(expected[2], rel=1e-9, abs=1e-9)
 
     def test_strict_feature_subsets_match_brute_force(self, brute_best_split):
         # A random strict subset of the features, on bootstrap rows with
@@ -117,14 +113,13 @@ class TestBestSplit:
             others = rng.permutation(8)[: int(rng.integers(0, 8))]
             feats = np.r_[others, 8]
             expected = brute_best_split(X, y, rows, feats)
-            got = best_split(X, y, rows, feats)
+            got = kernel_root_split(X, y, rows, feats)
             if expected is None:
                 constant_only += 1
                 assert got is None
                 continue
-            assert got.feature == expected[0]
-            assert got.threshold == expected[1]
-            assert got.sse_after == pytest.approx(expected[2], rel=1e-9, abs=1e-9)
+            assert got[:2] == expected[:2]
+            assert got[2] == pytest.approx(expected[2], rel=1e-9, abs=1e-9)
         assert constant_only > 0
 
 
@@ -288,6 +283,11 @@ class TestGrowTree:
         assert tree.feature[0] == -1
         assert tree.value[0] == 2.0
         assert tree.improvement.shape == (0,)
+
+    def test_empty_sample_errors(self):
+        with pytest.raises(ValueError, match="empty sample"):
+            grow_tree(FOUR_X, FOUR_Y, np.array([], dtype=np.int64), m=1, max_depth=3,
+                      rng=np.random.default_rng(0))
 
     def test_m_validation(self):
         with pytest.raises(ValueError):
