@@ -12,7 +12,11 @@ Two views of the same question:
   feature in feature order: the same draws as p successive
   rng.permutation calls. The OOB rows are redrawn from the forest's seed,
   so the matrix must be the forest's training set; its SHA-256 is checked
-  first.
+  first. One descent of the OOB rows finds, for each (feature A, row), the
+  first node on the row's path that tests A and sends the row's permuted
+  value of A the other way; only those pairs re-descend, from that node's
+  other child, and the rest keep the row's leaf. The scores are bit for
+  bit those of predicting every permuted copy of the OOB rows in full.
 """
 from __future__ import annotations
 
@@ -78,7 +82,8 @@ def _permutations(rng: np.random.Generator, p: int, n: int) -> np.ndarray:
 # many rows: one chunk's descents run as a few large array operations rather
 # than many small ones, while its scratch arrays (a prediction, a source row
 # and a flag per feature for every row, and the re-descending pairs) stay a
-# few MB.
+# few MB. 2**11 to 2**13 rows score the benchmark's forests in about the
+# same time; 2**10 and 2**14 are slower.
 _CHUNK_ROWS = 2**12
 
 
@@ -95,11 +100,12 @@ def permutation_importance(forest: Forest, train: FeatureMatrix, seed: int) -> n
     are skipped with a warning; the average runs over the remaining trees.
     The stored matrix is never modified.
 
-    Only rows whose path tests a feature are re-scored when that feature is
-    permuted, each from the first node on its path that tests it; every
-    other row keeps its leaf, since every value its path compares is
-    unchanged. The scores equal those of predicting every permuted copy of
-    the OOB block in full, bit for bit.
+    With feature A permuted, a row is re-descended only if its permuted
+    value of A goes the other way at some node on its own path that tests
+    A; it re-descends from the first such node's other child. Every other
+    row keeps its leaf, since every comparison on its path comes out the
+    same. The scores equal those of predicting every permuted copy of the
+    OOB block in full, bit for bit.
     """
     if train.sha256() != forest.train_sha256:
         raise CompatibilityError(
@@ -159,42 +165,51 @@ def _score_chunk(nodes, X, chunk):
     ends = np.cumsum(sizes)
     p = X.shape[1]
     Xf = X.ravel()
-    # Row offsets into Xf of the chunk's rows, tree after tree.
+    # Row offsets into Xf of the chunk's rows, tree after tree, and, at
+    # k * p + a, the offset of the row whose value of feature a row k reads
+    # when a is permuted.
     base = np.concatenate([oob for _, oob, _, _ in chunk]) * p
     K = base.shape[0]
+    source = np.empty((K, p), dtype=np.intp)
+    for (_, oob, _, perms), end, size in zip(chunk, ends, sizes):
+        np.multiply(oob.take(perms.T), p, out=source[end - size:end])
+    source = source.ravel()
     depth = int(nodes.depths[trees].max())
 
-    # Descend the OOB rows once. At each depth, a row whose node tests a
-    # feature its path has not tested before starts a (feature, row) pair
-    # there: with that feature permuted, the row re-descends from this node,
-    # while a row whose path never tests it keeps its leaf.
+    # Descend the OOB rows once. At each depth, a row at a node that tests
+    # feature a also compares its permuted value of a there. The pair
+    # (a, row), flat index k * p + a, diverges at the first node on the
+    # row's path where the two go different ways, and from the child on the
+    # permuted side it re-descends with a permuted. A pair that never
+    # diverges keeps the row's leaf. At a leaf, tests is LEAF and what the
+    # comparisons read is masked out.
     node = np.repeat(nodes.roots[trees], sizes)
-    every_row = np.arange(K)
-    seen = np.zeros((p, K), dtype=bool)
-    entering = []
+    row_pairs = np.arange(K) * p
+    diverged = np.zeros(p * K, dtype=bool)
+    diverging = []
     for _ in range(depth):
-        tests = nodes.feature[node]
-        at = every_row[tests >= 0]
-        at = at[~seen[tests[at], at]]
-        seen[tests[at], at] = True
-        entering.append((tests[at], at, node[at]))
-        node = nodes.step(Xf, node, base)
+        tests = nodes.feature.take(node)
+        threshold = nodes.key.take(node)
+        go_left = Xf.take(base + tests) <= threshold
+        pair = row_pairs + tests
+        swapped = Xf.take(source.take(pair) + tests) <= threshold
+        at = np.flatnonzero((swapped != go_left) & (tests != LEAF) & ~diverged.take(pair))
+        pair = pair.take(at)
+        diverged[pair] = True
+        diverging.append((pair, nodes.children.take(2 * node.take(at) + swapped.take(at))))
+        node = nodes.children.take(2 * node + go_left)
     # Row 0 holds the unpermuted leaf values and row 1 + a those with
     # feature a permuted, so one R^2 call scores a tree's base and all p.
-    permuted = np.repeat(nodes.key[node][None], p + 1, axis=0)
-    if entering:
-        # Pairs are laid out by starting depth, so those under way at a
-        # depth form a prefix; each reads its feature from its permuted
-        # source row.
-        feature, row, node = (np.concatenate(part) for part in zip(*entering))
-        source = np.concatenate(
-            [perms + (end - size) for (_, _, _, perms), end, size in zip(chunk, ends, sizes)],
-            axis=1,
-        )[feature, row]
-        row_base, source_base = base[row], base[source]
-        for n in np.cumsum([part[0].shape[0] for part in entering]):
+    permuted = np.repeat(nodes.key.take(node)[None], p + 1, axis=0)
+    if diverging:
+        # Pairs are laid out by the depth they diverge at, so those with
+        # levels left to descend form a prefix that shrinks level by level.
+        pair, node = (np.concatenate(part) for part in zip(*diverging))
+        row, feature = np.divmod(pair, p)
+        row_base, source_base = base.take(row), source.take(pair)
+        for n in np.cumsum([part[0].shape[0] for part in diverging])[:-1]:
             node[:n] = nodes.step(Xf, node[:n], row_base[:n], (feature[:n], source_base[:n]))
-        permuted[feature + 1, row] = nodes.key[node]
+        permuted[feature + 1, row] = nodes.key.take(node)
 
     out = []
     for (b, _, y_oob, _), end, size in zip(chunk, ends, sizes):
@@ -207,9 +222,11 @@ def importance_report(
     forest: Forest, train: FeatureMatrix, seed: int
 ) -> ImportanceReport:
     """Both importance measures of the forest on its training matrix, whose
-    columns must be the forest's."""
+    columns must be the forest's: CompatibilityError otherwise."""
     names = train.column_names()
     if forest.column_names() != names:
-        raise ValueError("forest and matrix disagree on feature columns")
+        raise CompatibilityError(
+            f"forest and matrix feature columns differ: {forest.column_names()} vs {names}"
+        )
     return ImportanceReport(names, mdi_importance(forest, train),
                             permutation_importance(forest, train, seed))

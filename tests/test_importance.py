@@ -1,11 +1,15 @@
 import dataclasses
+import functools
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import e2credit.importance as importance_mod
-from e2credit.dataset import FeatureMatrix
+from conftest import build_from_rows
+from e2credit.dataset import FeatureEncoder, FeatureMatrix, drop_incomplete
 from e2credit.errors import CompatibilityError, PipelineError
 from e2credit.forest import Forest, Nodes, RegressionTree, fit_forest
 from e2credit.importance import (
@@ -13,6 +17,8 @@ from e2credit.importance import (
     mdi_importance,
     permutation_importance,
 )
+from e2credit.structural import ModelParams
+from e2credit.synth import generate_snapshots
 
 
 def single_factor_matrix(n=300, p=5, seed=0, noise=0.05):
@@ -172,7 +178,7 @@ class TestReport:
                 for j in range(matrix.n_features)
             ),
         )
-        with pytest.raises(ValueError, match="columns"):
+        with pytest.raises(CompatibilityError, match="columns differ"):
             importance_report(forest, other, seed=0)
 
 
@@ -206,8 +212,44 @@ def hand_forest(trees, oobs, matrix):
                       oobs=tuple(oobs))
 
 
+def revisiting_forest():
+    """Two hand-built trees that each test feature 0 twice on one path, with
+    feature 1 between the tests, on 40 rows whose feature 0 takes the values
+    0-15. A permuted value can go the row's way at the first test of
+    feature 0 and the other way at the second: 3 and 8 agree at <= 10 and
+    part at <= 5, and 12 and 8 agree at > 5 and part at <= 10."""
+    rng = np.random.default_rng(41)
+    X = np.column_stack([np.arange(40) % 16, rng.normal(size=40)]).astype(np.float64)
+    # Tree 0: x0 <= 10, then x1 <= 0 on the left, then x0 <= 5 below that.
+    # Tree 1: x0 <= 5, then x1 <= 0 on the right, then x0 <= 10 below that.
+    trees = (
+        RegressionTree(feature=np.array([0, 1, -1, 0, -1, -1, -1]),
+                       key=np.array([10.0, 0.0, 3.0, 5.0, -1.0, 0.0, 2.0]),
+                       improvement=np.ones(3)),
+        RegressionTree(feature=np.array([0, -1, 1, 0, -1, -1, -1]),
+                       key=np.array([5.0, -2.0, 0.0, 10.0, 1.5, 0.5, 4.0]),
+                       improvement=np.ones(3)),
+    )
+    y = trees[0].predict(X) + trees[1].predict(X) + 0.5 * rng.normal(size=40)
+    matrix = FeatureMatrix.from_arrays(X, y)
+    return hand_forest(trees, (np.arange(40), np.arange(5, 35)), matrix), matrix
+
+
+def panel_forest():
+    """A forest of 10 trees up to 15 levels deep on an encoded 30x20
+    synthetic panel: one-hot blocks, few-valued columns and a wider matrix."""
+    rows, _ = generate_snapshots(n_firms=30, n_dates=20, seed=4)
+    with tempfile.TemporaryDirectory() as tmp:
+        records, _ = build_from_rows(rows, Path(tmp) / "snapshots.csv", ModelParams())
+    complete = drop_incomplete(records)
+    matrix = FeatureEncoder.fit(complete).transform(complete)
+    return fit_forest(matrix, n_trees=10, max_depth=15, master_seed=4), matrix
+
+
+@functools.cache
 def vi_cases():
-    """(name, forest, matrix) for the oracle comparison."""
+    """(name, forest, matrix) for the oracle comparison; the tree-skipping
+    case comes last."""
     rng = np.random.default_rng(31)
     X = rng.normal(size=(150, 4))
     X[:, 3] = rng.integers(0, 2, size=150)
@@ -235,6 +277,8 @@ def vi_cases():
         ("stumps", stumps, matrix),
         ("one_column", fit_forest(one, n_trees=10, m=1, max_depth=None, master_seed=3), one),
         ("single_leaf", leaves, matrix),
+        ("revisited_feature", *revisiting_forest()),
+        ("encoded_panel", *panel_forest()),
         ("skipped_trees", mixed, matrix),
     ]
 
